@@ -52,7 +52,6 @@ from .knn import (
     DistanceChunk,
     KnnGraph,
     MaxkState,
-    NeighborEdge,
     brute_force_knn,
     build_knn_graph,
     dump_graph,

@@ -1,7 +1,8 @@
 """Experiment harness comparing greedy (NN) and annealed (SA) route costs.
 
 For every seed the two algorithms see the identical generated field; costs
-are geometric route lengths and wall times cover the algorithm call only.
+are geometric route lengths. Wall times cover the algorithm call only, and
+NN's includes the kNN graph build it routes through when ``k`` is set.
 Reports export to CSV or JSON and parse back losslessly (aggregates are
 recomputed from the runs, never trusted from the file).
 """
@@ -94,10 +95,9 @@ def run_experiment(cfg: BenchConfig) -> BenchReport:
     report = BenchReport()
     for seed in cfg.seeds:
         fld = generate_uniform(cfg.n, cfg.width, cfg.height, seed)
-        graph = build_knn_graph(fld, cfg.k, chunk_size=256) if cfg.k else None
         t0 = time.perf_counter()
-        if graph is not None:
-            nn = nn_route_accelerated(fld, graph, 0)
+        if cfg.k:
+            nn = nn_route_accelerated(fld, build_knn_graph(fld, cfg.k, chunk_size=256), 0)
         else:
             nn = nn_route(fld, 0)
         nn_time = time.perf_counter() - t0
@@ -169,7 +169,7 @@ def parse_report(text: str, output_format: str) -> BenchReport:
 
 def export_route_plot(field: SensorField, route: Route) -> str:
     """``x y`` per line in visit order; closed routes repeat the start point."""
-    pts = [field.points[i] for i in route.order]
-    if route.closed and len(route.order) > 1:
+    pts = field.coords[route.order].tolist()
+    if route.closed and len(pts) > 1:
         pts.append(pts[0])
-    return "\n".join(f"{format_coord(p.x)} {format_coord(p.y)}" for p in pts) + "\n"
+    return "\n".join(f"{format_coord(x)} {format_coord(y)}" for x, y in pts) + "\n"

@@ -75,13 +75,24 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """Seed list syntax: '1..10' (inclusive range) or '1,2,5'."""
+def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> list[int]:
+    """Seed list syntax: '1..10' (inclusive range) or '1,2,5'.
+
+    Text that is neither, or that names no seed (such as '5..1'), is a
+    usage error.
+    """
     text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        parser.error(f"--seeds {text!r} names no seed; expected 'A..B' with A <= B or a comma list")
+    return seeds
 
 
 def _schedule_from_args(args, fld: SensorField, initial: Route) -> AnnealSchedule:
@@ -150,7 +161,8 @@ def build_parser() -> CliParser:
     _add_field_args(p)
     p.add_argument("--rounds", type=int, required=True, help="maximum rounds to simulate")
     p.add_argument("--policy", choices=("fixed-route", "rotate-start"), default="fixed-route")
-    p.add_argument("--start", type=int, default=0, help="start node for the fixed route")
+    p.add_argument("--start", type=int, default=None,
+                   help="start node for the fixed route (default 0); rotate-start takes none")
     p.add_argument("--config", default=None, help="key=value parameter file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="report path (default: stdout)")
@@ -209,6 +221,10 @@ def _cmd_sa(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
+    rotate = args.policy == "rotate-start"
+    if rotate and args.start is not None:
+        parser.error("--start applies to --policy fixed-route only; "
+                     "rotate-start starts round r at node r mod n")
     fld = _resolve_field(args, parser)
     if args.config:
         cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
@@ -216,7 +232,7 @@ def _cmd_simulate(args, parser) -> int:
         cfg = EnergyConfig(radio=RadioParams(), link=LinkCostParams())
     state = EnergyState.fresh(len(fld), cfg.initial_battery_j)
     dp = DelayParams(per_hop_s=cfg.per_hop_s, prop_speed=cfg.prop_speed, d_max_s=cfg.d_max_s)
-    route = nn_route(fld, args.start) if args.policy == "fixed-route" else None
+    route = None if rotate else nn_route(fld, args.start if args.start is not None else 0)
     report = simulate_lifetime(fld, args.policy, state, cfg.radio, dp, args.rounds, route=route)
     if args.format == "json":
         doc = {
@@ -242,7 +258,7 @@ def _cmd_bench(args, parser) -> int:
     preset = "paper-budget" if args.paper_budget else args.preset
     cfg = BenchConfig(
         n=args.n,
-        seeds=_parse_seeds(args.seeds),
+        seeds=_parse_seeds(args.seeds, parser),
         width=args.width,
         height=args.height,
         k=args.k,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .field import SensorField, distance
+from .field import SensorField, hop_lengths
 from .routes import Route, validate_route
 
 _LN2 = math.log(2.0)
@@ -126,9 +126,13 @@ def link_cost(
     """
     if i == j:
         raise ValueError(f"link endpoints must differ, got i == j == {i}")
+    return _hop_cost(hop_lengths(field.coords, (i, j)).item(), i, j, state, rp, lcp)
+
+
+def _hop_cost(d: float, i: int, j: int, state: EnergyState, rp: RadioParams, lcp: LinkCostParams) -> float:
+    """:func:`link_cost` of a hop from i to j whose length ``d`` is already known."""
     if state.residual_j[i] <= 0:
         raise DeadNodeError(f"node {i} has no residual energy")
-    d = distance(field.points[i], field.points[j])
     e_norm = tx_energy(rp, rp.packet_bits, lcp.error_ref_distance)
     energy_term = tx_energy(rp, rp.packet_bits, d) / e_norm
     reserve_term = 1.0 - state.residual_j[j] / state.initial_j
@@ -153,11 +157,11 @@ def route_cost(
     """
     validate_route(field, route)
     order = route.order
+    lengths = hop_lengths(field.coords, order, route.closed).tolist()
     total = 0.0
-    for a, b in zip(order, order[1:]):
-        total += link_cost(field, a, b, state, rp, lcp)
-    if route.closed and len(order) > 1:
-        total += link_cost(field, order[-1], order[0], state, rp, lcp)
+    # zip stops after the last hop, so order[:1] is the closing receiver iff closed.
+    for a, b, d in zip(order, order[1:] + order[:1], lengths):
+        total += _hop_cost(d, a, b, state, rp, lcp)
     return total
 
 

@@ -1,18 +1,20 @@
 """Sensing-field generation, planar geometry, and the coordinate dataset format.
 
-A field is an immutable scatter of node positions on a flat rectangle. Node
-identity is the positional index into ``points``; there is no separate id.
-All distance math in the package funnels through :func:`distance` and the
-vectorized helpers below, which evaluate the same floating-point expression
-(``sqrt(dx*dx + dy*dy)``) so every caller sees bit-identical values.
+A field is an immutable scatter of node positions on a flat rectangle, held
+once as a read-only (n, 2) float64 array, ``coords``. Node identity is the
+row index into it; there is no separate id. All distance math in the package
+funnels through :func:`distance` and the vectorized helpers below, which
+evaluate the same floating-point expression (``sqrt(dx*dx + dy*dy)``) so
+every caller sees bit-identical values. Hop lengths along a route come from
+:func:`hop_lengths` alone.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -23,10 +25,10 @@ class DatasetError(ValueError):
 
 
 class DatasetParseError(DatasetError):
-    """A line did not match the ``P (<x> <y>)`` record format."""
+    """A line did not match the ``P (<x> <y>)`` record format, or held a non-finite value."""
 
-    def __init__(self, line_no: int, line: str):
-        super().__init__(f"line {line_no}: malformed record {line!r}")
+    def __init__(self, line_no: int, line: str, reason: str = "malformed record"):
+        super().__init__(f"line {line_no}: {reason} {line!r}")
         self.line_no = line_no
         self.line = line
 
@@ -40,29 +42,42 @@ class Point(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensorField:
     """Node coordinates plus the rectangle they live in.
 
-    ``seed`` records how a generated field was produced and is None for
-    fields parsed from a dataset file. Instances are immutable and safe to
-    share across concurrent readers.
+    ``coords`` is copied on construction into a read-only (n, 2) float64
+    array, the field's only copy of its coordinates. ``seed`` records how a
+    generated field was produced and is None for fields parsed from a
+    dataset file. Instances are immutable and safe to share across
+    concurrent readers.
     """
 
-    points: tuple[Point, ...]
+    coords: np.ndarray
     width: float
     height: float
     seed: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """(n, 2) float64 coordinate array; cached, treat as read-only."""
-        arr = np.array(self.points, dtype=np.float64)
+    def __post_init__(self):
+        arr = np.array(self.coords, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"coords must have shape (n, 2), got {arr.shape}")
         arr.setflags(write=False)
-        return arr
+        object.__setattr__(self, "coords", arr)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __eq__(self, other):
+        if not isinstance(other, SensorField):
+            return NotImplemented
+        same_box = (self.width, self.height, self.seed) == (other.width, other.height, other.seed)
+        return same_box and np.array_equal(self.coords, other.coords)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The coordinates as ``Point`` tuples, built afresh on each access."""
+        return tuple(Point(x, y) for x, y in self.coords.tolist())
 
 
 def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorField:
@@ -80,8 +95,7 @@ def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorFi
     xy = rng.random((n, 2))
     xy[:, 0] *= width
     xy[:, 1] *= height
-    points = tuple(Point(float(x), float(y)) for x, y in xy)
-    return SensorField(points=points, width=float(width), height=float(height), seed=seed)
+    return SensorField(coords=xy, width=float(width), height=float(height), seed=seed)
 
 
 def distance(p: Point, q: Point) -> float:
@@ -109,6 +123,20 @@ def distances_from(xy: np.ndarray, i: int) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
+def hop_lengths(xy: np.ndarray, order: Sequence[int], closed: bool = False) -> np.ndarray:
+    """Length of each hop along ``order`` under the canonical metric.
+
+    Hop ``h`` runs from ``order[h]`` to ``order[h + 1]``; when ``closed`` and
+    the order has two or more nodes, a last hop returns to ``order[0]``.
+    """
+    pts = xy[np.asarray(order, dtype=np.intp)]
+    if closed and len(order) > 1:
+        pts = np.vstack([pts, pts[:1]])
+    dx = pts[1:, 0] - pts[:-1, 0]
+    dy = pts[1:, 1] - pts[:-1, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _RECORD = re.compile(rf"^\s*P\s*\(\s*({_NUM})\s+({_NUM})\s*\)\s*$")
 
@@ -123,29 +151,37 @@ def format_coord(v: float) -> str:
 def parse_dataset(text: str) -> SensorField:
     """Read ``P (<x> <y>)`` records, one per non-empty line.
 
-    Width/height are set to the bounding box observed (anchored at 0).
-    Raises :class:`DatasetParseError` with the offending line number on a
-    malformed record and :class:`EmptyDatasetError` when no records exist.
+    Width/height are those of the box spanned by the origin and every
+    point, so they are never negative. Raises :class:`DatasetParseError`
+    with the offending line number on a malformed record or a coordinate
+    that is not finite (such as ``1e400``), and :class:`EmptyDatasetError`
+    when no records exist.
     """
-    points: list[Point] = []
+    rows: list[tuple[float, float]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         m = _RECORD.match(line)
         if m is None:
             raise DatasetParseError(line_no, line.strip())
-        points.append(Point(float(m.group(1)), float(m.group(2))))
-    if not points:
+        x = float(m.group(1))
+        y = float(m.group(2))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DatasetParseError(line_no, line.strip(), "non-finite coordinate in")
+        rows.append((x, y))
+    if not rows:
         raise EmptyDatasetError("dataset contains no records")
-    width = max(p.x for p in points)
-    height = max(p.y for p in points)
-    return SensorField(points=tuple(points), width=width, height=height, seed=None)
+    xy = np.array(rows, dtype=np.float64)
+    span = np.maximum(xy.max(axis=0), 0.0) - np.minimum(xy.min(axis=0), 0.0)
+    width, height = span.tolist()
+    return SensorField(coords=xy, width=width, height=height, seed=None)
 
 
 def write_dataset(field: SensorField) -> str:
     """Serialize a field as ``P (<x> <y>)`` lines, LF-terminated.
 
-    Round-trip law: ``parse_dataset(write_dataset(f)).points == f.points``.
+    Round-trip law: ``parse_dataset(write_dataset(f)).coords`` equals
+    ``f.coords`` element for element.
     """
-    lines = [f"P ({format_coord(p.x)} {format_coord(p.y)})" for p in field.points]
+    lines = [f"P ({format_coord(x)} {format_coord(y)})" for x, y in field.coords.tolist()]
     return "\n".join(lines) + "\n"

@@ -1,12 +1,19 @@
 """Chunked k-nearest-neighbor graph construction plus a brute-force oracle.
 
-The kernel processes one square tile of the pairwise distance matrix at a
-time and keeps, per row, the k best candidates seen so far. A per-row index
-of the farthest occupied slot (``MaxkState``) makes the eviction check O(1);
-only when a slot is overwritten is the row rescanned for its new farthest.
-Candidates are scanned in ascending column order with a strict ``<``
-comparison, so among equal distances the lowest column index wins. The
-brute-force oracle encodes the same tie rule.
+The kernel processes one tile of the pairwise distance matrix at a time and
+keeps, per row, the k best candidates seen so far. A tile is a column window
+of a split's distance rows, read by slicing the rows themselves; a last
+split or window narrower than the chunk size simply has fewer rows or
+columns, so no entry is ever padded. A per-row index of the farthest
+occupied slot (``MaxkState``) makes the eviction check O(1); only when a
+slot is overwritten is the row rescanned for its new farthest.
+
+Tie rule: among equal distances the lowest column index wins. Candidates
+are scanned in ascending column order with a strict ``<`` comparison, so a
+later candidate never displaces an equal earlier one; and among slots that
+share the row's largest weight the farthest is the one with the highest
+target, so an eviction at the k-th radius drops the highest index. The
+brute-force oracle encodes the same rule.
 
 Rows are independent: distinct rows may be updated concurrently, but two
 updates touching the same row must be serialized (in practice: parallelize
@@ -25,20 +32,16 @@ from .field import SensorField, distance_block, format_coord
 _INF = float("inf")
 
 
-class NeighborEdge(NamedTuple):
-    source: int
-    target: int
-    weight: float
-
-
 class DistanceChunk(NamedTuple):
-    """One chunk_size x chunk_size tile of the distance matrix, row-major.
+    """Tile (split, chunk) of the distance matrix.
 
-    Entries whose absolute row/column falls outside the true matrix are pad
-    and may hold any value; the kernel must ignore them.
+    ``rows`` are the split's full distance rows, for nodes
+    ``split * chunk_size`` onward, as ``distance_block(...).tolist()``
+    returns them. The tile is their column window starting at
+    ``chunk * chunk_size``, chunk_size wide or up to the last column.
     """
 
-    values: list[float]
+    rows: list[list[float]]
     split: int
     chunk: int
     chunk_size: int
@@ -48,24 +51,16 @@ class DistanceChunk(NamedTuple):
 class KnnGraph:
     """Per-row neighbor slots stored as flat row-major parallel arrays.
 
-    Slot ``(row, s)`` lives at flat index ``row * k + s``. Untouched slots
-    hold weight +inf and source/target -1. After a complete build every row
-    holds the k nearest other nodes (lowest target index wins among exact
-    distance ties).
+    Slot ``(row, s)`` lives at flat index ``row * k + s``; its source is
+    ``row``. Untouched slots hold weight +inf and target -1. After a
+    complete build every row holds the k nearest other nodes (lowest target
+    index wins among exact distance ties).
     """
 
     n: int
     k: int
-    sources: list[int]
     targets: list[int]
     weights: list[float]
-
-    def row_edges(self, row: int) -> list[NeighborEdge]:
-        base = row * self.k
-        return [
-            NeighborEdge(self.sources[base + s], self.targets[base + s], self.weights[base + s])
-            for s in range(self.k)
-        ]
 
     def neighbor_set(self, row: int) -> set[tuple[int, float]]:
         """The row's finished neighbors as (target, weight) pairs."""
@@ -85,64 +80,44 @@ class MaxkState:
 
 
 def init_knn_state(n: int, k: int) -> tuple[KnnGraph, MaxkState]:
-    """Fresh slot arrays: every weight +inf, sentinel endpoints, Maxk all 0."""
+    """Fresh slot arrays: every weight +inf, every target -1, Maxk all 0."""
     if k < 1 or k > n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     size = n * k
-    graph = KnnGraph(n=n, k=k, sources=[-1] * size, targets=[-1] * size, weights=[_INF] * size)
+    graph = KnnGraph(n=n, k=k, targets=[-1] * size, weights=[_INF] * size)
     return graph, MaxkState(farthest=[0] * n)
 
 
-def knn_update_chunk(
-    chunk: DistanceChunk,
-    graph: KnnGraph,
-    maxk: MaxkState,
-    n_rows: int,
-    n_cols: int,
-) -> None:
-    """Fold one distance chunk into the graph state, in place.
+def knn_update_chunk(chunk: DistanceChunk, graph: KnnGraph, maxk: MaxkState) -> None:
+    """Fold one distance tile into the graph state, in place.
 
-    For each in-range row, columns are visited in ascending order; diagonal
-    and pad entries are excluded. An entry strictly smaller than the row's
-    current farthest slot overwrites that slot, after which the farthest
-    index is recomputed (lowest slot index wins among equal weights).
+    For each row, the tile's columns are visited in ascending order and the
+    diagonal is excluded. An entry strictly smaller than the row's current
+    farthest slot overwrites that slot, after which the farthest index is
+    recomputed: the largest weight, and among equal weights the highest
+    target.
     """
     cs = chunk.chunk_size
-    row_base = chunk.split * cs
     col_base = chunk.chunk * cs
-    # Rows/columns at or past the true extents are pad.
-    row_span = n_rows - row_base
-    if row_span > cs:
-        row_span = cs
-    col_span = n_cols - col_base
-    if col_span > cs:
-        col_span = cs
-    if row_span <= 0 or col_span <= 0:
-        return
-    vals = chunk.values
+    col_end = col_base + cs
     w = graph.weights
     tgt = graph.targets
-    src = graph.sources
     far = maxk.farthest
     k = graph.k
-    for row_l in range(row_span):
-        row = row_base + row_l
-        off = row_l * cs
+    for row, vals in enumerate(chunk.rows, chunk.split * cs):
         base = row * k
         mi = far[row]
         wmax = w[base + mi]
-        diag_l = row - col_base  # local column equal to row, if inside this chunk
-        for col_l, d in enumerate(vals[off : off + col_span]):
-            if d < wmax and col_l != diag_l:
+        for col, d in enumerate(vals[col_base:col_end], col_base):
+            if d < wmax and col != row:
                 slot = base + mi
-                src[slot] = row
-                tgt[slot] = col_base + col_l
+                tgt[slot] = col
                 w[slot] = d
                 mi = 0
                 wmax = w[base]
                 for s in range(1, k):
                     ws = w[base + s]
-                    if ws > wmax:
+                    if ws > wmax or (ws == wmax and tgt[base + s] > tgt[base + mi]):
                         wmax = ws
                         mi = s
         far[row] = mi
@@ -151,8 +126,9 @@ def knn_update_chunk(
 def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     """Run the chunk kernel over every (split, chunk) tile pair, row-major.
 
-    Distance tiles are computed from coordinates on demand; the full matrix
-    is never materialized. The finished graph is independent of chunk_size.
+    Distance rows are computed from coordinates one split at a time; the
+    full matrix is never materialized. The finished graph is independent
+    of chunk_size.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -163,28 +139,9 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     cs = chunk_size
     for split in range(n_chunks):
         r0 = split * cs
-        r1 = min(r0 + cs, n)
-        block = distance_block(xy, r0, r1).tolist()
-        rows_here = r1 - r0
-        if cs == 1:
-            row0 = block[0]
-            for chunk_i in range(n_chunks):
-                knn_update_chunk(
-                    DistanceChunk([row0[chunk_i]], split, chunk_i, 1), graph, maxk, n, n
-                )
-            continue
+        rows = distance_block(xy, r0, min(r0 + cs, n)).tolist()
         for chunk_i in range(n_chunks):
-            c0 = chunk_i * cs
-            c1 = min(c0 + cs, n)
-            pad_cols = cs - (c1 - c0)
-            vals: list[float] = []
-            for row_l in range(rows_here):
-                vals += block[row_l][c0:c1]
-                if pad_cols:
-                    vals += [0.0] * pad_cols  # poison pad; kernel must skip it
-            if rows_here < cs:
-                vals += [0.0] * (cs * (cs - rows_here))
-            knn_update_chunk(DistanceChunk(vals, split, chunk_i, cs), graph, maxk, n, n)
+            knn_update_chunk(DistanceChunk(rows, split, chunk_i, cs), graph, maxk)
     return graph
 
 
@@ -201,14 +158,7 @@ def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     weights = np.take_along_axis(d, order, axis=1)
-    graph = KnnGraph(
-        n=n,
-        k=k,
-        sources=[row for row in range(n) for _ in range(k)],
-        targets=order.ravel().tolist(),
-        weights=weights.ravel().tolist(),
-    )
-    return graph
+    return KnnGraph(n=n, k=k, targets=order.ravel().tolist(), weights=weights.ravel().tolist())
 
 
 def dump_graph(graph: KnnGraph) -> str:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .energy import EnergyState, RadioParams, rx_energy, tx_energy
-from .field import SensorField, distance
+from .field import SensorField, hop_lengths
 from .routes import Route, nn_route, validate_route
 
 POLICY_FIXED = "fixed-route"
@@ -55,12 +55,9 @@ class SimReport:
 
 def path_delay(field: SensorField, route: Route, dp: DelayParams) -> float:
     """End-to-end delay: per hop, propagation (d / prop_speed) plus processing."""
-    order = route.order
     total = 0.0
-    for a, b in zip(order, order[1:]):
-        total += distance(field.points[a], field.points[b]) / dp.prop_speed + dp.per_hop_s
-    if route.closed and len(order) > 1:
-        total += distance(field.points[order[-1]], field.points[order[0]]) / dp.prop_speed + dp.per_hop_s
+    for d in hop_lengths(field.coords, route.order, route.closed).tolist():
+        total += d / dp.prop_speed + dp.per_hop_s
     return total
 
 
@@ -77,12 +74,11 @@ def _round_charges(field: SensorField, route: Route, rp: RadioParams) -> list[fl
     n = len(field)
     charges = [0.0] * n
     order = route.order
-    hops = list(zip(order, order[1:]))
-    if route.closed and len(order) > 1:
-        hops.append((order[-1], order[0]))
+    lengths = hop_lengths(field.coords, order, route.closed).tolist()
     bits = rp.packet_bits
-    for a, b in hops:
-        charges[a] += tx_energy(rp, bits, distance(field.points[a], field.points[b]))
+    # zip stops after the last hop, so order[:1] is the closing receiver iff closed.
+    for a, b, d in zip(order, order[1:] + order[:1], lengths):
+        charges[a] += tx_energy(rp, bits, d)
         charges[b] += rx_energy(rp, bits)
     return charges
 

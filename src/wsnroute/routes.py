@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SensorField, distances_from
+from .field import SensorField, distances_from, hop_lengths
 from .knn import KnnGraph
 
 
@@ -39,14 +39,7 @@ def validate_route(field: SensorField, route: Route) -> None:
 def route_length(field: SensorField, route: Route) -> float:
     """Sum of consecutive-pair distances, plus the closing edge iff closed."""
     validate_route(field, route)
-    if len(route.order) < 2:
-        return 0.0
-    pts = field.coords[np.asarray(route.order, dtype=np.intp)]
-    if route.closed:
-        pts = np.vstack([pts, pts[:1]])
-    dx = pts[1:, 0] - pts[:-1, 0]
-    dy = pts[1:, 1] - pts[:-1, 1]
-    return float(np.sum(np.sqrt(dx * dx + dy * dy)))
+    return float(np.sum(hop_lengths(field.coords, route.order, route.closed)))
 
 
 def _nearest_unvisited(xy: np.ndarray, cur: int, visited: np.ndarray) -> int:

@@ -36,7 +36,7 @@ def tiny_schedule(max_iters=2000, move_kind=MOVE_TWO_OPT, initial_temp=1.0):
 
 def test_oracle_collinear_monotone():
     pts = tuple(Point(float(x), 0.0) for x in (0, 2, 5, 9))
-    f = SensorField(points=pts, width=9, height=1)
+    f = SensorField(coords=pts, width=9, height=1)
     best = brute_force_optimal(f, start=0)
     assert best.order == [0, 1, 2, 3]
     assert route_length(f, best) == 9.0

@@ -1,7 +1,10 @@
 """Benchmark harness, report formats, and plot export tests."""
 
+import time
+
 import pytest
 
+import wsnroute.bench as bench
 from wsnroute import (
     BenchConfig,
     BenchReport,
@@ -60,6 +63,19 @@ def test_run_experiment_with_graph_backed_nn():
     assert backed.costs("NN") == plain.costs("NN")
 
 
+def test_nn_wall_time_includes_knn_build(monkeypatch):
+    real_build = bench.build_knn_graph
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_knn_graph", slow_build)
+    report = run_experiment(BenchConfig(n=20, seeds=[5], width=500, height=500, k=4))
+    nn_run = report.runs[0]
+    assert nn_run.algorithm == "NN" and nn_run.wall_time_s >= 0.05
+
+
 def test_aggregates_are_paired_ratios():
     report = small_report()
     assert report.mean_cost("NN") == pytest.approx((123.456789123 + 100.0) / 2)
@@ -96,7 +112,7 @@ def test_csv_parse_rejects_garbage():
 
 
 def test_route_plot_single_node():
-    f = SensorField(points=(Point(3, 4),), width=3, height=4)
+    f = SensorField(coords=(Point(3, 4),), width=3, height=4)
     assert export_route_plot(f, Route([0])) == "3 4\n"
 
 

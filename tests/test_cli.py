@@ -95,6 +95,29 @@ def test_malformed_dataset_is_runtime_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_finite_coordinate_is_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("P (1 2)\nP (1e400 2)\nP (3 4)\n")
+    code, _, err = run_cli(capsys, "nn", "--input", str(bad))
+    assert code == 2
+    assert "line 2" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("seeds", ["abc", "5..1", "1..x", ","])
+def test_bench_bad_seed_list_is_usage_error(seeds, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "10", "--seeds", seeds])
+    assert exc.value.code == 1
+    assert "--seeds" in capsys.readouterr().err
+
+
+def test_simulate_rotate_start_rejects_start(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "6", "--rounds", "2", "--policy", "rotate-start", "--start", "3"])
+    assert exc.value.code == 1
+    assert "--start" in capsys.readouterr().err
+
+
 def test_start_out_of_range_is_runtime_error(capsys):
     code, _, err = run_cli(capsys, "nn", "--n", "5", "--start", "9")
     assert code == 2

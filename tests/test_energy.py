@@ -23,7 +23,7 @@ from wsnroute import (
 
 def chain_field(xs):
     pts = tuple(Point(float(x), 0.0) for x in xs)
-    return SensorField(points=pts, width=max(max(xs), 1.0), height=1.0)
+    return SensorField(coords=pts, width=max(max(xs), 1.0), height=1.0)
 
 
 def test_tx_energy_zero_distance_is_electronics_only():

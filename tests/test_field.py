@@ -88,6 +88,21 @@ def test_parse_malformed_line_carries_line_number():
     assert exc.value.line_no == 2
 
 
+@pytest.mark.parametrize("record", ["P (1e400 2)", "P (3 -1e309)"])
+def test_parse_rejects_non_finite_coordinate(record):
+    with pytest.raises(DatasetParseError) as exc:
+        parse_dataset(f"P (1 2)\n{record}\n")
+    assert exc.value.line_no == 2
+    assert "non-finite" in str(exc.value)
+
+
+def test_parse_extent_spans_origin_and_negative_points():
+    f = parse_dataset("P (-5 -3)\nP (-1 -2)\n")
+    assert (f.width, f.height) == (5.0, 3.0)
+    f = parse_dataset("P (-5 7)\nP (2 -1)\n")
+    assert (f.width, f.height) == (7.0, 8.0)
+
+
 def test_parse_empty_input():
     with pytest.raises(EmptyDatasetError):
         parse_dataset("")
@@ -96,7 +111,7 @@ def test_parse_empty_input():
 
 
 def test_write_integral_coords_match_record_format():
-    f = SensorField(points=(Point(14991.0, 8390.0),), width=14991.0, height=8390.0)
+    f = SensorField(coords=(Point(14991.0, 8390.0),), width=14991.0, height=8390.0)
     assert "P (14991 8390)" in write_dataset(f)
 
 
@@ -116,7 +131,7 @@ def test_roundtrip_random_fields():
         if trial % 3 == 0:
             # integral coordinates exercise the dot-free format
             pts = tuple(Point(float(int(p.x)), float(int(p.y))) for p in f.points)
-            f = SensorField(points=pts, width=f.width, height=f.height)
+            f = SensorField(coords=pts, width=f.width, height=f.height)
         assert parse_dataset(write_dataset(f)).points == f.points
 
 

@@ -26,7 +26,7 @@ def field_of(coords):
     pts = tuple(Point(float(x), float(y)) for x, y in coords)
     w = max(p.x for p in pts)
     h = max(p.y for p in pts)
-    return SensorField(points=pts, width=max(w, 1.0), height=max(h, 1.0))
+    return SensorField(coords=pts, width=max(w, 1.0), height=max(h, 1.0))
 
 
 def neighbor_sets(graph):
@@ -71,7 +71,6 @@ def test_oracle_rejects_bad_k():
 def test_init_state_shape_and_sentinels():
     g, mk = init_knn_state(3, 1)
     assert g.weights == [INF, INF, INF]
-    assert g.sources == [-1, -1, -1]
     assert g.targets == [-1, -1, -1]
     assert mk.farthest == [0, 0, 0]
 
@@ -95,57 +94,50 @@ def test_init_state_rejects_bad_k():
 
 def single_chunk(f, cs=None):
     n = len(f)
-    cs = cs or n
-    vals = []
-    block = distance_block(f.coords, 0, n).tolist()
-    for r in range(cs):
-        for c in range(cs):
-            vals.append(block[r][c] if r < n and c < n else 0.0)
-    return DistanceChunk(vals, 0, 0, cs)
+    return DistanceChunk(distance_block(f.coords, 0, n).tolist(), 0, 0, cs or n)
 
 
 def test_kernel_hand_traced_collinear():
     # nodes at x = 0, 1, 3; k=1; one 3x3 chunk
     f = field_of([(0, 0), (1, 0), (3, 0)])
     g, mk = init_knn_state(3, 1)
-    knn_update_chunk(single_chunk(f), g, mk, 3, 3)
+    knn_update_chunk(single_chunk(f), g, mk)
     assert g.neighbor_set(0) == {(1, 1.0)}
     assert g.neighbor_set(1) == {(0, 1.0)}
     assert g.neighbor_set(2) == {(1, 2.0)}
-    assert g.sources == [0, 1, 2]
 
 
 def test_kernel_no_improvement_leaves_state_unchanged():
     f = field_of([(0, 0), (1, 0), (3, 0)])
     g, mk = init_knn_state(3, 1)
     chunk = single_chunk(f)
-    knn_update_chunk(chunk, g, mk, 3, 3)
+    knn_update_chunk(chunk, g, mk)
     before = (list(g.weights), list(g.targets), list(mk.farthest))
     # every distance now >= the stored best, strict < admits nothing
-    far = DistanceChunk([v + 100.0 for v in chunk.values], 0, 0, 3)
-    knn_update_chunk(far, g, mk, 3, 3)
+    far = DistanceChunk([[v + 100.0 for v in row] for row in chunk.rows], 0, 0, 3)
+    knn_update_chunk(far, g, mk)
     assert (g.weights, g.targets, mk.farthest) == before
 
 
 def test_kernel_diagonal_zero_never_creates_edge():
     f = field_of([(0, 0), (5, 0)])
     g, mk = init_knn_state(2, 1)
-    knn_update_chunk(single_chunk(f), g, mk, 2, 2)
+    knn_update_chunk(single_chunk(f), g, mk)
     assert g.neighbor_set(0) == {(1, 5.0)}
     assert g.neighbor_set(1) == {(0, 5.0)}
     assert 0.0 not in g.weights
 
 
-def test_kernel_ignores_poison_pads():
-    # chunk_size 4 over a 3-node field: pad row/column filled with 0.0,
-    # which would beat every real distance if not excluded
+def test_kernel_tile_wider_than_field():
+    # chunk_size 4 over a 3-node field: the tile has 3 rows and its column
+    # window runs past the last column; nothing beyond node 2 may appear
     f = field_of([(0, 0), (1, 0), (3, 0)])
     g, mk = init_knn_state(3, 1)
-    knn_update_chunk(single_chunk(f, cs=4), g, mk, 3, 3)
+    knn_update_chunk(single_chunk(f, cs=4), g, mk)
     assert g.neighbor_set(0) == {(1, 1.0)}
     assert g.neighbor_set(1) == {(0, 1.0)}
     assert g.neighbor_set(2) == {(1, 2.0)}
-    assert all(t != 3 for t in g.targets)
+    assert all(0 <= t < 3 for t in g.targets)
 
 
 def test_kernel_maxk_coherent_after_every_call():
@@ -155,14 +147,9 @@ def test_kernel_maxk_coherent_after_every_call():
     n_chunks = -(-n // cs)
     xy = f.coords
     for split in range(n_chunks):
-        block = distance_block(xy, split * cs, min(split * cs + cs, n)).tolist()
+        rows = distance_block(xy, split * cs, min(split * cs + cs, n)).tolist()
         for chunk_i in range(n_chunks):
-            vals = []
-            for rl in range(cs):
-                for cl in range(cs):
-                    c = chunk_i * cs + cl
-                    vals.append(block[rl][c] if split * cs + rl < n and c < n else 0.0)
-            knn_update_chunk(DistanceChunk(vals, split, chunk_i, cs), g, mk, n, n)
+            knn_update_chunk(DistanceChunk(rows, split, chunk_i, cs), g, mk)
             for row in range(n):
                 base = row * k
                 row_w = g.weights[base : base + k]
@@ -209,6 +196,16 @@ def test_build_large_field_completes_with_finite_slots():
         assert g.neighbor_set(r) == oracle.neighbor_set(r)
 
 
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
+def test_build_matches_oracle_on_integer_lattice(k):
+    # A 12x12 unit lattice ties many candidates at the k-th radius; an
+    # eviction must drop the highest target among them, as the oracle does.
+    f = field_of([(x, y) for y in range(12) for x in range(12)])
+    want = dump_graph(brute_force_knn(f, k))
+    for cs in (1, 5, 13, 200):
+        assert dump_graph(build_knn_graph(f, k, cs)) == want
+
+
 def test_build_no_self_edges():
     f = generate_uniform(30, 100, 100, seed=2)
     g = build_knn_graph(f, 4, 8)
@@ -235,13 +232,8 @@ def test_shuffled_driver_order_gives_same_weights():
     random.Random(5).shuffle(pairs)
     g, mk = init_knn_state(n, k)
     for split, chunk_i in pairs:
-        block = distance_block(xy, split * cs, min(split * cs + cs, n)).tolist()
-        vals = []
-        for rl in range(cs):
-            for cl in range(cs):
-                r, c = split * cs + rl, chunk_i * cs + cl
-                vals.append(block[rl][c] if r < n and c < n else 0.0)
-        knn_update_chunk(DistanceChunk(vals, split, chunk_i, cs), g, mk, n, n)
+        rows = distance_block(xy, split * cs, min(split * cs + cs, n)).tolist()
+        knn_update_chunk(DistanceChunk(rows, split, chunk_i, cs), g, mk)
     want = neighbor_sets(brute_force_knn(f, k))
     # random reals: no exact distance ties, so full sets must agree too
     assert neighbor_sets(g) == want

@@ -24,7 +24,7 @@ from wsnroute.lifetime import POLICY_FIXED, POLICY_ROTATE
 
 def chain_field(xs):
     pts = tuple(Point(float(x), 0.0) for x in xs)
-    return SensorField(points=pts, width=max(max(xs), 1.0), height=1.0)
+    return SensorField(coords=pts, width=max(max(xs), 1.0), height=1.0)
 
 
 # Binary-exact radio constants: every charge is an integer multiple of 2^-18,
@@ -162,7 +162,7 @@ def test_simulate_rotation_outlives_fixed_on_square():
     # symmetric 4-node unit square: rotating the start spreads the heavy
     # interior roles around, so the first death comes strictly later
     f = SensorField(
-        points=(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)), width=1, height=1
+        coords=(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)), width=1, height=1
     )
     rp = RadioParams()
     tx1 = tx_energy(rp, rp.packet_bits, 1.0)

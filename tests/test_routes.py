@@ -22,7 +22,7 @@ import wsnroute.routes as routes_mod
 
 def chain_field(xs):
     pts = tuple(Point(float(x), 0.0) for x in xs)
-    return SensorField(points=pts, width=max(xs) or 1.0, height=1.0)
+    return SensorField(coords=pts, width=max(xs) or 1.0, height=1.0)
 
 
 def test_nn_collinear_monotone_chain():
@@ -49,7 +49,7 @@ def test_nn_start_out_of_range():
 
 
 def test_nn_tie_breaks_to_lowest_index():
-    f = SensorField(points=(Point(0, 0), Point(1, 0), Point(-1, 0)), width=1, height=1)
+    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(-1, 0)), width=1, height=1)
     assert nn_route(f, 0).order == [0, 1, 2]
 
 
@@ -126,7 +126,7 @@ def test_accelerated_equals_plain_small_k():
 
 
 def test_accelerated_three_nodes_k1():
-    f = SensorField(points=(Point(0, 0), Point(1, 0), Point(3, 0)), width=3, height=1)
+    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(3, 0)), width=3, height=1)
     graph = build_knn_graph(f, 1, 3)
     assert nn_route_accelerated(f, graph, 0).order == nn_route(f, 0).order == [0, 1, 2]
 
