@@ -2,9 +2,10 @@
 
 The annealer keeps the best route ever seen (elitism), so its output is
 never longer than the initial route. Moves are either a position swap or a
-segment reversal (2-opt); both preserve the permutation property. Each
-invocation owns a self-contained PCG64 stream, so runs are deterministic
-given (field, initial, schedule, seed) and safe to launch concurrently.
+segment reversal (2-opt); both preserve the permutation property, and each
+is scored in O(1) from the links it relinks. Each invocation owns a
+self-contained PCG64 stream, so runs are deterministic given (field,
+initial, schedule, seed) and safe to launch concurrently.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ class AnnealSchedule:
             raise ValueError(f"move_kind must be one of {_MOVES}, got {self.move_kind!r}")
 
 
+def _mean_edge(field: SensorField, route: Route) -> float:
+    """Mean hop length of ``route``; 1.0 when it has no hop."""
+    n = len(route.order)
+    edges = (n if route.closed else n - 1) if n > 1 else 0
+    return route_length(field, route) / edges if edges else 1.0
+
+
 def default_schedule(
     field: SensorField,
     initial: Route,
@@ -63,9 +71,7 @@ def default_schedule(
     default iteration cap is exactly the budget needed to reach min_temp.
     """
     n = len(initial.order)
-    edges = (n if initial.closed else n - 1) if n > 1 else 0
-    mean_edge = route_length(field, initial) / edges if edges else 1.0
-    t0 = max(0.5 * mean_edge, 1e-12)
+    t0 = max(0.5 * _mean_edge(field, initial), 1e-12)
     iters_per_temp = 20 * max(n, 1)
     levels = math.ceil(math.log(1e-3) / math.log(0.95))
     if max_iters is None:
@@ -91,9 +97,7 @@ def undersized_schedule(field: SensorField, initial: Route) -> AnnealSchedule:
     near-greedy within the budget.
     """
     n = len(initial.order)
-    edges = (n if initial.closed else n - 1) if n > 1 else 0
-    mean_edge = route_length(field, initial) / edges if edges else 1.0
-    t0 = max(0.05 * mean_edge, 1e-12)
+    t0 = max(0.05 * _mean_edge(field, initial), 1e-12)
     budget = 600 * max(n, 1)
     iters_per_temp = max(1, budget // 100)
     return AnnealSchedule(
@@ -106,72 +110,63 @@ def undersized_schedule(field: SensorField, initial: Route) -> AnnealSchedule:
     )
 
 
-def _edge_sum_at(order: list[int], positions: set[int], xs: list[float], ys: list[float], n: int, swap_i: int = -1, swap_j: int = -1) -> float:
-    """Sum of edge lengths at the given edge positions, optionally viewing the
-    order as if ``swap_i`` and ``swap_j`` were exchanged."""
-    total = 0.0
-    for p in positions:
-        a = order[p]
-        b = order[(p + 1) % n]
-        if swap_i >= 0:
-            if p == swap_i:
-                a = order[swap_j]
-            elif p == swap_j:
-                a = order[swap_i]
-            q = (p + 1) % n
-            if q == swap_i:
-                b = order[swap_j]
-            elif q == swap_j:
-                b = order[swap_i]
-        dx = xs[a] - xs[b]
-        dy = ys[a] - ys[b]
-        total += math.sqrt(dx * dx + dy * dy)
-    return total
-
-
-def _affected_edges_swap(i: int, j: int, n: int, closed: bool) -> set[int]:
-    cand = (i - 1, i, j - 1, j)
-    if closed:
-        return {p % n for p in cand}
-    return {p for p in cand if 0 <= p <= n - 2}
-
-
 def _two_opt_delta(order: list[int], i: int, j: int, xs: list[float], ys: list[float], n: int, closed: bool) -> float:
-    """Length change from reversing order[i..j]; O(1), interior edges keep length."""
+    """Length change from reversing order[i..j]; O(1), interior edges keep length.
+
+    The link before i exists when ``i > 0 or closed``, the link after j when
+    ``j < n - 1 or closed``; a closed route wraps both. The wrap after j is a
+    conditional rather than ``% n``, which CPython 3.11 does not specialise
+    for ints; this runs once per proposal.
+    """
     if closed and (j - i + 1) >= n:
         return 0.0
     oi = order[i]
     oj = order[j]
     delta = 0.0
-    if closed:
-        p = order[(i - 1) % n]
-        q = order[(j + 1) % n]
-        dxa = xs[p] - xs[oj]
-        dya = ys[p] - ys[oj]
-        dxb = xs[oi] - xs[q]
-        dyb = ys[oi] - ys[q]
-        dxc = xs[p] - xs[oi]
-        dyc = ys[p] - ys[oi]
-        dxd = xs[oj] - xs[q]
-        dyd = ys[oj] - ys[q]
-        delta += math.sqrt(dxa * dxa + dya * dya) + math.sqrt(dxb * dxb + dyb * dyb)
-        delta -= math.sqrt(dxc * dxc + dyc * dyc) + math.sqrt(dxd * dxd + dyd * dyd)
-        return delta
-    if i > 0:
+    if i > 0 or closed:
         p = order[i - 1]
         dxa = xs[p] - xs[oj]
         dya = ys[p] - ys[oj]
         dxc = xs[p] - xs[oi]
         dyc = ys[p] - ys[oi]
         delta += math.sqrt(dxa * dxa + dya * dya) - math.sqrt(dxc * dxc + dyc * dyc)
-    if j < n - 1:
-        q = order[j + 1]
+    if j < n - 1 or closed:
+        q = order[j + 1] if j < n - 1 else order[0]
         dxb = xs[oi] - xs[q]
         dyb = ys[oi] - ys[q]
         dxd = xs[oj] - xs[q]
         dyd = ys[oj] - ys[q]
         delta += math.sqrt(dxb * dxb + dyb * dyb) - math.sqrt(dxd * dxd + dyd * dyd)
     return delta
+
+
+def _swap_delta(order: list[int], i: int, j: int, xs: list[float], ys: list[float], n: int, closed: bool) -> float:
+    """Length change from exchanging order[i] and order[j], i < j; O(1).
+
+    Neighbouring positions are a two-node reversal. Otherwise each node takes
+    over the other's links: the outer ones change as in reversing
+    order[i..j], and the inner neighbours order[i + 1] and order[j - 1] trade
+    one node for the other. On a closed route this covers positions 0 and
+    n - 1 too: reversing the whole cycle changes nothing, and their shared
+    link stays.
+    """
+    if j == i + 1:
+        return _two_opt_delta(order, i, j, xs, ys, n, closed)
+    a = order[i]
+    b = order[j]
+    r = order[i + 1]
+    s = order[j - 1]
+    dxa = xs[b] - xs[r]
+    dya = ys[b] - ys[r]
+    dxc = xs[a] - xs[r]
+    dyc = ys[a] - ys[r]
+    dxb = xs[a] - xs[s]
+    dyb = ys[a] - ys[s]
+    dxd = xs[b] - xs[s]
+    dyd = ys[b] - ys[s]
+    inner = math.sqrt(dxa * dxa + dya * dya) - math.sqrt(dxc * dxc + dyc * dyc)
+    inner += math.sqrt(dxb * dxb + dyb * dyb) - math.sqrt(dxd * dxd + dyd * dyd)
+    return _two_opt_delta(order, i, j, xs, ys, n, closed) + inner
 
 
 def sa_route(
@@ -205,6 +200,7 @@ def sa_route(
     best_len = cur_len
     best_order = list(order)
     two_opt = schedule.move_kind == MOVE_TWO_OPT
+    move_delta = _two_opt_delta if two_opt else _swap_delta
     temp = schedule.initial_temp
     it = 0
     # proposals are drawn in blocks; every proposal consumes (i, j, u)
@@ -228,11 +224,7 @@ def sa_route(
             j += 1
         if i > j:
             i, j = j, i
-        if two_opt:
-            delta = _two_opt_delta(order, i, j, xs, ys, n, closed)
-        else:
-            epos = _affected_edges_swap(i, j, n, closed)
-            delta = _edge_sum_at(order, epos, xs, ys, n, i, j) - _edge_sum_at(order, epos, xs, ys, n)
+        delta = move_delta(order, i, j, xs, ys, n, closed)
         if delta <= 0.0 or (temp > 0.0 and u < math.exp(-delta / temp)):
             if two_opt:
                 order[i : j + 1] = order[j : i - 1 if i else None : -1]

@@ -23,7 +23,6 @@ from .routes import Route, nn_route, nn_route_accelerated, route_length
 PRESET_PAPER_BUDGET = "paper-budget"
 PRESET_GENEROUS = "generous"
 _PRESETS = (PRESET_PAPER_BUDGET, PRESET_GENEROUS)
-_FORMATS = ("csv", "json")
 
 # Decorrelates the SA initial permutation stream from the SA proposal stream.
 _INIT_STREAM = 0xA5EED
@@ -37,7 +36,6 @@ class BenchConfig:
     height: float = 20000.0
     k: int | None = None
     preset: str = PRESET_PAPER_BUDGET
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.n < 2:
@@ -46,8 +44,6 @@ class BenchConfig:
             raise ValueError("bench needs at least one seed")
         if self.preset not in _PRESETS:
             raise ValueError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
-        if self.output_format not in _FORMATS:
-            raise ValueError(f"output format must be one of {_FORMATS}, got {self.output_format!r}")
 
 
 @dataclass(frozen=True)

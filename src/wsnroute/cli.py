@@ -9,6 +9,7 @@ primary outputs; wall-time fields are exempt.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -109,16 +110,7 @@ def _schedule_from_args(args, fld: SensorField, initial: Route) -> AnnealSchedul
         "move_kind": args.sa_move,
     }
     changed = {k: v for k, v in overrides.items() if v is not None}
-    if not changed:
-        return base
-    return AnnealSchedule(
-        initial_temp=changed.get("initial_temp", base.initial_temp),
-        cooling_factor=changed.get("cooling_factor", base.cooling_factor),
-        iters_per_temp=changed.get("iters_per_temp", base.iters_per_temp),
-        min_temp=changed.get("min_temp", base.min_temp),
-        max_iters=changed.get("max_iters", base.max_iters),
-        move_kind=changed.get("move_kind", base.move_kind),
-    )
+    return dataclasses.replace(base, **changed)
 
 
 def build_parser() -> CliParser:
@@ -234,6 +226,10 @@ def _cmd_simulate(args, parser) -> int:
     dp = DelayParams(per_hop_s=cfg.per_hop_s, prop_speed=cfg.prop_speed, d_max_s=cfg.d_max_s)
     route = None if rotate else nn_route(fld, args.start if args.start is not None else 0)
     report = simulate_lifetime(fld, args.policy, state, cfg.radio, dp, args.rounds, route=route)
+    if report.rounds_completed == 0 and report.first_death_round == 1:
+        print(f"warning: no round completed; nodes ran out of energy in round 1 on the "
+              f"{cfg.initial_battery_j!r} J initial battery (set initial_battery_j in --config)",
+              file=sys.stderr)
     if args.format == "json":
         doc = {
             "rounds_completed": report.rounds_completed,
@@ -263,10 +259,9 @@ def _cmd_bench(args, parser) -> int:
         height=args.height,
         k=args.k,
         preset=preset,
-        output_format=args.format,
     )
     report = run_experiment(cfg)
-    _emit(export_report(report, cfg.output_format), args.output)
+    _emit(export_report(report, args.format), args.output)
     return 0
 
 

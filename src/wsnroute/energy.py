@@ -20,7 +20,7 @@ packet sizes in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .field import SensorField, hop_lengths
 from .routes import Route, validate_route
@@ -165,22 +165,6 @@ def route_cost(
     return total
 
 
-_FLOAT_KEYS = (
-    "e_elec",
-    "eps_amp",
-    "alpha",
-    "w_energy",
-    "w_reserve",
-    "w_error",
-    "error_ref_distance",
-    "initial_battery_j",
-    "per_hop_s",
-    "prop_speed",
-    "d_max_s",
-)
-_INT_KEYS = ("packet_bits",)
-
-
 @dataclass(frozen=True)
 class EnergyConfig:
     """Everything the simulate workflow needs, loadable from key=value text."""
@@ -193,13 +177,22 @@ class EnergyConfig:
     d_max_s: float = math.inf
 
 
+# key -> (the dataclass that owns it, int or float as the field is declared)
+_KEYS = {
+    f.name: (cls, int if f.type == "int" else float)
+    for cls in (RadioParams, LinkCostParams, EnergyConfig)
+    for f in fields(cls)
+    if f.default is not MISSING
+}
+
+
 def parse_config(text: str) -> EnergyConfig:
     """Parse flat ``key=value`` lines; ``#`` starts a comment, blanks ignored.
 
     Unknown keys are rejected so typos fail loudly. Any subset of keys may be
-    given; the rest keep their defaults.
+    given; the rest keep their dataclass defaults.
     """
-    values: dict[str, float | int] = {}
+    values: dict[type, dict[str, float | int]] = {cls: {} for cls, _ in _KEYS.values()}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -209,29 +202,15 @@ def parse_config(text: str) -> EnergyConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _FLOAT_KEYS and key not in _INT_KEYS:
+        if key not in _KEYS:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        cls, kind = _KEYS[key]
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[cls][key] = kind(val)
         except ValueError:
             raise ValueError(f"config line {line_no}: bad value for {key}: {val!r}") from None
-    radio = RadioParams(
-        e_elec=float(values.get("e_elec", 50e-9)),
-        eps_amp=float(values.get("eps_amp", 100e-12)),
-        alpha=float(values.get("alpha", 2.0)),
-        packet_bits=int(values.get("packet_bits", 2000)),
-    )
-    link = LinkCostParams(
-        w_energy=float(values.get("w_energy", 1.0)),
-        w_reserve=float(values.get("w_reserve", 1.0)),
-        w_error=float(values.get("w_error", 1.0)),
-        error_ref_distance=float(values.get("error_ref_distance", 100.0)),
-    )
     return EnergyConfig(
-        radio=radio,
-        link=link,
-        initial_battery_j=float(values.get("initial_battery_j", 0.5)),
-        per_hop_s=float(values.get("per_hop_s", 1e-3)),
-        prop_speed=float(values.get("prop_speed", 3e8)),
-        d_max_s=float(values.get("d_max_s", math.inf)),
+        radio=RadioParams(**values[RadioParams]),
+        link=LinkCostParams(**values[LinkCostParams]),
+        **values[EnergyConfig],
     )

@@ -47,10 +47,10 @@ class SensorField:
     """Node coordinates plus the rectangle they live in.
 
     ``coords`` is copied on construction into a read-only (n, 2) float64
-    array, the field's only copy of its coordinates. ``seed`` records how a
-    generated field was produced and is None for fields parsed from a
-    dataset file. Instances are immutable and safe to share across
-    concurrent readers.
+    array, the field's only copy of its coordinates; every entry must be
+    finite. ``seed`` records how a generated field was produced and is None
+    for fields parsed from a dataset file. Instances are immutable and safe
+    to share across concurrent readers.
     """
 
     coords: np.ndarray
@@ -62,6 +62,8 @@ class SensorField:
         arr = np.array(self.coords, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"coords must have shape (n, 2), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("coords must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 

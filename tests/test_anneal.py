@@ -16,7 +16,14 @@ from wsnroute import (
     route_length,
     sa_route,
 )
-from wsnroute.anneal import MOVE_SWAP, MOVE_TWO_OPT, default_schedule, undersized_schedule
+from wsnroute.anneal import (
+    MOVE_SWAP,
+    MOVE_TWO_OPT,
+    _swap_delta,
+    _two_opt_delta,
+    default_schedule,
+    undersized_schedule,
+)
 from wsnroute.bench import random_initial_route
 
 
@@ -86,6 +93,31 @@ def test_schedule_rejects_bad_values():
     ):
         with pytest.raises(ValueError):
             AnnealSchedule(**{**ok, **bad})
+
+
+# --- move deltas ---
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_move_deltas_match_exact_length_change(n, closed):
+    # every i < j: adjacent positions and, when closed, the 0 / n - 1 seam
+    rng = np.random.default_rng(100 * n + closed)
+    for _ in range(20):
+        f = SensorField(coords=rng.random((n, 2)) * 1000, width=1000, height=1000)
+        xs = f.coords[:, 0].tolist()
+        ys = f.coords[:, 1].tolist()
+        order = [int(v) for v in rng.permutation(n)]
+        before = route_length(f, Route(order=order, closed=closed))
+        for i in range(n):
+            for j in range(i + 1, n):
+                reversed_ = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
+                swapped = list(order)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                for delta, after in ((_two_opt_delta, reversed_), (_swap_delta, swapped)):
+                    exact = route_length(f, Route(order=after, closed=closed)) - before
+                    got = delta(order, i, j, xs, ys, n, closed)
+                    assert got == pytest.approx(exact, abs=1e-9), (delta.__name__, order, i, j)
 
 
 # --- annealer behavior ---

@@ -42,7 +42,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BenchConfig(n=10, seeds=[1], preset="lavish")
     with pytest.raises(ValueError):
-        BenchConfig(n=10, seeds=[1], output_format="xml")
+        export_report(small_report(), "xml")
 
 
 def test_run_experiment_structure_and_paired_fairness():

@@ -103,6 +103,13 @@ def test_non_finite_coordinate_is_runtime_error(tmp_path, capsys):
     assert "line 2" in err and "non-finite" in err
 
 
+def test_gen_infinite_width_is_runtime_error(capsys):
+    code, out, err = run_cli(capsys, "gen", "--n", "3", "--width", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 @pytest.mark.parametrize("seeds", ["abc", "5..1", "1..x", ","])
 def test_bench_bad_seed_list_is_usage_error(seeds, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -163,13 +170,25 @@ def test_simulate_json_report(tmp_path, capsys):
 
 
 def test_simulate_rotate_policy_and_csv(capsys):
-    code, out, _ = run_cli(capsys, "simulate", "--n", "6", "--width", "100", "--height", "100",
-                           "--seed", "2", "--rounds", "10", "--policy", "rotate-start",
-                           "--format", "csv")
+    code, out, err = run_cli(capsys, "simulate", "--n", "6", "--width", "100", "--height", "100",
+                             "--seed", "2", "--rounds", "10", "--policy", "rotate-start",
+                             "--format", "csv")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "rounds_completed,first_death_round,total_energy_j,deadline_violations"
     assert len(lines) == 2
+    assert err == ""  # rounds complete on a small field, so no warning
+
+
+def test_simulate_warns_when_round_one_is_fatal(capsys):
+    # on the default 20000 x 20000 field, the default 0.5 J battery cannot pay for round 1
+    code, out, err = run_cli(capsys, "simulate", "--n", "10", "--seed", "1", "--rounds", "5",
+                             "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("0,1,")
+    warnings = err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning:") and "0.5 J" in warnings[0]
 
 
 def test_bench_csv_row_count(capsys):

@@ -64,6 +64,14 @@ def test_generate_rejects_bad_args():
         generate_uniform(5, 10, -1, seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_field_rejects_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SensorField(coords=[(bad, 0.0), (1.0, 2.0)], width=10, height=10)
+    with pytest.raises(ValueError, match="finite"):
+        SensorField(coords=[(1.0, 2.0), (0.0, bad)], width=10, height=10)
+
+
 def test_parse_sample_record():
     f = parse_dataset("P (14991 8390)\n")
     assert f.points == (Point(14991.0, 8390.0),)
