@@ -26,6 +26,7 @@ from .bench import (
 )
 from .energy import (
     DeadNodeError,
+    DelayParams,
     EnergyConfig,
     EnergyState,
     LinkCostParams,
@@ -61,7 +62,6 @@ from .knn import (
 from .lifetime import (
     POLICY_FIXED,
     POLICY_ROTATE,
-    DelayParams,
     DelayVerdict,
     SimReport,
     check_delay,

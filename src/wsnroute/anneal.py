@@ -225,7 +225,7 @@ def sa_route(
         if i > j:
             i, j = j, i
         delta = move_delta(order, i, j, xs, ys, n, closed)
-        if delta <= 0.0 or (temp > 0.0 and u < math.exp(-delta / temp)):
+        if delta <= 0.0 or u < math.exp(-delta / temp):
             if two_opt:
                 order[i : j + 1] = order[j : i - 1 if i else None : -1]
             else:

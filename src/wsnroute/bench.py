@@ -42,6 +42,8 @@ class BenchConfig:
             raise ValueError(f"bench needs n >= 2, got {self.n}")
         if not self.seeds:
             raise ValueError("bench needs at least one seed")
+        if self.k is not None and not 1 <= self.k <= self.n - 1:
+            raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={self.k}, n={self.n}")
         if self.preset not in _PRESETS:
             raise ValueError(f"preset must be one of {_PRESETS}, got {self.preset!r}")
 
@@ -92,7 +94,7 @@ def run_experiment(cfg: BenchConfig) -> BenchReport:
     for seed in cfg.seeds:
         fld = generate_uniform(cfg.n, cfg.width, cfg.height, seed)
         t0 = time.perf_counter()
-        if cfg.k:
+        if cfg.k is not None:
             nn = nn_route_accelerated(fld, build_knn_graph(fld, cfg.k, chunk_size=256), 0)
         else:
             nn = nn_route(fld, 0)

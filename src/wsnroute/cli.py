@@ -22,17 +22,10 @@ from .bench import (
     random_initial_route,
     run_experiment,
 )
-from .energy import (
-    DeadNodeError,
-    EnergyConfig,
-    EnergyState,
-    LinkCostParams,
-    RadioParams,
-    parse_config,
-)
+from .energy import DeadNodeError, EnergyConfig, EnergyState, parse_config
 from .field import DatasetError, SensorField, generate_uniform, parse_dataset, write_dataset
 from .knn import build_knn_graph, dump_graph
-from .lifetime import DelayParams, simulate_lifetime
+from .lifetime import simulate_lifetime
 from .routes import Route, dump_route, nn_route, route_length
 
 
@@ -213,40 +206,25 @@ def _cmd_sa(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    rotate = args.policy == "rotate-start"
-    if rotate and args.start is not None:
+    if args.policy == "rotate-start" and args.start is not None:
         parser.error("--start applies to --policy fixed-route only; "
                      "rotate-start starts round r at node r mod n")
     fld = _resolve_field(args, parser)
-    if args.config:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        cfg = EnergyConfig(radio=RadioParams(), link=LinkCostParams())
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8")) if args.config else EnergyConfig()
     state = EnergyState.fresh(len(fld), cfg.initial_battery_j)
-    dp = DelayParams(per_hop_s=cfg.per_hop_s, prop_speed=cfg.prop_speed, d_max_s=cfg.d_max_s)
-    route = None if rotate else nn_route(fld, args.start if args.start is not None else 0)
-    report = simulate_lifetime(fld, args.policy, state, cfg.radio, dp, args.rounds, route=route)
+    route = None if args.start is None else nn_route(fld, args.start)
+    report = simulate_lifetime(fld, args.policy, state, cfg.radio, cfg.delay, args.rounds, route=route)
     if report.rounds_completed == 0 and report.first_death_round == 1:
         print(f"warning: no round completed; nodes ran out of energy in round 1 on the "
               f"{cfg.initial_battery_j!r} J initial battery (set initial_battery_j in --config)",
               file=sys.stderr)
+    doc = dataclasses.asdict(report)
     if args.format == "json":
-        doc = {
-            "rounds_completed": report.rounds_completed,
-            "first_death_round": report.first_death_round,
-            "total_energy_j": report.total_energy_j,
-            "deadline_violations": report.deadline_violations,
-            "per_node_residual": report.per_node_residual,
-        }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:
-        lines = [
-            "rounds_completed,first_death_round,total_energy_j,deadline_violations",
-            f"{report.rounds_completed},"
-            f"{'' if report.first_death_round is None else report.first_death_round},"
-            f"{report.total_energy_j!r},{report.deadline_violations}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
+        del doc["per_node_residual"]
+        row = ",".join("" if v is None else str(v) for v in doc.values())
+        _emit(",".join(doc) + "\n" + row + "\n", args.output)
     return 0
 
 

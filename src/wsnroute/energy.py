@@ -7,8 +7,10 @@ Implements the first-order radio model:
 
 and a weighted link cost combining normalized transmission energy, the
 receiver's depleted battery fraction, and a distance-saturating error term.
-The defaults below are workbench conventions, not measured hardware values;
-everything is configurable, including via a flat key=value file.
+The delay model's parameters live here too, so that ``EnergyConfig`` holds
+everything the simulate workflow reads. The defaults below are workbench
+conventions, not measured hardware values; everything is configurable,
+including via a flat key=value file.
 
 All functions here are pure; battery state is mutated only by the lifetime
 simulator.
@@ -20,7 +22,7 @@ packet sizes in bits.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 
 from .field import SensorField, hop_lengths
 from .routes import Route, validate_route
@@ -75,6 +77,19 @@ class LinkCostParams:
             raise ValueError("at least one link cost weight must be nonzero")
         if self.error_ref_distance <= 0:
             raise ValueError("error_ref_distance must be positive")
+
+
+@dataclass(frozen=True)
+class DelayParams:
+    """Per-hop delay model and the end-to-end deadline (seconds, meters/second)."""
+
+    per_hop_s: float = 1e-3
+    prop_speed: float = 3e8
+    d_max_s: float = math.inf
+
+    def __post_init__(self):
+        if self.per_hop_s <= 0 or self.prop_speed <= 0 or self.d_max_s <= 0:
+            raise ValueError("delay parameters must be positive")
 
 
 @dataclass
@@ -169,20 +184,18 @@ def route_cost(
 class EnergyConfig:
     """Everything the simulate workflow needs, loadable from key=value text."""
 
-    radio: RadioParams
-    link: LinkCostParams
+    radio: RadioParams = RadioParams()
+    link: LinkCostParams = LinkCostParams()
+    delay: DelayParams = DelayParams()
     initial_battery_j: float = 0.5
-    per_hop_s: float = 1e-3
-    prop_speed: float = 3e8
-    d_max_s: float = math.inf
 
 
 # key -> (the dataclass that owns it, int or float as the field is declared)
 _KEYS = {
     f.name: (cls, int if f.type == "int" else float)
-    for cls in (RadioParams, LinkCostParams, EnergyConfig)
+    for cls in (RadioParams, LinkCostParams, DelayParams, EnergyConfig)
     for f in fields(cls)
-    if f.default is not MISSING
+    if f.type in ("int", "float")
 }
 
 
@@ -212,5 +225,6 @@ def parse_config(text: str) -> EnergyConfig:
     return EnergyConfig(
         radio=RadioParams(**values[RadioParams]),
         link=LinkCostParams(**values[LinkCostParams]),
+        delay=DelayParams(**values[DelayParams]),
         **values[EnergyConfig],
     )

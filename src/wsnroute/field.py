@@ -48,9 +48,10 @@ class SensorField:
 
     ``coords`` is copied on construction into a read-only (n, 2) float64
     array, the field's only copy of its coordinates; every entry must be
-    finite. ``seed`` records how a generated field was produced and is None
-    for fields parsed from a dataset file. Instances are immutable and safe
-    to share across concurrent readers.
+    finite, and so must the squared diagonal of the points' bounding box,
+    which bounds every squared distance. ``seed`` records how a generated
+    field was produced and is None for fields parsed from a dataset file.
+    Instances are immutable and safe to share across concurrent readers.
     """
 
     coords: np.ndarray
@@ -64,6 +65,13 @@ class SensorField:
             raise ValueError(f"coords must have shape (n, 2), got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("coords must be finite")
+        if len(arr):
+            # Python floats, so an overflowing span gives inf without a numpy warning. Every
+            # pairwise dx*dx + dy*dy rounds to at most this sum.
+            (x0, y0), (x1, y1) = arr.min(axis=0).tolist(), arr.max(axis=0).tolist()
+            dx, dy = x1 - x0, y1 - y0
+            if not math.isfinite(dx * dx + dy * dy):
+                raise ValueError(f"coords span {dx!r} x {dy!r}; squared distances would overflow")
         arr.setflags(write=False)
         object.__setattr__(self, "coords", arr)
 

@@ -15,27 +15,15 @@ the network; ``fixed-route`` replays one route every round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .energy import EnergyState, RadioParams, rx_energy, tx_energy
+from .energy import DelayParams, EnergyState, RadioParams, rx_energy, tx_energy
 from .field import SensorField, hop_lengths
 from .routes import Route, nn_route, validate_route
 
 POLICY_FIXED = "fixed-route"
 POLICY_ROTATE = "rotate-start"
 _POLICIES = (POLICY_FIXED, POLICY_ROTATE)
-
-
-@dataclass(frozen=True)
-class DelayParams:
-    per_hop_s: float = 1e-3
-    prop_speed: float = 3e8
-    d_max_s: float = math.inf
-
-    def __post_init__(self):
-        if self.per_hop_s <= 0 or self.prop_speed <= 0 or self.d_max_s <= 0:
-            raise ValueError("delay parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -46,11 +34,13 @@ class DelayVerdict:
 
 @dataclass
 class SimReport:
+    """Outcome of a lifetime run; field order is the order ``simulate`` prints."""
+
     rounds_completed: int
     first_death_round: int | None
     total_energy_j: float
-    per_node_residual: list[float]
     deadline_violations: int
+    per_node_residual: list[float]
 
 
 def path_delay(field: SensorField, route: Route, dp: DelayParams) -> float:
@@ -95,9 +85,9 @@ def simulate_lifetime(
     """Run up to ``max_rounds`` collection rounds, stopping at the first death.
 
     ``fixed-route`` replays ``route`` (defaults to the greedy route from node
-    0); ``rotate-start`` regenerates the greedy route with a rotating start.
-    Deadline violations are counted for completed rounds whose route misses
-    d_max_s. Deterministic given its inputs.
+    0); ``rotate-start`` regenerates the greedy route with a rotating start
+    and takes no ``route``. Deadline violations are counted for completed
+    rounds whose route misses d_max_s. Deterministic given its inputs.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
@@ -106,14 +96,17 @@ def simulate_lifetime(
     n = len(field)
     if len(state.residual_j) != n:
         raise ValueError(f"energy state tracks {len(state.residual_j)} nodes, field has {n}")
-    fixed_route = None
-    fixed_charges = None
-    fixed_ok = None
-    if policy == POLICY_FIXED:
-        fixed_route = route if route is not None else nn_route(field, 0)
-        validate_route(field, fixed_route)
-        fixed_charges = _round_charges(field, fixed_route, rp)
-        fixed_ok = check_delay(field, fixed_route, dp).feasible
+    rotate = policy == POLICY_ROTATE
+    if rotate and route is not None:
+        raise ValueError(f"route applies to {POLICY_FIXED} only; {POLICY_ROTATE} starts round r at node r mod n")
+
+    def plan(rt: Route) -> tuple[list[float], bool]:
+        return _round_charges(field, rt, rp), check_delay(field, rt, dp).feasible
+
+    if not rotate:
+        route = route if route is not None else nn_route(field, 0)
+        validate_route(field, route)
+        charges, within_deadline = plan(route)
 
     residual = state.residual_j
     total = 0.0
@@ -121,13 +114,8 @@ def simulate_lifetime(
     first_death_round = None
     violations = 0
     for round_idx in range(max_rounds):
-        if policy == POLICY_ROTATE:
-            rt = nn_route(field, round_idx % n)
-            charges = _round_charges(field, rt, rp)
-            within_deadline = check_delay(field, rt, dp).feasible
-        else:
-            charges = fixed_charges
-            within_deadline = fixed_ok
+        if rotate:
+            charges, within_deadline = plan(nn_route(field, round_idx % n))
         dying = [i for i in range(n) if charges[i] > residual[i]]
         if dying:
             for i in dying:
@@ -135,11 +123,9 @@ def simulate_lifetime(
                 residual[i] = 0.0
             first_death_round = round_idx + 1
             break
-        for i in range(n):
-            c = charges[i]
-            if c:
-                residual[i] -= c
-                total += c
+        for i, c in enumerate(charges):
+            residual[i] -= c
+            total += c
         rounds_completed += 1
         if not within_deadline:
             violations += 1
@@ -147,6 +133,6 @@ def simulate_lifetime(
         rounds_completed=rounds_completed,
         first_death_round=first_death_round,
         total_energy_j=total,
-        per_node_residual=list(residual),
         deadline_violations=violations,
+        per_node_residual=list(residual),
     )

@@ -45,6 +45,13 @@ def test_config_validation():
         export_report(small_report(), "xml")
 
 
+@pytest.mark.parametrize("k", [0, 10])
+def test_config_rejects_k_outside_one_to_n_minus_one(k):
+    BenchConfig(n=10, seeds=[1], k=9)
+    with pytest.raises(ValueError, match="1 <= k <= n-1"):
+        BenchConfig(n=10, seeds=[1], k=k)
+
+
 def test_run_experiment_structure_and_paired_fairness():
     cfg = BenchConfig(n=40, seeds=[5], width=500, height=500)
     report = run_experiment(cfg)

@@ -110,6 +110,22 @@ def test_gen_infinite_width_is_runtime_error(capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("command", [["nn"], ["knn", "--k", "1"]])
+def test_overflowing_field_extent_is_runtime_error(command, capsys):
+    code, out, err = run_cli(capsys, *command, "--n", "3", "--width", "1e200", "--height", "1e200")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflow" in err
+    assert "permutation" not in err
+
+
+def test_bench_k_zero_is_runtime_error(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n", "5", "--seeds", "1", "--k", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1 <= k <= n-1" in err
+
+
 @pytest.mark.parametrize("seeds", ["abc", "5..1", "1..x", ","])
 def test_bench_bad_seed_list_is_usage_error(seeds, capsys):
     with pytest.raises(SystemExit) as exc:

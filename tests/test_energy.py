@@ -188,7 +188,7 @@ def test_parse_config_full_and_partial():
     assert cfg.link.w_error == 0.0
     assert cfg.link.error_ref_distance == 250.0
     assert cfg.initial_battery_j == 1.5
-    assert math.isinf(cfg.d_max_s)
+    assert math.isinf(cfg.delay.d_max_s)
 
     partial = parse_config("initial_battery_j = 2.0")
     assert partial.initial_battery_j == 2.0

@@ -72,6 +72,19 @@ def test_field_rejects_non_finite_coordinates(bad):
         SensorField(coords=[(1.0, 2.0), (0.0, bad)], width=10, height=10)
 
 
+def test_field_rejects_span_whose_squared_distances_overflow():
+    # (1e200)^2 overflows float64; 1e150 squared is 1e300 and still finite.
+    with pytest.raises(ValueError, match="overflow"):
+        SensorField(coords=[(0.0, 0.0), (1e200, 0.0)], width=1e200, height=1.0)
+    with pytest.raises(ValueError, match="overflow"):
+        SensorField(coords=[(0.0, -1e160), (0.0, 1e160)], width=1.0, height=2e160)
+    # both extremes of the float range: the span itself overflows
+    with pytest.raises(ValueError, match="overflow"):
+        SensorField(coords=[(-1.7e308, 0.0), (1.7e308, 0.0)], width=1.0, height=1.0)
+    f = generate_uniform(3, 1e150, 1e150, seed=1)
+    assert math.isfinite(distance_block(f.coords, 0, 3).max())
+
+
 def test_parse_sample_record():
     f = parse_dataset("P (14991 8390)\n")
     assert f.points == (Point(14991.0, 8390.0),)

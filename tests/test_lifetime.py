@@ -202,6 +202,14 @@ def test_simulate_rejects_bad_args():
         )
 
 
+def test_simulate_rotate_start_rejects_route():
+    f = chain_field([0, 5, 6])
+    state = EnergyState.fresh(3, 1.0)
+    with pytest.raises(ValueError, match="route"):
+        simulate_lifetime(f, POLICY_ROTATE, state, EXACT_RADIO, DelayParams(), 1, route=Route([2, 1, 0]))
+    assert state.residual_j == [1.0, 1.0, 1.0]
+
+
 def test_simulate_fixed_route_override():
     f = chain_field([0, 5, 6])
     state = EnergyState.fresh(3, 1.0)
