@@ -1,6 +1,6 @@
 """Sensor-field routing workbench.
 
-Generates flat sensing fields, builds kNN graphs with a chunked kernel,
+Generates flat sensing fields, builds kNN graphs over a uniform cell grid,
 constructs visit-all-nodes routes greedily or by simulated annealing, scores
 them under a radio energy / link-cost model with a delay constraint, and
 simulates round-based network lifetime.
@@ -58,6 +58,7 @@ from .knn import (
     dump_graph,
     init_knn_state,
     knn_update_chunk,
+    maxk_knn_graph,
 )
 from .lifetime import (
     POLICY_FIXED,

@@ -117,7 +117,7 @@ def build_parser() -> CliParser:
     p = sub.add_parser("knn", help="build the kNN graph and dump its edges")
     _add_field_args(p)
     p.add_argument("--k", type=int, required=True, help="neighbors per node")
-    p.add_argument("--chunk-size", type=int, default=64, help="distance matrix tile size")
+    p.add_argument("--chunk-size", type=int, default=64, help="most query rows in one distance tile")
     p.add_argument("--output", default=None, help="graph dump path (default: stdout)")
 
     p = sub.add_parser("nn", help="build the greedy route; prints its length")

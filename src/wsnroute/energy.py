@@ -109,10 +109,17 @@ class EnergyState:
 
 
 def tx_energy(p: RadioParams, bits: int, d: float) -> float:
-    """Transmission energy for ``bits`` over distance ``d``."""
+    """Transmission energy for ``bits`` over distance ``d``.
+
+    Raises ValueError when ``d**alpha`` overflows, which Python floats
+    report as OverflowError rather than inf.
+    """
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
-    return p.e_elec * bits + p.eps_amp * bits * d**p.alpha
+    try:
+        return p.e_elec * bits + p.eps_amp * bits * d**p.alpha
+    except OverflowError:
+        raise ValueError(f"hop of {d!r} m overflows d**alpha at alpha={p.alpha!r}") from None
 
 
 def rx_energy(p: RadioParams, bits: int) -> float:

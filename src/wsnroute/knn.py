@@ -1,23 +1,31 @@
-"""Chunked k-nearest-neighbor graph construction plus a brute-force oracle.
+"""k-nearest-neighbor graphs: a cell-grid build, the paper's Maxk kernel, and a brute-force oracle.
 
-The kernel processes one tile of the pairwise distance matrix at a time and
-keeps, per row, the k best candidates seen so far. A tile is a column window
-of a split's distance rows, read by slicing the rows themselves; a last
-split or window narrower than the chunk size simply has fewer rows or
-columns, so no entry is ever padded. A per-row index of the farthest
-occupied slot (``MaxkState``) makes the eviction check O(1); only when a
-slot is overwritten is the row rescanned for its new farthest.
+:func:`build_knn_graph` buckets the nodes into a uniform cell grid of about
+k nodes to a cell (:mod:`wsnroute.grid`). A tile is one cell's rows, at most
+chunk_size at a time, against every node in the cells around it; each row
+keeps its k nearest by a stable sort over index-ascending columns. A row
+whose k-th distance does not fall strictly inside the grid's cover bound is
+searched again over a wider square, so the result is exact. On a uniform
+field the work is O(n k log k) rather than O(n²).
 
-Tie rule: among equal distances the lowest column index wins. Candidates
-are scanned in ascending column order with a strict ``<`` comparison, so a
-later candidate never displaces an equal earlier one; and among slots that
-share the row's largest weight the farthest is the one with the highest
-target, so an eviction at the k-th radius drops the highest index. The
-brute-force oracle encodes the same rule.
+:func:`maxk_knn_graph` is the paper's driver, kept as the reference kernel:
+it folds every tile of the full distance matrix into per-row slots. A tile
+is a column window of a split's distance rows, read by slicing the rows
+themselves; a last split or window narrower than the chunk size simply has
+fewer rows or columns, so no entry is ever padded. A per-row index of the
+farthest occupied slot (``MaxkState``) makes the eviction check O(1); only
+when a slot is overwritten is the row rescanned for its new farthest. Rows
+are independent: distinct rows may be updated concurrently, but two updates
+touching the same row must be serialized (in practice: parallelize over
+splits only).
 
-Rows are independent: distinct rows may be updated concurrently, but two
-updates touching the same row must be serialized (in practice: parallelize
-over splits only).
+Tie rule: among equal distances the lowest column index wins. The grid
+build gets it from the stable sort. The Maxk kernel scans candidates in
+ascending column order with a strict ``<`` comparison, so a later candidate
+never displaces an equal earlier one; and among slots that share the row's
+largest weight the farthest is the one with the highest target, so an
+eviction at the k-th radius drops the highest index. The brute-force oracle
+encodes the same rule, and all three builds give the same graph.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import SensorField, distance_block, format_coord
+from .grid import CellGrid
 
 _INF = float("inf")
 
@@ -79,10 +88,14 @@ class MaxkState:
     farthest: list[int]
 
 
-def init_knn_state(n: int, k: int) -> tuple[KnnGraph, MaxkState]:
-    """Fresh slot arrays: every weight +inf, every target -1, Maxk all 0."""
+def _check_k(n: int, k: int) -> None:
     if k < 1 or k > n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+
+
+def init_knn_state(n: int, k: int) -> tuple[KnnGraph, MaxkState]:
+    """Fresh slot arrays: every weight +inf, every target -1, Maxk all 0."""
+    _check_k(n, k)
     size = n * k
     graph = KnnGraph(n=n, k=k, targets=[-1] * size, weights=[_INF] * size)
     return graph, MaxkState(farthest=[0] * n)
@@ -124,11 +137,59 @@ def knn_update_chunk(chunk: DistanceChunk, graph: KnnGraph, maxk: MaxkState) -> 
 
 
 def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
-    """Run the chunk kernel over every (split, chunk) tile pair, row-major.
+    """The kNN graph from cell-grid tiles; at most ``chunk_size`` query rows per tile.
+
+    A tile is one cell's rows against every node in the square of cells
+    within r of it, index-ascending, starting at r = 1. Each row keeps its k
+    nearest by a stable sort, so ties go to the lowest index. A row whose
+    k-th weight is not strictly inside the square's cover bound could have a
+    nearer node outside it and is searched again at r + 1. The graph equals
+    :func:`brute_force_knn`'s for every chunk_size.
+    """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    n = len(field)
+    _check_k(n, k)
+    xy = field.coords
+    grid = CellGrid(xy, k)
+    targets = np.empty((n, k), dtype=np.intp)
+    weights = np.empty((n, k))
+    pending = grid.order
+    r = 1
+    while len(pending):
+        missed = []
+        for rows in np.split(pending, np.flatnonzero(np.diff(grid.cell[pending])) + 1):
+            cx, cy = int(grid.cx[rows[0]]), int(grid.cy[rows[0]])
+            cols = grid.square(cx, cy, r)
+            if len(cols) <= k:  # fewer than k nodes besides the row's own
+                missed.append(rows)
+                continue
+            px, py = xy[cols, 0], xy[cols, 1]
+            for lo in range(0, len(rows), chunk_size):
+                q = rows[lo:lo + chunk_size]
+                qx, qy = xy[q, 0], xy[q, 1]
+                dx = qx[:, None] - px[None, :]
+                dy = qy[:, None] - py[None, :]
+                d = np.sqrt(dx * dx + dy * dy)
+                d[np.arange(len(q)), np.searchsorted(cols, q)] = np.inf
+                best = np.argsort(d, axis=1, kind="stable")[:, :k]
+                w = np.take_along_axis(d, best, axis=1)
+                done = w[:, -1] < grid.cover(qx, qy, cx, cy, r)
+                targets[q[done]] = cols[best[done]]
+                weights[q[done]] = w[done]
+                missed.append(q[~done])
+        pending = np.concatenate(missed)
+        r += 1
+    return KnnGraph(n=n, k=k, targets=targets.ravel().tolist(), weights=weights.ravel().tolist())
+
+
+def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
+    """The paper's driver: the Maxk kernel over every (split, chunk) tile pair, row-major.
 
     Distance rows are computed from coordinates one split at a time; the
     full matrix is never materialized. The finished graph is independent
-    of chunk_size.
+    of chunk_size and equals :func:`build_knn_graph`'s. This is the
+    reference kernel; its cost is O(n²) steps of Python.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -152,8 +213,7 @@ def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
     the lower target index is kept.
     """
     n = len(field)
-    if k < 1 or k > n - 1:
-        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
+    _check_k(n, k)
     d = distance_block(field.coords, 0, n)
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]

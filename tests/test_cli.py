@@ -119,6 +119,19 @@ def test_overflowing_field_extent_is_runtime_error(command, capsys):
     assert "permutation" not in err
 
 
+def test_simulate_overflowing_tx_energy_is_runtime_error(tmp_path, capsys):
+    # The span passes the squared-distance check, but d**4 of a 1e149 hop
+    # overflows a float.
+    config = tmp_path / "params.cfg"
+    config.write_text("alpha = 4\n")
+    code, out, err = run_cli(capsys, "simulate", "--n", "3", "--width", "1e150", "--height", "1e150",
+                             "--rounds", "2", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflows" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bench_k_zero_is_runtime_error(capsys):
     code, out, err = run_cli(capsys, "bench", "--n", "5", "--seeds", "1", "--k", "0")
     assert code == 2

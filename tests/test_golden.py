@@ -1,6 +1,6 @@
 """Golden-output digests for all six subcommands.
 
-Each case runs ``wsnroute.cli.main`` on a small generated field and compares
+Each case runs ``wsnroute.cli.main`` on a generated field and compares
 the sha256 of its stdout with a digest pinned when the case was added. A
 refactor that is meant to change no output must keep every digest. Bench
 reports drop their wall-time fields first, since those are not reproducible.
@@ -42,6 +42,9 @@ CASES = {
                             "--config", "{config}", "--format", "csv"],
     "bench-csv": ["bench", "--n", "30", "--width", "500", "--height", "500",
                   "--seeds", "1..3", "--format", "csv"],
+    # Enough nodes for a grid of hundreds of cells.
+    "knn-n3000": ["knn", "--n", "3000", "--seed", "9", "--k", "10", "--chunk-size", "256"],
+    "nn-n3000": ["nn", "--n", "3000", "--seed", "9", "--start", "17"],
     "bench-json-knn": ["bench", "--n", "30", "--width", "500", "--height", "500",
                        "--seeds", "4,7", "--k", "5", "--preset", "generous", "--format", "json"],
 }
@@ -53,7 +56,9 @@ DIGESTS = {
     "knn-chunk-1": "add510c74d08026f297b715678fa769e9a02a55ea5702a452c9c8f61ab9e690c",
     "knn-chunk-7": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
     "knn-chunk-gt-n": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
+    "knn-n3000": "70330170f00ba4a950913a30a8760232d77921b088d590d0c4ee02bddee86008",
     "nn-input-closed": "210a9fc0132c7c4eae6e4dc5b971d3af6ce3b201c1a0112d6c50e004e74f5ed4",
+    "nn-n3000": "9553da1648f0050da23d392cef7423de254020f4396ae259f18acb4c9ef24cb2",
     "sa-nn-init-closed": "ac3ab4af1c1e54741abce984d3248745e6bffce582c3e44abf3d08ae8083177a",
     "sa-swap": "d7d8d6766ea19fd64c06615315034b24a4649f27c7049069c30b2f1899434ccc",
     "simulate-fixed-csv": "3a27c3cc521bbe492398c87dbc137f36d46151698a4fe9798dda85a311cc71a4",

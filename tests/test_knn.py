@@ -18,6 +18,7 @@ from wsnroute import (
     knn_update_chunk,
 )
 from wsnroute.field import distance_block
+from wsnroute.knn import maxk_knn_graph
 
 INF = float("inf")
 
@@ -202,8 +203,9 @@ def test_build_matches_oracle_on_integer_lattice(k):
     # eviction must drop the highest target among them, as the oracle does.
     f = field_of([(x, y) for y in range(12) for x in range(12)])
     want = dump_graph(brute_force_knn(f, k))
-    for cs in (1, 5, 13, 200):
-        assert dump_graph(build_knn_graph(f, k, cs)) == want
+    for build in (build_knn_graph, maxk_knn_graph):
+        for cs in (1, 5, 13, 200):
+            assert dump_graph(build(f, k, cs)) == want, f"{build.__name__} chunk_size={cs}"
 
 
 def test_build_no_self_edges():
