@@ -152,9 +152,12 @@ _RECORD = re.compile(rf"^\s*P\s*\(\s*({_NUM})\s+({_NUM})\s*\)\s*$")
 
 
 def format_coord(v: float) -> str:
-    """Shortest decimal that parses back to exactly ``v``; integral values lose the dot."""
+    """Shortest decimal that parses back to exactly ``v``; integral values lose the dot.
+
+    Negative zero is written ``-0``, so parsing keeps its sign bit.
+    """
     if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
+        return str(int(v)) if v or math.copysign(1.0, v) > 0 else "-0"
     return repr(v)
 
 

@@ -1,5 +1,6 @@
 """Annealer and exhaustive-oracle tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from wsnroute import (
     route_length,
     sa_route,
 )
+from wsnroute import anneal
 from wsnroute.anneal import (
     MOVE_SWAP,
     MOVE_TWO_OPT,
@@ -101,23 +103,31 @@ def test_schedule_rejects_bad_values():
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
 def test_move_deltas_match_exact_length_change(n, closed):
-    # every i < j: adjacent positions and, when closed, the 0 / n - 1 seam
+    # every i < j: adjacent positions and, when closed, the 0 / n - 1 seam;
+    # the numpy deltas of the annealer's quiet stretches equal the scalar ones bit for bit
     rng = np.random.default_rng(100 * n + closed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ij = np.array(pairs).T
     for _ in range(20):
         f = SensorField(coords=rng.random((n, 2)) * 1000, width=1000, height=1000)
         xs = f.coords[:, 0].tolist()
         ys = f.coords[:, 1].tolist()
         order = [int(v) for v in rng.permutation(n)]
         before = route_length(f, Route(order=order, closed=closed))
-        for i in range(n):
-            for j in range(i + 1, n):
-                reversed_ = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
-                swapped = list(order)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                for delta, after in ((_two_opt_delta, reversed_), (_swap_delta, swapped)):
-                    exact = route_length(f, Route(order=after, closed=closed)) - before
-                    got = delta(order, i, j, xs, ys, n, closed)
-                    assert got == pytest.approx(exact, abs=1e-9), (delta.__name__, order, i, j)
+        batched = {
+            delta: anneal._batch_deltas(np.array(order), ij, f.coords[:, 0], f.coords[:, 1],
+                                        closed, two_opt).tolist()
+            for delta, two_opt in ((_two_opt_delta, True), (_swap_delta, False))
+        }
+        for k, (i, j) in enumerate(pairs):
+            reversed_ = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
+            swapped = list(order)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            for delta, after in ((_two_opt_delta, reversed_), (_swap_delta, swapped)):
+                exact = route_length(f, Route(order=after, closed=closed)) - before
+                got = delta(order, i, j, xs, ys, n, closed)
+                assert got == pytest.approx(exact, abs=1e-9), (delta.__name__, order, i, j)
+                assert batched[delta][k] == got, (delta.__name__, order, i, j)
 
 
 # --- annealer behavior ---
@@ -218,3 +228,154 @@ def test_undersized_schedule_caps_budget():
     initial = random_initial_route(50, 7)
     sched = undersized_schedule(f, initial)
     assert sched.max_iters == 600 * 50
+
+
+# --- the batched annealer against the scalar loop it replaced ---
+
+
+def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
+    """``sa_route`` as a plain scalar loop: one proposal, one delta, one test.
+
+    ``decisions``, when given, receives ``(delta, u, temp, accepted)`` for
+    every proposal.
+    """
+    n = len(initial.order)
+    order = list(initial.order)
+    closed = initial.closed
+    if schedule.max_iters == 0 or n < 2:
+        return Route(order=order, closed=closed)
+    xs = field.coords[:, 0].tolist()
+    ys = field.coords[:, 1].tolist()
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cur_len = route_length(field, initial)
+    best_len = cur_len
+    best_order = list(order)
+    two_opt = schedule.move_kind == MOVE_TWO_OPT
+    move_delta = _two_opt_delta if two_opt else _swap_delta
+    temp = schedule.initial_temp
+    it = 0
+    buf_i: list[int] = []
+    buf_j: list[int] = []
+    buf_u: list[float] = []
+    pos = 0
+    while it < schedule.max_iters and temp >= schedule.min_temp:
+        if pos == len(buf_i):
+            m = min(8192, schedule.max_iters - it)
+            buf_i = rng.integers(0, n, size=m).tolist()
+            buf_j = rng.integers(0, n - 1, size=m).tolist()
+            buf_u = rng.random(m).tolist()
+            pos = 0
+        i = buf_i[pos]
+        j = buf_j[pos]
+        u = buf_u[pos]
+        pos += 1
+        if j >= i:
+            j += 1
+        if i > j:
+            i, j = j, i
+        delta = move_delta(order, i, j, xs, ys, n, closed)
+        accepted = delta <= 0.0 or u < math.exp(-delta / temp)
+        if decisions is not None:
+            decisions.append((delta, u, temp, accepted))
+        if accepted:
+            if two_opt:
+                order[i : j + 1] = order[j : i - 1 if i else None : -1]
+            else:
+                order[i], order[j] = order[j], order[i]
+            cur_len += delta
+            if cur_len < best_len:
+                best_len = cur_len
+                best_order = order.copy()
+        it += 1
+        if it % schedule.iters_per_temp == 0:
+            temp *= schedule.cooling_factor
+        if history is not None:
+            history.append(best_len)
+    best = Route(order=best_order, closed=closed)
+    if route_length(field, best) <= route_length(field, initial):
+        return best
+    return Route(order=list(initial.order), closed=closed)
+
+
+def _schedules(f, initial, move):
+    """Schedules whose levels, draws and stops fall at awkward proposal counts."""
+    n = len(initial.order)
+    t0 = max(route_length(f, initial) / n, 1e-12)
+    cap = 30_000 if n >= 200 else None  # keeps n=200 quick; 30000 is not a multiple of 8192
+    return {
+        "default": default_schedule(f, initial, move, max_iters=cap),
+        "undersized": dataclasses.replace(undersized_schedule(f, initial), move_kind=move),
+        # dense acceptance: the numpy phase is entered and left again and again
+        "hot": AnnealSchedule(initial_temp=5 * t0, cooling_factor=0.97, iters_per_temp=997,
+                              min_temp=1e-6 * t0, max_iters=20_000, move_kind=move),
+        # levels of 3001 proposals; min_temp stops the run after 6 levels, 1622
+        # proposals into the third draw and well short of max_iters
+        "min-temp-stop": AnnealSchedule(initial_temp=0.05 * t0, cooling_factor=0.25,
+                                        iters_per_temp=3001, min_temp=0.05 * t0 * 0.25**5,
+                                        max_iters=50_000, move_kind=move),
+        # -delta/T overflows to -inf, which numpy would warn about
+        "frozen": AnnealSchedule(initial_temp=1e-306, cooling_factor=0.5, iters_per_temp=500,
+                                 min_temp=1e-315, max_iters=5000, move_kind=move),
+    }
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("move", [MOVE_TWO_OPT, MOVE_SWAP])
+@pytest.mark.parametrize("n", [2, 3, 5, 30, 200])
+def test_sa_route_matches_scalar_reference(n, move, closed, monkeypatch):
+    scored = []
+    batch_deltas = anneal._batch_deltas
+    monkeypatch.setattr(anneal, "_batch_deltas",
+                        lambda order, ij, *rest: scored.append(ij.shape[1]) or batch_deltas(order, ij, *rest))
+    f = generate_uniform(n, 1000, 1000, seed=n)
+    initial = Route(order=random_initial_route(n, n).order, closed=closed)
+    for name, sched in _schedules(f, initial, move).items():
+        want_history: list[float] = []
+        got_history: list[float] = []
+        want = _sa_reference(f, initial, sched, seed=7, history=want_history)
+        got = sa_route(f, initial, sched, seed=7, history=got_history)
+        assert got == want, name
+        assert got_history == want_history, name
+    if n >= 30:
+        # smaller routes keep accepting zero-delta moves (a whole or nearly whole
+        # reversal), so their quiet stretches are rare or never come
+        assert sum(scored) > 50_000
+
+
+# Each initial_temp puts one proposal, in a quiet stretch of the first level,
+# where only the scalar test decides it as the scalar loop does. For "margin",
+# -delta/T lies less than 1e-9 below log(u): numpy's candidate test admits a
+# proposal that math.exp rejects. For "exp-ulp", u is the smaller of
+# math.exp(-delta/T) and np.exp(-delta/T), which differ by one ulp. The
+# temperatures were found by scaling T0 until a proposal of a scalar run
+# landed there, and are pinned.
+@pytest.mark.parametrize("kind, move, closed, seed, t0", [
+    ("margin", MOVE_TWO_OPT, False, 7, 43.21804379152389),
+    ("exp-ulp", MOVE_TWO_OPT, False, 12, 44.116645893306725),
+    ("margin", MOVE_SWAP, True, 0, 45.255731663900306),
+    ("exp-ulp", MOVE_SWAP, True, 0, 45.255731681800235),
+])
+def test_sa_route_decides_threshold_proposals_with_math_exp(kind, move, closed, seed, t0):
+    f = generate_uniform(30, 1000, 1000, seed=30)
+    initial = Route(order=random_initial_route(30, 30).order, closed=closed)
+    sched = AnnealSchedule(initial_temp=t0, cooling_factor=0.5, iters_per_temp=4000,
+                           min_temp=1e-30, max_iters=40_000, move_kind=move)
+    decisions = []
+    want_history: list[float] = []
+    want = _sa_reference(f, initial, sched, seed, history=want_history, decisions=decisions)
+    hits = streak = 0
+    for delta, u, temp, accepted in decisions:
+        x = -delta / temp
+        if streak >= anneal._QUIET_STREAK and delta > 0.0 and u > 0.0:
+            if kind == "margin":
+                hits += not accepted and x > np.log(u) - 1e-9
+            else:
+                hits += (u < math.exp(x)) != (u < np.exp(x))
+        streak = 0 if accepted else streak + 1
+    got_history: list[float] = []
+    got = sa_route(f, initial, sched, seed, history=got_history)
+    assert got == want
+    assert got_history == want_history
+    if kind == "exp-ulp" and not hits:
+        pytest.skip("np.exp agrees with math.exp at the pinned proposal on this platform")
+    assert hits == 1

@@ -156,10 +156,27 @@ def test_roundtrip_random_fields():
         assert parse_dataset(write_dataset(f)).points == f.points
 
 
+@pytest.mark.parametrize("coords", [
+    [(-0.0, 0.0), (0.0, -0.0)],
+    [(5e-324, -5e-324), (2.2250738585072014e-308, -2.2250738585072014e-308)],
+    [(1.7976931348623157e308, -1.7976931348623157e308)],
+    [(9999999999999998.0, -9999999999999998.0), (1e16, -1e16)],
+])
+def test_roundtrip_keeps_extreme_values_and_the_sign_of_zero(coords):
+    f = SensorField(coords=coords, width=1.0, height=1.0)
+    text = write_dataset(f)
+    back = parse_dataset(text)
+    assert np.array_equal(back.coords, f.coords)
+    assert np.array_equal(np.signbit(back.coords), np.signbit(f.coords))
+    assert write_dataset(back) == text
+
+
 def test_format_coord_shortest_roundtrip():
     assert format_coord(14991.0) == "14991"
     assert format_coord(0.1) == "0.1"
     assert float(format_coord(1 / 3)) == 1 / 3
+    assert format_coord(-0.0) == "-0"
+    assert format_coord(0.0) == "0"
 
 
 def test_distance_identity_and_pythagorean():

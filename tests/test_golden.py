@@ -31,6 +31,7 @@ CASES = {
     "simulate-fixed-json": ["simulate", "--n", "30", "--width", "100", "--height", "100",
                             "--seed", "5", "--rounds", "40", "--start", "4",
                             "--config", "{config}", "--format", "json"],
+    "sa-swap-closed-n200": "e39fcf4f58e72c248bb7ab4d62e5496ba538acff5f900ce643019c890d15dbd4",
     "simulate-fixed-csv": ["simulate", "--n", "30", "--width", "100", "--height", "100",
                            "--seed", "5", "--rounds", "40", "--config", "{config}",
                            "--format", "csv"],
@@ -45,6 +46,9 @@ CASES = {
     # Enough nodes for a grid of hundreds of cells.
     "knn-n3000": ["knn", "--n", "3000", "--seed", "9", "--k", "10", "--chunk-size", "256"],
     "nn-n3000": ["nn", "--n", "3000", "--seed", "9", "--start", "17"],
+    # Long enough for quiet stretches, so the annealer scores proposals in numpy runs.
+    "sa-paper-budget-n300": ["sa", "--n", "300", "--seed", "4", "--paper-budget"],
+    "sa-swap-closed-n200": ["sa", "--n", "200", "--seed", "3", "--sa-move", "swap", "--closed"],
     "bench-json-knn": ["bench", "--n", "30", "--width", "500", "--height", "500",
                        "--seeds", "4,7", "--k", "5", "--preset", "generous", "--format", "json"],
 }
@@ -60,7 +64,9 @@ DIGESTS = {
     "nn-input-closed": "210a9fc0132c7c4eae6e4dc5b971d3af6ce3b201c1a0112d6c50e004e74f5ed4",
     "nn-n3000": "9553da1648f0050da23d392cef7423de254020f4396ae259f18acb4c9ef24cb2",
     "sa-nn-init-closed": "ac3ab4af1c1e54741abce984d3248745e6bffce582c3e44abf3d08ae8083177a",
+    "sa-paper-budget-n300": "3d7c823a34dfa770cb607c39e951d9e1a740a2671d178a3a549f8acc39c75c9a",
     "sa-swap": "d7d8d6766ea19fd64c06615315034b24a4649f27c7049069c30b2f1899434ccc",
+    "sa-swap-closed-n200": "e39fcf4f58e72c248bb7ab4d62e5496ba538acff5f900ce643019c890d15dbd4",
     "simulate-fixed-csv": "3a27c3cc521bbe492398c87dbc137f36d46151698a4fe9798dda85a311cc71a4",
     "simulate-fixed-json": "c3904f9cbe5b6b1c79356f1e82591978dd3abbd2f67b690abc44d58c4ab3d37a",
     "simulate-rotate-csv": "1e655fa883c3ddb3b0bafa219252e54e7240f2aa4f0b94b28aae5aee0ee11c50",
