@@ -18,7 +18,7 @@ import numpy as np
 from .anneal import default_schedule, sa_route, undersized_schedule
 from .field import SensorField, format_coord, generate_uniform
 from .knn import build_knn_graph
-from .routes import Route, nn_route, nn_route_accelerated, route_length
+from .routes import Route, nn_route, route_length
 
 PRESET_PAPER_BUDGET = "paper-budget"
 PRESET_GENEROUS = "generous"
@@ -94,10 +94,8 @@ def run_experiment(cfg: BenchConfig) -> BenchReport:
     for seed in cfg.seeds:
         fld = generate_uniform(cfg.n, cfg.width, cfg.height, seed)
         t0 = time.perf_counter()
-        if cfg.k is not None:
-            nn = nn_route_accelerated(fld, build_knn_graph(fld, cfg.k, chunk_size=256), 0)
-        else:
-            nn = nn_route(fld, 0)
+        graph = None if cfg.k is None else build_knn_graph(fld, cfg.k, chunk_size=256)
+        nn = nn_route(fld, 0, graph)
         nn_time = time.perf_counter() - t0
         report.runs.append(BenchRun(seed, "NN", route_length(fld, nn), nn_time))
 

@@ -63,7 +63,10 @@ class KnnGraph:
     Slot ``(row, s)`` lives at flat index ``row * k + s``; its source is
     ``row``. Untouched slots hold weight +inf and target -1. After a
     complete build every row holds the k nearest other nodes (lowest target
-    index wins among exact distance ties).
+    index wins among exact distance ties), ordered by (weight, target), so
+    the first slot whose target passes a test is the nearest node that
+    does. All three builders return rows in that order; the Maxk kernel's
+    working rows are unordered until :func:`maxk_knn_graph` sorts them.
     """
 
     n: int
@@ -188,8 +191,9 @@ def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
 
     Distance rows are computed from coordinates one split at a time; the
     full matrix is never materialized. The finished graph is independent
-    of chunk_size and equals :func:`build_knn_graph`'s. This is the
-    reference kernel; its cost is O(n²) steps of Python.
+    of chunk_size and equals :func:`build_knn_graph`'s once each row is
+    sorted by (weight, target) at the end. This is the reference kernel;
+    its cost is O(n²) steps of Python.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -203,6 +207,11 @@ def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
         rows = distance_block(xy, r0, min(r0 + cs, n)).tolist()
         for chunk_i in range(n_chunks):
             knn_update_chunk(DistanceChunk(rows, split, chunk_i, cs), graph, maxk)
+    targets = np.array(graph.targets).reshape(n, k)
+    weights = np.array(graph.weights).reshape(n, k)
+    rank = np.lexsort((targets, weights))
+    graph.targets = np.take_along_axis(targets, rank, axis=1).ravel().tolist()
+    graph.weights = np.take_along_axis(weights, rank, axis=1).ravel().tolist()
     return graph
 
 

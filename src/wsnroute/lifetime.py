@@ -10,7 +10,8 @@ the survivors, and the simulation stops.
 
 The ``rotate-start`` policy rebuilds the greedy route from start node
 ``round_index mod n`` each round, spreading the start/terminal roles across
-the network; ``fixed-route`` replays one route every round.
+the network; ``fixed-route`` replays one route every round. Rotating rounds
+share one kNN graph of the field, whose slots settle most greedy steps.
 """
 
 from __future__ import annotations
@@ -19,11 +20,17 @@ from dataclasses import dataclass
 
 from .energy import DelayParams, EnergyState, RadioParams, rx_energy, tx_energy
 from .field import SensorField, hop_lengths
+from .knn import build_knn_graph
 from .routes import Route, nn_route, validate_route
 
 POLICY_FIXED = "fixed-route"
 POLICY_ROTATE = "rotate-start"
 _POLICIES = (POLICY_FIXED, POLICY_ROTATE)
+# Neighbours per node in the graph rotating rounds share. At n=2000, 4 slots
+# settle 88% of a route's steps and 8 settle 94%. On the lifetime-rotate
+# benchmark (2-vCPU x86-64 VM), 8 took 13% less time per op than 4, but
+# raised peak memory by 6% over the graph-free build against 3%.
+_ROTATE_K = 4
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,13 @@ def simulate_lifetime(
     def plan(rt: Route) -> tuple[list[float], bool]:
         return _round_charges(field, rt, rp), check_delay(field, rt, dp).feasible
 
+    graph = None
     if not rotate:
         route = route if route is not None else nn_route(field, 0)
         validate_route(field, route)
         charges, within_deadline = plan(route)
+    elif n > 1 and max_rounds > 0:
+        graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256)
 
     residual = state.residual_j
     total = 0.0
@@ -115,7 +125,7 @@ def simulate_lifetime(
     violations = 0
     for round_idx in range(max_rounds):
         if rotate:
-            charges, within_deadline = plan(nn_route(field, round_idx % n))
+            charges, within_deadline = plan(nn_route(field, round_idx % n, graph))
         dying = [i for i in range(n) if charges[i] > residual[i]]
         if dying:
             for i in dying:

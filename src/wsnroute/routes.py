@@ -3,8 +3,9 @@
 Routes are open Hamiltonian paths by default (``closed=False``); the closed
 flag adds the return edge to the length. The greedy builder always picks the
 nearest unvisited node, breaking exact distance ties by lowest index, which
-keeps it consistent with the kNN module's tie rule. It finds that node by a
-ring search over a cell grid from which visited nodes are deleted.
+keeps it consistent with the kNN module's tie rule. It finds that node in
+the current node's kNN slots when a graph is given, else by a ring search
+over a cell grid from which visited nodes are deleted, else by a full scan.
 """
 
 from __future__ import annotations
@@ -86,14 +87,22 @@ def _nearest_live(grid: CellGrid, live: list[list[int]], xs: list[float], ys: li
         r += 1
 
 
-def nn_route(field: SensorField, start: int = 0) -> Route:
+def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) -> Route:
     """Greedy construction: repeatedly hop to the nearest unvisited node.
 
-    Each step searches a cell grid ring by ring over the nodes not yet
-    visited, which are deleted from their cells as the route reaches them;
-    a step whose search grows past a fixed budget scans every node instead.
+    Visited nodes are deleted from a cell grid as the route reaches them.
+    A step takes the first unvisited target in the current node's row of
+    ``graph``, when one is given: rows are ordered by (weight, target), so
+    that target is the nearest unvisited node. Without a graph, or when
+    every slot of the row is visited, the step searches the grid ring by
+    ring, and a search that grows past a fixed budget scans every node
+    instead. ``graph`` must be a finished kNN graph of this field with
+    its rows in that order, as every builder in :mod:`wsnroute.knn`
+    returns it.
     """
     n = len(field)
+    if graph is not None and graph.n != n:
+        raise ValueError(f"graph built for n={graph.n}, field has n={n}")
     if not 0 <= start < n:
         raise ValueError(f"start node {start} out of range for n={n}")
     xy = field.coords
@@ -106,61 +115,37 @@ def nn_route(field: SensorField, start: int = 0) -> Route:
     cell_x, cell_y = grid.cx.tolist(), grid.cy.tolist()
     xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
     nx = grid.nx
-    visited = np.zeros(n, dtype=bool)
+    k, targets = (graph.k, graph.targets) if graph is not None else (0, [])
+    seen = bytearray(n)
+    visited = np.frombuffer(seen, dtype=np.bool_)  # the scan's view of seen
     order = [start]
     cur = start
     for _ in range(n - 1):
-        visited[cur] = True
+        seen[cur] = 1
         cx, cy = cell_x[cur], cell_y[cur]
         nodes = live[cy * nx + cx]
         last = nodes.pop()
         if last != cur:  # the cell's last node fills the deleted one's place
             nodes[pos[cur]] = last
             pos[last] = pos[cur]
-        nxt = _nearest_live(grid, live, xs, ys, cur, cx, cy)
-        cur = nxt if nxt >= 0 else _nearest_unvisited(xy, cur, visited)
+        nxt = -1
+        if k:
+            for t in targets[cur * k:cur * k + k]:
+                if not seen[t]:
+                    nxt = t
+                    break
+        if nxt < 0:
+            nxt = _nearest_live(grid, live, xs, ys, cur, cx, cy)
+            if nxt < 0:
+                nxt = _nearest_unvisited(xy, cur, visited)
+        cur = nxt
         order.append(cur)
     return Route(order=order, closed=False)
 
 
 def nn_route_accelerated(field: SensorField, graph: KnnGraph, start: int = 0) -> Route:
-    """Greedy construction consulting the kNN graph first.
-
-    The current node's k slots are scanned for the nearest unvisited target;
-    only when all k are already visited does the step fall back to a full
-    scan. Produces exactly the same route as :func:`nn_route`.
-    """
-    n = len(field)
-    if graph.n != n:
-        raise ValueError(f"graph built for n={graph.n}, field has n={n}")
-    if not 0 <= start < n:
-        raise ValueError(f"start node {start} out of range for n={n}")
-    xy = field.coords
-    k = graph.k
-    targets = graph.targets
-    weights = graph.weights
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    order = [start]
-    cur = start
-    for _ in range(n - 1):
-        base = cur * k
-        best_t = -1
-        best_w = np.inf
-        for s in range(k):
-            t = targets[base + s]
-            if t >= 0 and not visited[t]:
-                w = weights[base + s]
-                if w < best_w or (w == best_w and t < best_t):
-                    best_w = w
-                    best_t = t
-        if best_t >= 0:
-            cur = best_t
-        else:
-            cur = _nearest_unvisited(xy, cur, visited)
-        visited[cur] = True
-        order.append(cur)
-    return Route(order=order, closed=False)
+    """:func:`nn_route` through ``graph``'s slots; the same route as without them."""
+    return nn_route(field, start, graph)
 
 
 def dump_route(route: Route) -> str:

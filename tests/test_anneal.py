@@ -340,6 +340,8 @@ def test_sa_route_matches_scalar_reference(n, move, closed, monkeypatch):
         # smaller routes keep accepting zero-delta moves (a whole or nearly whole
         # reversal), so their quiet stretches are rare or never come
         assert sum(scored) > 50_000
+    if move == MOVE_TWO_OPT and n < anneal._TWO_OPT_BATCH_MIN_N:
+        assert scored == []  # tiny 2-opt anneals stay scalar
 
 
 # Each initial_temp puts one proposal, in a quiet stretch of the first level,

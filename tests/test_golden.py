@@ -16,6 +16,8 @@ from wsnroute.cli import main
 # Exercises alpha != 2 (tx energy's ``d**alpha``) and a deadline that some
 # routes miss, so path_delay's sum reaches the report.
 SIM_CONFIG = "alpha = 2.5\ninitial_battery_j = 0.05\nprop_speed = 1e5\nd_max_s = 0.0334\n"
+# The same with batteries that outlast every round of a longer route.
+LONG_LIFE_CONFIG = SIM_CONFIG.replace("0.05", "1e4")
 
 CASES = {
     "gen": ["gen", "--n", "40", "--width", "1000", "--height", "700", "--seed", "5"],
@@ -31,7 +33,6 @@ CASES = {
     "simulate-fixed-json": ["simulate", "--n", "30", "--width", "100", "--height", "100",
                             "--seed", "5", "--rounds", "40", "--start", "4",
                             "--config", "{config}", "--format", "json"],
-    "sa-swap-closed-n200": "e39fcf4f58e72c248bb7ab4d62e5496ba538acff5f900ce643019c890d15dbd4",
     "simulate-fixed-csv": ["simulate", "--n", "30", "--width", "100", "--height", "100",
                            "--seed", "5", "--rounds", "40", "--config", "{config}",
                            "--format", "csv"],
@@ -41,6 +42,11 @@ CASES = {
     "simulate-rotate-csv": ["simulate", "--n", "30", "--width", "100", "--height", "100",
                             "--seed", "5", "--rounds", "40", "--policy", "rotate-start",
                             "--config", "{config}", "--format", "csv"],
+    # Rotating rounds on a field where routes take kNN slots, search the
+    # grid and hand steps over to the full scan.
+    "simulate-rotate-n400": ["simulate", "--n", "400", "--width", "2000", "--height", "2000",
+                             "--seed", "3", "--rounds", "5", "--policy", "rotate-start",
+                             "--config", "{long_config}", "--format", "json"],
     "bench-csv": ["bench", "--n", "30", "--width", "500", "--height", "500",
                   "--seeds", "1..3", "--format", "csv"],
     # Enough nodes for a grid of hundreds of cells.
@@ -71,6 +77,7 @@ DIGESTS = {
     "simulate-fixed-json": "c3904f9cbe5b6b1c79356f1e82591978dd3abbd2f67b690abc44d58c4ab3d37a",
     "simulate-rotate-csv": "1e655fa883c3ddb3b0bafa219252e54e7240f2aa4f0b94b28aae5aee0ee11c50",
     "simulate-rotate-json": "78f1787148784b8fdbac27fd1bed1ad61e66ff9143b0d1eb98e26e04898d2b6d",
+    "simulate-rotate-n400": "8c0fd73fae930b42afba75565dd3fc6a31bf622ea468e2cc2686824f436a11a9",
 }
 
 
@@ -90,10 +97,16 @@ def test_golden_output(name, tmp_path, capsys):
     field_file = tmp_path / "field.txt"
     config_file = tmp_path / "params.cfg"
     config_file.write_text(SIM_CONFIG)
+    long_config_file = tmp_path / "long.cfg"
+    long_config_file.write_text(LONG_LIFE_CONFIG)
     assert main(["gen", "--n", "35", "--width", "900", "--height", "600", "--seed", "8",
                  "--output", str(field_file)]) == 0
-    argv = [a.format(field=field_file, config=config_file) for a in CASES[name]]
+    argv = [a.format(field=field_file, config=config_file, long_config=long_config_file) for a in CASES[name]]
     capsys.readouterr()
     assert main(argv) == 0
     out = _drop_wall_times(name, capsys.readouterr().out)
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_every_case_has_one_digest():
+    assert set(CASES) == set(DIGESTS)

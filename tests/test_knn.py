@@ -34,6 +34,11 @@ def neighbor_sets(graph):
     return [graph.neighbor_set(r) for r in range(graph.n)]
 
 
+def slots(graph):
+    """The graph's slot arrays; every builder orders a row by (weight, target)."""
+    return graph.targets, graph.weights
+
+
 # --- oracle behavior pinned first; the chunked path must match it ---
 
 
@@ -162,9 +167,10 @@ def test_kernel_maxk_coherent_after_every_call():
 
 def test_build_matches_oracle_and_is_chunk_size_independent():
     f = generate_uniform(50, 100, 100, seed=7)
-    want = neighbor_sets(brute_force_knn(f, 5))
-    for cs in (7, 50):
-        assert neighbor_sets(build_knn_graph(f, 5, cs)) == want
+    want = slots(brute_force_knn(f, 5))
+    for build in (build_knn_graph, maxk_knn_graph):
+        for cs in (7, 50):
+            assert slots(build(f, 5, cs)) == want, f"{build.__name__} chunk_size={cs}"
 
 
 def test_build_two_nodes():
@@ -181,9 +187,10 @@ def test_build_sweep_small_fields():
     for n in (10, 37):
         f = generate_uniform(n, 1000, 1000, seed=int(rng.integers(2**32)))
         for k in (1, 3, 5):
-            want = neighbor_sets(brute_force_knn(f, k))
-            for cs in (1, 3, n):
-                assert neighbor_sets(build_knn_graph(f, k, cs)) == want
+            want = slots(brute_force_knn(f, k))
+            for build in (build_knn_graph, maxk_knn_graph):
+                for cs in (1, 3, n):
+                    assert slots(build(f, k, cs)) == want, f"{build.__name__} k={k} chunk_size={cs}"
 
 
 def test_build_large_field_completes_with_finite_slots():
@@ -202,10 +209,24 @@ def test_build_matches_oracle_on_integer_lattice(k):
     # A 12x12 unit lattice ties many candidates at the k-th radius; an
     # eviction must drop the highest target among them, as the oracle does.
     f = field_of([(x, y) for y in range(12) for x in range(12)])
-    want = dump_graph(brute_force_knn(f, k))
+    oracle = brute_force_knn(f, k)
+    want = dump_graph(oracle)
     for build in (build_knn_graph, maxk_knn_graph):
         for cs in (1, 5, 13, 200):
-            assert dump_graph(build(f, k, cs)) == want, f"{build.__name__} chunk_size={cs}"
+            g = build(f, k, cs)
+            assert dump_graph(g) == want, f"{build.__name__} chunk_size={cs}"
+            assert slots(g) == slots(oracle), f"{build.__name__} chunk_size={cs}"
+
+
+def test_every_builder_orders_rows_by_weight_then_target():
+    # Collinear duplicates tie at every radius, so only the target decides
+    # the order within a row.
+    f = field_of([(x % 4, 0) for x in range(12)])
+    for build in (build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k)):
+        g = build(f, 7, 5)
+        for r in range(g.n):
+            row = list(zip(g.weights[r * 7:r * 7 + 7], g.targets[r * 7:r * 7 + 7]))
+            assert row == sorted(row)
 
 
 def test_build_no_self_edges():

@@ -179,6 +179,40 @@ def test_simulate_rotation_outlives_fixed_on_square():
     assert rotated.first_death_round > fixed.first_death_round
 
 
+def test_simulate_rotate_single_node():
+    f = chain_field([0])
+    rep = simulate_lifetime(f, POLICY_ROTATE, EnergyState.fresh(1, 1.0), EXACT_RADIO, DelayParams(), 3)
+    assert rep.rounds_completed == 3
+    assert rep.first_death_round is None
+    assert rep.total_energy_j == 0.0
+    assert rep.per_node_residual == [1.0]
+
+
+def test_simulate_rotate_two_nodes_alternate_roles():
+    # rounds start at nodes 0, 1, 0, 1: after four rounds each node has sent
+    # and received twice and is empty, so both die entering round 5
+    f = chain_field([0, 32])
+    tx = tx_energy(EXACT_RADIO, 1024, 32.0)
+    rx = rx_energy(EXACT_RADIO, 1024)
+    state = EnergyState.fresh(2, 2 * (tx + rx))
+    rep = simulate_lifetime(f, POLICY_ROTATE, state, EXACT_RADIO, DelayParams(), 100)
+    assert rep.rounds_completed == 4
+    assert rep.first_death_round == 5
+    assert rep.per_node_residual == [0.0, 0.0]
+    assert rep.total_energy_j == 4 * (tx + rx)
+
+
+def test_simulate_rotate_shared_graph_changes_no_round(monkeypatch):
+    # The kNN graph rotating rounds share only speeds up the greedy route.
+    f = generate_uniform(300, 1000, 1000, seed=12)
+    dp = DelayParams(d_max_s=0.29905215)  # about half the routes miss it
+    shared = simulate_lifetime(f, POLICY_ROTATE, EnergyState.fresh(300, 1.0), RadioParams(), dp, 30)
+    monkeypatch.setattr("wsnroute.lifetime.build_knn_graph", lambda *args: None)
+    plain = simulate_lifetime(f, POLICY_ROTATE, EnergyState.fresh(300, 1.0), RadioParams(), dp, 30)
+    assert shared == plain
+    assert 0 < shared.deadline_violations < shared.rounds_completed
+
+
 def test_simulate_counts_deadline_violations():
     f = chain_field([0, 300, 600])
     rp = EXACT_RADIO

@@ -8,7 +8,9 @@ and cell walls by an ulp, or flushes a squared distance to 0, which a cell
 grid's cover bound must allow for. Examples
 are derandomized and no example database is kept, so every run draws the
 same cases. Greedy NN is also checked on three fixed 600-node fields, where
-it either searches its grid or hands a step over to a full scan.
+it either searches its grid or hands a step over to a full scan. With a kNN
+graph from any of the three builders it takes the first unvisited slot of a
+row first.
 """
 
 import numpy as np
@@ -83,11 +85,11 @@ def test_knn_build_matches_oracle_at_every_chunk_size(f, data):
     n = len(f)
     k = data.draw(st.integers(1, n - 1), label="k")
     oracle = brute_force_knn(f, k)
-    want = [oracle.neighbor_set(r) for r in range(n)]
     for build in (build_knn_graph, maxk_knn_graph):
         for cs in (1, 3, 7, 64):
             g = build(f, k, cs)
-            assert [g.neighbor_set(r) for r in range(n)] == want, f"{build.__name__} chunk_size={cs}"
+            # the same slots in the same order: rows sorted by (weight, target)
+            assert (g.targets, g.weights) == (oracle.targets, oracle.weights), f"{build.__name__} chunk_size={cs}"
 
 
 @SETTINGS
@@ -143,12 +145,31 @@ def test_nn_grid_search_and_full_scan_handover_match_a_scan(kind, lo, hi, monkey
     assert lo <= len(scans) / 2 <= hi
 
 
+BUILDERS = (build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k))
+
+
 @SETTINGS
-@given(points=lattice_points, data=st.data())
-def test_accelerated_nn_matches_greedy_from_any_start(points, data):
-    f = as_field(points)
+@given(f=fields, data=st.data())
+def test_accelerated_nn_matches_greedy_from_any_start(f, data):
+    # Most steps take a kNN slot; those whose slots are all visited search
+    # the grid, and a few hand over to the full scan.
     n = len(f)
     k = data.draw(st.integers(1, n - 1), label="k")
     start = data.draw(st.integers(0, n - 1), label="start")
-    graph = build_knn_graph(f, k, 7)
-    assert nn_route_accelerated(f, graph, start).order == nn_route(f, start).order
+    want = scan_nn_route(f, start)
+    for build in BUILDERS:
+        assert nn_route(f, start, build(f, k, 7)).order == want
+    assert nn_route_accelerated(f, build_knn_graph(f, k, 7), start).order == want
+
+
+@SETTINGS
+@given(f=fields, data=st.data())
+def test_nn_with_few_slots_matches_scan_oracle(f, data):
+    # At k <= 3 most steps find every slot visited, so the grid search and
+    # the scan decide them.
+    n = len(f)
+    k = data.draw(st.integers(1, min(3, n - 1)), label="k")
+    start = data.draw(st.integers(0, n - 1), label="start")
+    want = scan_nn_route(f, start)
+    for build in BUILDERS:
+        assert nn_route(f, start, build(f, k, 7)).order == want
