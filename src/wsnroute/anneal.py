@@ -171,13 +171,15 @@ def _swap_delta(order: list[int], i: int, j: int, xs: list[float], ys: list[floa
 
 # Proposals are drawn _DRAW at a time. After _QUIET_STREAK rejections in a row
 # the annealer scores them in numpy runs, the first _FIRST_RUN long and each
-# later one twice the last, up to _LONGEST_RUN, until a run holds an accepted
-# proposal. At n=2000, runs of 4096 or more cost more per proposal than runs
-# of 1024.
+# later one twice the last, up to _LONGEST_RUN. A run whose accepted proposal
+# lies _STAY or more into it is followed at once by a new run of _FIRST_RUN;
+# an accept sooner than that hands the loop back to scalar proposals. At
+# n=2000, runs of 4096 or more cost more per proposal than runs of 1024.
 _DRAW = 8192
 _QUIET_STREAK = 48
 _FIRST_RUN = 64
 _LONGEST_RUN = 1024
+_STAY = 16
 # A 2-opt anneal of fewer than _TWO_OPT_BATCH_MIN_N nodes stays scalar. There
 # the whole route's reversal, a zero-delta move that is always accepted, is
 # one proposal in a few dozen, so most numpy runs end after a few proposals
@@ -186,39 +188,55 @@ _LONGEST_RUN = 1024
 # Swaps have no such move; batched swap anneals at n = 5-16 took 37-48% of
 # the scalar time.
 _TWO_OPT_BATCH_MIN_N = 11
-# A move (i, j) relinks the nodes at route positions p = i - 1, a = i, b = j,
-# q = j + 1 and, for a swap, r = i + 1 and s = j - 1: row 0 (i) or 1 (j) of
-# the move, plus an offset.
-_ENDS = {"p": (0, -1), "a": (0, 0), "b": (1, 0), "q": (1, 1), "r": (0, 1), "s": (1, -1)}
 
 
-def _links(heads: str, tails: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and offsets of each link's head, then of each link's tail."""
-    rows, offsets = zip(*(_ENDS[e] for e in heads + tails))
-    return np.array(rows), np.array(offsets)[:, None]
+def _link_ends(ij: np.ndarray, n: int, closed: bool, two_opt: bool) -> np.ndarray:
+    """Route positions of the ends of every link each move (i, j), i < j, of ``ij`` relinks.
 
-
-# _two_opt_delta's and _swap_delta's links, in their order: each new link,
-# then the old link it replaces.
-_TWO_OPT_LINKS = _links("ppab", "baqq")
-_SWAP_LINKS = _links("ppabbaab", "baqqrrss")
-
-
-def _batch_deltas(order: np.ndarray, ij: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                  closed: bool, two_opt: bool) -> np.ndarray:
-    """``_two_opt_delta`` or ``_swap_delta`` of each column (i, j), i < j, of ``ij``.
-
-    Each entry is the scalar function's value bit for bit: the same
-    differences, squares, correctly rounded square roots and additions in
-    the same order, with the links a position lacks adding exactly 0.0.
+    Row l of the result is link l's head and row L + l its tail, for the
+    L = 4 links of ``_two_opt_delta`` or the L = 8 of ``_swap_delta``, in
+    their order: each new link, then the old link it replaces. A closed
+    route wraps position -1 to n - 1 and n to 0. A link the move lacks has
+    both ends at the pad, position n, so that its length is exactly 0.0:
+    the links before an open route's start and after its end, every 2-opt
+    link of a closed route's whole-cycle reversal, and a swap of
+    neighbours' inner links.
     """
-    n = len(order)
-    rows, offsets = _TWO_OPT_LINKS if two_opt else _SWAP_LINKS
-    # mode="wrap" takes position -1 to the last node and n to the first
-    nodes = np.take(order, ij[rows] + offsets, mode="wrap")
-    links = len(nodes) // 2
-    x = xs[nodes]
-    y = ys[nodes]
+    i, j = ij
+    p = i - 1
+    q = j + 1
+    if closed:
+        p[p < 0] = n - 1
+        q[q == n] = 0
+        before = after = j - i + 1 >= n
+    else:
+        before = i == 0
+        after = j == n - 1
+    heads = [p, p, i, j]
+    tails = [j, i, q, q]
+    if not two_opt:
+        heads += [j, i, i, j]
+        tails += [i + 1, i + 1, j - 1, j - 1]
+    ends = np.array([heads, tails])
+    ends[:, :2, before] = n
+    ends[:, 2:4, after] = n
+    if not two_opt:
+        ends[:, 4:, j == i + 1] = n
+    return ends.reshape(-1, ij.shape[1])
+
+
+def _run_deltas(rx: np.ndarray, ry: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``_two_opt_delta`` or ``_swap_delta`` of each column of ``ends``, from ``_link_ends``.
+
+    ``rx`` and ``ry`` hold the route's coordinates in route order and 0.0
+    at the pad. Each entry is the scalar function's value bit for bit: the
+    same differences, squares, correctly rounded square roots and additions
+    in the same order. A pad link adds 0.0 - 0.0, and x + 0.0 is x, because
+    a difference of square roots is never -0.0.
+    """
+    links = len(ends) // 2
+    x = rx[ends]
+    y = ry[ends]
     # in place on the head rows, so a run holds few temporaries
     dx = x[:links]
     dx -= x[links:]
@@ -228,15 +246,10 @@ def _batch_deltas(order: np.ndarray, ij: np.ndarray, xs: np.ndarray, ys: np.ndar
     dy *= dy
     dx += dy
     d = np.sqrt(dx, out=dx)
-    change = d[0::2] - d[1::2]  # new minus old, per relinked pair
-    i, j = ij
-    if closed:
-        delta = np.where(j - i + 1 >= n, 0.0, change[0] + change[1])
-    else:
-        delta = np.where(i > 0, change[0], 0.0) + np.where(j < n - 1, change[1], 0.0)
-    if two_opt:
-        return delta
-    return np.where(j == i + 1, delta, delta + (change[2] + change[3]))
+    delta = (d[0] - d[1]) + (d[2] - d[3])
+    if links == 8:
+        delta += (d[4] - d[5]) + (d[6] - d[7])
+    return delta
 
 
 def _draw(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,6 +273,7 @@ def sa_route(
     schedule: AnnealSchedule,
     seed: int,
     history: list[float] | None = None,
+    stats: dict | None = None,
 ) -> Route:
     """Anneal the initial route; returns the best route seen.
 
@@ -267,33 +281,40 @@ def sa_route(
     probability exp(-delta/T). T is multiplied by the cooling factor every
     ``iters_per_temp`` proposals; the loop stops when T falls below
     ``min_temp`` or the proposal budget runs out. When ``history`` is given,
-    the best-seen length is appended after every proposal.
+    the best-seen length is appended after every proposal. When ``stats``
+    is given, it receives the run's counters once the loop ends:
+    ``proposals``, ``accepted``, ``uphill_accepted`` (accepted with delta
+    > 0), ``scalar_scored`` and ``numpy_scored`` (the proposals decided by
+    each path; they sum to ``proposals``), ``runs`` (numpy runs),
+    ``final_temp``, and ``stop``: ``"min_temp"`` when T fell below
+    ``min_temp``, else ``"budget"``.
 
     Most proposals are rejected, in long quiet stretches. After
     ``_QUIET_STREAK`` rejections in a row (never, for a 2-opt anneal of
     fewer than ``_TWO_OPT_BATCH_MIN_N`` nodes), proposals are scored in numpy
-    runs against the unchanged route until one is accepted; a run never
-    crosses a cooling level or the end of a draw of ``_DRAW`` proposals.
-    The result is the scalar loop's, bit for bit: the draws are the same,
-    every delta is computed with the same IEEE operations, and numpy only
-    picks candidates, with a test (``-delta/T > log(u) - 1e-9``) that
-    admits every proposal the scalar test accepts. Each candidate is then
-    decided by that scalar test, ``math.exp`` included.
+    runs against the unchanged route; a run never crosses a cooling level or
+    the end of a draw of ``_DRAW`` proposals. An accept ``_STAY`` or more
+    proposals into a run starts the next run at once; a sooner one hands the
+    loop back to scalar proposals. Runs read the route's coordinates in
+    route order, ``rx`` and ``ry``, and the route positions of every link a
+    move relinks, found once per draw. The result is the scalar loop's, bit
+    for bit: the draws are the same, every delta is computed with the same
+    IEEE operations, and numpy only picks candidates, with a test
+    (``-delta/T > log(u) - 1e-9``) that admits every proposal the scalar
+    test accepts. Each candidate is then decided by that scalar test,
+    ``math.exp`` included.
     """
     schedule.validate()
     validate_route(field, initial)
     n = len(initial.order)
     order = list(initial.order)
     closed = initial.closed
-    if schedule.max_iters == 0 or n < 2:
-        return Route(order=order, closed=closed)
-
-    xy = field.coords
-    xs_arr = xy[:, 0]
-    ys_arr = xy[:, 1]
-    xs = xs_arr.tolist()
-    ys = ys_arr.tolist()
-    order_arr = np.array(order, dtype=np.intp)
+    budget = schedule.max_iters if n > 1 else 0  # one node has no move
+    xs = field.coords[:, 0].tolist()
+    ys = field.coords[:, 1].tolist()
+    # node coordinates in route order, with the pad at n
+    rx = np.append(field.coords[order, 0], 0.0)
+    ry = np.append(field.coords[order, 1], 0.0)
     rng = np.random.Generator(np.random.PCG64(seed))
     cur_len = route_length(field, initial)
     best_len = cur_len
@@ -302,63 +323,86 @@ def sa_route(
     move_delta = _two_opt_delta if two_opt else _swap_delta
     per_level = schedule.iters_per_temp
     temp = schedule.initial_temp
-    it = 0
+    it = accepted = uphill = numpy_scored = runs = 0
     pos = m = 0
     quiet = 0
     run = _FIRST_RUN
-    streak = math.inf if two_opt and n < _TWO_OPT_BATCH_MIN_N else _QUIET_STREAK
-    while it < schedule.max_iters and temp >= schedule.min_temp:
-        if pos == m:
-            m = min(_DRAW, schedule.max_iters - it)
-            ij, u, log_u = _draw(rng, n, m)
-            buf_i = ij[0].tolist()
-            buf_j = ij[1].tolist()
-            buf_u = u.tolist()
-            pos = 0
-        if quiet < streak:
-            step = 1
-            i = buf_i[pos]
-            j = buf_j[pos]
-            delta = move_delta(order, i, j, xs, ys, n, closed)
-            accept = delta <= 0.0 or buf_u[pos] < math.exp(-delta / temp)
-        else:
-            step = min(run, m - pos, per_level - it % per_level)
-            deltas = _batch_deltas(order_arr, ij[:, pos : pos + step], xs_arr, ys_arr, closed, two_opt)
-            with np.errstate(over="ignore"):
-                picks = np.flatnonzero(-deltas / temp > log_u[pos : pos + step])
-            accept = False
-            for c in picks.tolist():
-                delta = float(deltas[c])
-                if delta <= 0.0 or buf_u[pos + c] < math.exp(-delta / temp):
-                    accept = True
-                    step = c + 1
-                    i = buf_i[pos + c]
-                    j = buf_j[pos + c]
-                    break
-            run = min(2 * run, _LONGEST_RUN)
-            if history is not None:
-                history.extend([best_len] * (step - 1))
-        pos += step
-        it += step
-        if accept:
-            if two_opt:
-                order[i : j + 1] = order[j : i - 1 if i else None : -1]
-                order_arr[i : j + 1] = order_arr[i : j + 1][::-1]
+    batched = not (two_opt and n < _TWO_OPT_BATCH_MIN_N)
+    streak = _QUIET_STREAK if batched else math.inf
+    # -delta / T overflows to -inf at tiny T; the candidate test wants that
+    with np.errstate(over="ignore"):
+        while it < budget and temp >= schedule.min_temp:
+            if pos == m:
+                m = min(_DRAW, budget - it)
+                ij, u, log_u = _draw(rng, n, m)
+                if batched:
+                    ends = _link_ends(ij, n, closed, two_opt)
+                buf_i = ij[0].tolist()
+                buf_j = ij[1].tolist()
+                buf_u = u.tolist()
+                pos = 0
+            if quiet < streak:
+                step = 1
+                i = buf_i[pos]
+                j = buf_j[pos]
+                delta = move_delta(order, i, j, xs, ys, n, closed)
+                accept = delta <= 0.0 or buf_u[pos] < math.exp(-delta / temp)
             else:
-                order[i], order[j] = order[j], order[i]
-                order_arr[i], order_arr[j] = order[i], order[j]
-            cur_len += delta
-            if cur_len < best_len:
-                best_len = cur_len
-                best_order = order.copy()
-            quiet = 0
-            run = _FIRST_RUN
-        else:
-            quiet += step
-        if it % per_level == 0:
-            temp *= schedule.cooling_factor
-        if history is not None:
-            history.append(best_len)
+                step = min(run, m - pos, per_level - it % per_level)
+                deltas = _run_deltas(rx, ry, ends[:, pos : pos + step])
+                # deltas / -T is -delta / T bit for bit: the sign is set apart from the rounding
+                picks = np.flatnonzero(deltas / -temp > log_u[pos : pos + step])
+                accept = False
+                for c in picks.tolist():
+                    delta = float(deltas[c])
+                    if delta <= 0.0 or buf_u[pos + c] < math.exp(-delta / temp):
+                        accept = True
+                        step = c + 1
+                        i = buf_i[pos + c]
+                        j = buf_j[pos + c]
+                        break
+                runs += 1
+                numpy_scored += step
+                run = min(2 * run, _LONGEST_RUN)
+                if history is not None:
+                    history.extend([best_len] * (step - 1))
+            pos += step
+            it += step
+            if accept:
+                if two_opt:
+                    order[i : j + 1] = order[j : i - 1 if i else None : -1]
+                    rx[i : j + 1] = rx[i : j + 1][::-1]
+                    ry[i : j + 1] = ry[i : j + 1][::-1]
+                else:
+                    order[i], order[j] = order[j], order[i]
+                    rx[i], rx[j] = rx[j], rx[i]
+                    ry[i], ry[j] = ry[j], ry[i]
+                cur_len += delta
+                if cur_len < best_len:
+                    best_len = cur_len
+                    best_order = order.copy()
+                accepted += 1
+                uphill += delta > 0.0
+                # a scalar step is 1, so only a late accept in a run stays batched
+                quiet = streak if step > _STAY else 0
+                run = _FIRST_RUN
+            else:
+                quiet += step
+            if it % per_level == 0:
+                temp *= schedule.cooling_factor
+            if history is not None:
+                history.append(best_len)
+    if stats is not None:
+        stats.update(
+            proposals=it,
+            accepted=accepted,
+            uphill_accepted=uphill,
+            scalar_scored=it - numpy_scored,
+            numpy_scored=numpy_scored,
+            runs=runs,
+            final_temp=temp,
+            stop="min_temp" if temp < schedule.min_temp else "budget",
+        )
     # cur_len drifts by at most ~1 ulp per accepted move; the exact final
     # comparison keeps the non-increase guarantee unconditional.
     best = Route(order=best_order, closed=closed)

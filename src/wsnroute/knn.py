@@ -1,12 +1,13 @@
 """k-nearest-neighbor graphs: a cell-grid build, the paper's Maxk kernel, and a brute-force oracle.
 
 :func:`build_knn_graph` buckets the nodes into a uniform cell grid of about
-k nodes to a cell (:mod:`wsnroute.grid`). A tile is one cell's rows, at most
-chunk_size at a time, against every node in the cells around it; each row
-keeps its k nearest by a stable sort over index-ascending columns. A row
-whose k-th distance does not fall strictly inside the grid's cover bound is
-searched again over a wider square, so the result is exact. On a uniform
-field the work is O(n k log k) rather than O(n²).
+k nodes to a cell, and no fewer than 8 (:mod:`wsnroute.grid`). A tile is one
+cell's rows, at most chunk_size at a time, against every node in the cells
+around it; each row keeps its k nearest by a stable sort over
+index-ascending columns. A row whose k-th distance does not fall strictly
+inside the grid's cover bound is searched again over a wider square, so the
+result is exact. On a uniform field the work is O(n k log k) rather than
+O(n²).
 
 :func:`maxk_knn_graph` is the paper's driver, kept as the reference kernel:
 it folds every tile of the full distance matrix into per-row slots. A tile
@@ -39,6 +40,11 @@ from .field import SensorField, distance_block, format_coord
 from .grid import CellGrid
 
 _INF = float("inf")
+# build_knn_graph puts about max(k, _MIN_PER_CELL) nodes in a cell. Each tile
+# has a fixed numpy cost, so cells of k < 8 nodes make many tiles too small to
+# pay for it: at n=2000, k=4 the build took 43 ms at 4 nodes to a cell and
+# 23 ms at 8 (2-vCPU x86-64 VM).
+_MIN_PER_CELL = 8
 
 
 class DistanceChunk(NamedTuple):
@@ -67,12 +73,16 @@ class KnnGraph:
     the first slot whose target passes a test is the nearest node that
     does. All three builders return rows in that order; the Maxk kernel's
     working rows are unordered until :func:`maxk_knn_graph` sorts them.
+    ``rows_sorted`` says which: :func:`init_knn_state` and
+    :func:`knn_update_chunk` clear it, and code that relies on the order
+    checks it.
     """
 
     n: int
     k: int
     targets: list[int]
     weights: list[float]
+    rows_sorted: bool = True
 
     def neighbor_set(self, row: int) -> set[tuple[int, float]]:
         """The row's finished neighbors as (target, weight) pairs."""
@@ -100,7 +110,7 @@ def init_knn_state(n: int, k: int) -> tuple[KnnGraph, MaxkState]:
     """Fresh slot arrays: every weight +inf, every target -1, Maxk all 0."""
     _check_k(n, k)
     size = n * k
-    graph = KnnGraph(n=n, k=k, targets=[-1] * size, weights=[_INF] * size)
+    graph = KnnGraph(n=n, k=k, targets=[-1] * size, weights=[_INF] * size, rows_sorted=False)
     return graph, MaxkState(farthest=[0] * n)
 
 
@@ -111,8 +121,9 @@ def knn_update_chunk(chunk: DistanceChunk, graph: KnnGraph, maxk: MaxkState) -> 
     diagonal is excluded. An entry strictly smaller than the row's current
     farthest slot overwrites that slot, after which the farthest index is
     recomputed: the largest weight, and among equal weights the highest
-    target.
+    target. The rows are then no longer in (weight, target) order.
     """
+    graph.rows_sorted = False
     cs = chunk.chunk_size
     col_base = chunk.chunk * cs
     col_end = col_base + cs
@@ -154,7 +165,7 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     n = len(field)
     _check_k(n, k)
     xy = field.coords
-    grid = CellGrid(xy, k)
+    grid = CellGrid(xy, max(k, _MIN_PER_CELL))
     targets = np.empty((n, k), dtype=np.intp)
     weights = np.empty((n, k))
     pending = grid.order
@@ -212,6 +223,7 @@ def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     rank = np.lexsort((targets, weights))
     graph.targets = np.take_along_axis(targets, rank, axis=1).ravel().tolist()
     graph.weights = np.take_along_axis(weights, rank, axis=1).ravel().tolist()
+    graph.rows_sorted = True
     return graph
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .energy import DelayParams, EnergyState, RadioParams, rx_energy, tx_energy
 from .field import SensorField, hop_lengths
 from .knn import build_knn_graph
@@ -67,17 +69,31 @@ def check_delay(field: SensorField, route: Route, dp: DelayParams) -> DelayVerdi
 
 
 def _round_charges(field: SensorField, route: Route, rp: RadioParams) -> list[float]:
-    """Per-node round charge for one sweep along the route."""
-    n = len(field)
-    charges = [0.0] * n
-    order = route.order
+    """Per-node round charge for one sweep along the route.
+
+    The same bits as ``tx_energy`` per sender and ``rx_energy`` per
+    receiver: ``d**alpha`` stays a Python float power, numpy adds
+    ``e_elec*bits`` to ``eps_amp*bits`` times it with the same two
+    roundings, and a node sends at most once and receives at most once, so
+    its charge is one sum of two terms.
+    """
+    order = np.asarray(route.order, dtype=np.intp)
     lengths = hop_lengths(field.coords, order, route.closed).tolist()
     bits = rp.packet_bits
-    # zip stops after the last hop, so order[:1] is the closing receiver iff closed.
-    for a, b, d in zip(order, order[1:] + order[:1], lengths):
-        charges[a] += tx_energy(rp, bits, d)
-        charges[b] += rx_energy(rp, bits)
-    return charges
+    alpha = rp.alpha
+    try:
+        powers = np.array([d**alpha for d in lengths])
+    except OverflowError:
+        for d in lengths:
+            tx_energy(rp, bits, d)  # raises the ValueError that names the first hop to overflow
+        raise
+    hops = len(lengths)
+    charges = np.zeros(len(field))
+    with np.errstate(over="ignore"):  # an infinite charge kills its node, as a Python float would
+        charges[order[:hops]] = rp.e_elec * bits + rp.eps_amp * bits * powers
+    # hop h's receiver is order[h + 1], and order[0] for a closed route's last hop
+    charges[np.roll(order, -1)[:hops]] += rx_energy(rp, bits)
+    return charges.tolist()
 
 
 def simulate_lifetime(

@@ -98,11 +98,13 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     ring, and a search that grows past a fixed budget scans every node
     instead. ``graph`` must be a finished kNN graph of this field with
     its rows in that order, as every builder in :mod:`wsnroute.knn`
-    returns it.
+    returns it; a graph whose ``rows_sorted`` is False raises ValueError.
     """
     n = len(field)
     if graph is not None and graph.n != n:
         raise ValueError(f"graph built for n={graph.n}, field has n={n}")
+    if graph is not None and not graph.rows_sorted:
+        raise ValueError("graph rows are not ordered by (weight, target), as knn_update_chunk leaves them")
     if not 0 <= start < n:
         raise ValueError(f"start node {start} out of range for n={n}")
     xy = field.coords

@@ -114,9 +114,10 @@ def test_move_deltas_match_exact_length_change(n, closed):
         ys = f.coords[:, 1].tolist()
         order = [int(v) for v in rng.permutation(n)]
         before = route_length(f, Route(order=order, closed=closed))
+        rx = np.append(f.coords[order, 0], 0.0)
+        ry = np.append(f.coords[order, 1], 0.0)
         batched = {
-            delta: anneal._batch_deltas(np.array(order), ij, f.coords[:, 0], f.coords[:, 1],
-                                        closed, two_opt).tolist()
+            delta: anneal._run_deltas(rx, ry, anneal._link_ends(ij, n, closed, two_opt)).tolist()
             for delta, two_opt in ((_two_opt_delta, True), (_swap_delta, False))
         }
         for k, (i, j) in enumerate(pairs):
@@ -136,9 +137,12 @@ def test_move_deltas_match_exact_length_change(n, closed):
 def test_zero_budget_returns_initial_unchanged():
     f = generate_uniform(12, 100, 100, seed=4)
     initial = random_initial_route(12, 4)
-    out = sa_route(f, initial, tiny_schedule(max_iters=0), seed=4)
+    stats = {}
+    out = sa_route(f, initial, tiny_schedule(max_iters=0), seed=4, stats=stats)
     assert out.order == initial.order
     assert out is not initial
+    assert stats == dict(proposals=0, accepted=0, uphill_accepted=0, scalar_scored=0, numpy_scored=0,
+                         runs=0, final_temp=1.0, stop="budget")
 
 
 def test_degenerate_greedy_history_non_increasing():
@@ -313,6 +317,10 @@ def _schedules(f, initial, move):
         "min-temp-stop": AnnealSchedule(initial_temp=0.05 * t0, cooling_factor=0.25,
                                         iters_per_temp=3001, min_temp=0.05 * t0 * 0.25**5,
                                         max_iters=50_000, move_kind=move),
+        # accepts a few hundred proposals apart once the route settles, so runs
+        # accept _STAY or more proposals in and the next run follows at once
+        "sparse": AnnealSchedule(initial_temp=0.02 * t0, cooling_factor=0.9, iters_per_temp=2000,
+                                 min_temp=1e-9 * t0, max_iters=8000, move_kind=move),
         # -delta/T overflows to -inf, which numpy would warn about
         "frozen": AnnealSchedule(initial_temp=1e-306, cooling_factor=0.5, iters_per_temp=500,
                                  min_temp=1e-315, max_iters=5000, move_kind=move),
@@ -322,26 +330,45 @@ def _schedules(f, initial, move):
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("move", [MOVE_TWO_OPT, MOVE_SWAP])
 @pytest.mark.parametrize("n", [2, 3, 5, 30, 200])
-def test_sa_route_matches_scalar_reference(n, move, closed, monkeypatch):
-    scored = []
-    batch_deltas = anneal._batch_deltas
-    monkeypatch.setattr(anneal, "_batch_deltas",
-                        lambda order, ij, *rest: scored.append(ij.shape[1]) or batch_deltas(order, ij, *rest))
+def test_sa_route_matches_scalar_reference(n, move, closed):
     f = generate_uniform(n, 1000, 1000, seed=n)
     initial = Route(order=random_initial_route(n, n).order, closed=closed)
+    batched = not (move == MOVE_TWO_OPT and n < anneal._TWO_OPT_BATCH_MIN_N)
+    numpy_scored = 0
     for name, sched in _schedules(f, initial, move).items():
         want_history: list[float] = []
         got_history: list[float] = []
-        want = _sa_reference(f, initial, sched, seed=7, history=want_history)
-        got = sa_route(f, initial, sched, seed=7, history=got_history)
+        decisions = []
+        stats = {}
+        want = _sa_reference(f, initial, sched, seed=7, history=want_history, decisions=decisions)
+        got = sa_route(f, initial, sched, seed=7, history=got_history, stats=stats)
         assert got == want, name
         assert got_history == want_history, name
+        assert stats["proposals"] == len(decisions) == stats["scalar_scored"] + stats["numpy_scored"]
+        assert stats["accepted"] == sum(d[3] for d in decisions)
+        assert stats["uphill_accepted"] == sum(d[3] and d[0] > 0.0 for d in decisions)
+        final = decisions[-1][2]  # the last proposal's T, cooled if it ended a level
+        if len(decisions) % sched.iters_per_temp == 0:
+            final *= sched.cooling_factor
+        assert stats["final_temp"] == final, name
+        assert stats["stop"] == ("min_temp" if final < sched.min_temp else "budget"), name
+        # a proposal after _QUIET_STREAK rejections in a row is always scored in
+        # numpy; any more come from runs that accepted late and stayed batched
+        quiet = streak = 0
+        for delta, u, temp, accepted in decisions:
+            quiet += streak >= anneal._QUIET_STREAK
+            streak = 0 if accepted else streak + 1
+        if not batched:
+            assert stats["numpy_scored"] == stats["runs"] == 0  # tiny 2-opt anneals stay scalar
+        elif name == "sparse" and n >= 30:
+            assert stats["numpy_scored"] > quiet, name
+        else:
+            assert stats["numpy_scored"] >= quiet, name
+        numpy_scored += stats["numpy_scored"]
     if n >= 30:
         # smaller routes keep accepting zero-delta moves (a whole or nearly whole
         # reversal), so their quiet stretches are rare or never come
-        assert sum(scored) > 50_000
-    if move == MOVE_TWO_OPT and n < anneal._TWO_OPT_BATCH_MIN_N:
-        assert scored == []  # tiny 2-opt anneals stay scalar
+        assert numpy_scored > 50_000
 
 
 # Each initial_temp puts one proposal, in a quiet stretch of the first level,

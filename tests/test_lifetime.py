@@ -1,6 +1,7 @@
 """Delay constraint and lifetime simulation tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from wsnroute import (
     simulate_lifetime,
     tx_energy,
 )
-from wsnroute.lifetime import POLICY_FIXED, POLICY_ROTATE
+from wsnroute.field import hop_lengths
+from wsnroute.lifetime import POLICY_FIXED, POLICY_ROTATE, _round_charges
 
 
 def chain_field(xs):
@@ -257,3 +259,31 @@ def test_simulate_fixed_route_override():
     assert rep.per_node_residual[2] == 1.0 - tx21
     assert rep.per_node_residual[1] == 1.0 - rx - tx10
     assert rep.per_node_residual[0] == 1.0 - rx
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.7])
+def test_round_charges_match_per_hop_radio_calls(alpha, closed):
+    # the scalar sweep the numpy charges replaced, bit for bit
+    rp = RadioParams(alpha=alpha)
+    for n in (1, 2, 3, 200):
+        f = generate_uniform(n, 1000, 1000, seed=n)
+        order = [int(v) for v in np.random.default_rng(n).permutation(n)]
+        route = Route(order=order, closed=closed)
+        want = [0.0] * n
+        hops = zip(order, order[1:] + order[:1], hop_lengths(f.coords, order, closed).tolist())
+        for a, b, d in hops:
+            want[a] += tx_energy(rp, rp.packet_bits, d)
+            want[b] += rx_energy(rp, rp.packet_bits)
+        assert _round_charges(f, route, rp) == want
+
+
+def test_round_charges_overflow_to_inf_silently():
+    # (eps_amp*bits) * d**4 overflows, and is inf as the Python float product was
+    rp = RadioParams(eps_amp=1.0, packet_bits=10**6, alpha=4.0)
+    f = SensorField(coords=[(0.0, 0.0), (1e76, 0.0)], width=1e76, height=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        charges = _round_charges(f, Route([0, 1]), rp)
+    assert charges == [math.inf, rx_energy(rp, rp.packet_bits)]
+    assert tx_energy(rp, rp.packet_bits, 1e76) == math.inf
