@@ -50,14 +50,10 @@ from .field import (
     write_dataset,
 )
 from .knn import (
-    DistanceChunk,
     KnnGraph,
-    MaxkState,
     brute_force_knn,
     build_knn_graph,
     dump_graph,
-    init_knn_state,
-    knn_update_chunk,
     maxk_knn_graph,
 )
 from .lifetime import (
@@ -73,7 +69,6 @@ from .routes import (
     Route,
     dump_route,
     nn_route,
-    nn_route_accelerated,
     route_length,
     validate_route,
 )

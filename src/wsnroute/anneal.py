@@ -180,14 +180,6 @@ _QUIET_STREAK = 48
 _FIRST_RUN = 64
 _LONGEST_RUN = 1024
 _STAY = 16
-# A 2-opt anneal of fewer than _TWO_OPT_BATCH_MIN_N nodes stays scalar. There
-# the whole route's reversal, a zero-delta move that is always accepted, is
-# one proposal in a few dozen, so most numpy runs end after a few proposals
-# and cost more than they save: on a 2-vCPU x86-64 VM, ten 50,000-proposal
-# open anneals took 4-27% longer batched at n = 6-10 and 4-6% less at n = 12.
-# Swaps have no such move; batched swap anneals at n = 5-16 took 37-48% of
-# the scalar time.
-_TWO_OPT_BATCH_MIN_N = 11
 
 
 def _link_ends(ij: np.ndarray, n: int, closed: bool, two_opt: bool) -> np.ndarray:
@@ -290,8 +282,7 @@ def sa_route(
     ``min_temp``, else ``"budget"``.
 
     Most proposals are rejected, in long quiet stretches. After
-    ``_QUIET_STREAK`` rejections in a row (never, for a 2-opt anneal of
-    fewer than ``_TWO_OPT_BATCH_MIN_N`` nodes), proposals are scored in numpy
+    ``_QUIET_STREAK`` rejections in a row, proposals are scored in numpy
     runs against the unchanged route; a run never crosses a cooling level or
     the end of a draw of ``_DRAW`` proposals. An accept ``_STAY`` or more
     proposals into a run starts the next run at once; a sooner one hands the
@@ -327,21 +318,18 @@ def sa_route(
     pos = m = 0
     quiet = 0
     run = _FIRST_RUN
-    batched = not (two_opt and n < _TWO_OPT_BATCH_MIN_N)
-    streak = _QUIET_STREAK if batched else math.inf
     # -delta / T overflows to -inf at tiny T; the candidate test wants that
     with np.errstate(over="ignore"):
         while it < budget and temp >= schedule.min_temp:
             if pos == m:
                 m = min(_DRAW, budget - it)
                 ij, u, log_u = _draw(rng, n, m)
-                if batched:
-                    ends = _link_ends(ij, n, closed, two_opt)
+                ends = _link_ends(ij, n, closed, two_opt)
                 buf_i = ij[0].tolist()
                 buf_j = ij[1].tolist()
                 buf_u = u.tolist()
                 pos = 0
-            if quiet < streak:
+            if quiet < _QUIET_STREAK:
                 step = 1
                 i = buf_i[pos]
                 j = buf_j[pos]
@@ -384,7 +372,7 @@ def sa_route(
                 accepted += 1
                 uphill += delta > 0.0
                 # a scalar step is 1, so only a late accept in a run stays batched
-                quiet = streak if step > _STAY else 0
+                quiet = _QUIET_STREAK if step > _STAY else 0
                 run = _FIRST_RUN
             else:
                 quiet += step

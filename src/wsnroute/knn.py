@@ -1,5 +1,9 @@
 """k-nearest-neighbor graphs: a cell-grid build, the paper's Maxk kernel, and a brute-force oracle.
 
+Every builder returns a finished :class:`KnnGraph`: two read-only (n, k)
+arrays whose row i holds node i's k nearest other nodes, ordered by
+(weight, target).
+
 :func:`build_knn_graph` buckets the nodes into a uniform cell grid of about
 k nodes to a cell, and no fewer than 8 (:mod:`wsnroute.grid`). A tile is one
 cell's rows, at most chunk_size at a time, against every node in the cells
@@ -14,11 +18,9 @@ it folds every tile of the full distance matrix into per-row slots. A tile
 is a column window of a split's distance rows, read by slicing the rows
 themselves; a last split or window narrower than the chunk size simply has
 fewer rows or columns, so no entry is ever padded. A per-row index of the
-farthest occupied slot (``MaxkState``) makes the eviction check O(1); only
-when a slot is overwritten is the row rescanned for its new farthest. Rows
-are independent: distinct rows may be updated concurrently, but two updates
-touching the same row must be serialized (in practice: parallelize over
-splits only).
+farthest occupied slot (Maxk) makes the eviction check O(1); only when a
+slot is overwritten is the row rescanned for its new farthest. The slots
+are sorted by (weight, target) once every tile is folded in.
 
 Tie rule: among equal distances the lowest column index wins. The grid
 build gets it from the stable sort. The Maxk kernel scans candidates in
@@ -32,7 +34,6 @@ encodes the same rule, and all three builds give the same graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,107 +48,50 @@ _INF = float("inf")
 _MIN_PER_CELL = 8
 
 
-class DistanceChunk(NamedTuple):
-    """Tile (split, chunk) of the distance matrix.
-
-    ``rows`` are the split's full distance rows, for nodes
-    ``split * chunk_size`` onward, as ``distance_block(...).tolist()``
-    returns them. The tile is their column window starting at
-    ``chunk * chunk_size``, chunk_size wide or up to the last column.
-    """
-
-    rows: list[list[float]]
-    split: int
-    chunk: int
-    chunk_size: int
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KnnGraph:
-    """Per-row neighbor slots stored as flat row-major parallel arrays.
+    """A finished kNN graph: row i of ``targets`` and ``weights`` is node i's k nearest.
 
-    Slot ``(row, s)`` lives at flat index ``row * k + s``; its source is
-    ``row``. Untouched slots hold weight +inf and target -1. After a
-    complete build every row holds the k nearest other nodes (lowest target
-    index wins among exact distance ties), ordered by (weight, target), so
-    the first slot whose target passes a test is the nearest node that
-    does. All three builders return rows in that order; the Maxk kernel's
-    working rows are unordered until :func:`maxk_knn_graph` sorts them.
-    ``rows_sorted`` says which: :func:`init_knn_state` and
-    :func:`knn_update_chunk` clear it, and code that relies on the order
-    checks it.
+    Both are copied on construction into read-only (n, k) arrays, intp and
+    float64. Every target is a node index, and every row is ordered by
+    (weight, target), so the first slot whose target passes a test is the
+    nearest node that does; among exact distance ties the lowest target
+    index is kept. Construction raises ValueError otherwise.
     """
 
-    n: int
-    k: int
-    targets: list[int]
-    weights: list[float]
-    rows_sorted: bool = True
+    targets: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        targets = np.array(self.targets, dtype=np.intp)
+        weights = np.array(self.weights, dtype=np.float64)
+        if targets.ndim != 2 or targets.shape != weights.shape:
+            raise ValueError(f"targets {targets.shape} and weights {weights.shape} must be one (n, k) shape")
+        if targets.size and not (0 <= targets.min() and targets.max() < len(targets)):
+            raise ValueError(f"targets must be node indices in 0..{len(targets) - 1}")
+        w0, w1 = weights[:, :-1], weights[:, 1:]
+        if ((w0 > w1) | ((w0 == w1) & (targets[:, :-1] > targets[:, 1:]))).any():
+            raise ValueError("graph rows must be ordered by (weight, target)")
+        for name, arr in (("targets", targets), ("weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n(self) -> int:
+        return self.targets.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.targets.shape[1]
 
     def neighbor_set(self, row: int) -> set[tuple[int, float]]:
-        """The row's finished neighbors as (target, weight) pairs."""
-        base = row * self.k
-        return {
-            (self.targets[base + s], self.weights[base + s])
-            for s in range(self.k)
-            if self.targets[base + s] >= 0
-        }
-
-
-@dataclass
-class MaxkState:
-    """Per-row slot index of the current largest weight in the graph row."""
-
-    farthest: list[int]
+        """The row's neighbors as (target, weight) pairs."""
+        return set(zip(self.targets[row].tolist(), self.weights[row].tolist()))
 
 
 def _check_k(n: int, k: int) -> None:
     if k < 1 or k > n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-
-
-def init_knn_state(n: int, k: int) -> tuple[KnnGraph, MaxkState]:
-    """Fresh slot arrays: every weight +inf, every target -1, Maxk all 0."""
-    _check_k(n, k)
-    size = n * k
-    graph = KnnGraph(n=n, k=k, targets=[-1] * size, weights=[_INF] * size, rows_sorted=False)
-    return graph, MaxkState(farthest=[0] * n)
-
-
-def knn_update_chunk(chunk: DistanceChunk, graph: KnnGraph, maxk: MaxkState) -> None:
-    """Fold one distance tile into the graph state, in place.
-
-    For each row, the tile's columns are visited in ascending order and the
-    diagonal is excluded. An entry strictly smaller than the row's current
-    farthest slot overwrites that slot, after which the farthest index is
-    recomputed: the largest weight, and among equal weights the highest
-    target. The rows are then no longer in (weight, target) order.
-    """
-    graph.rows_sorted = False
-    cs = chunk.chunk_size
-    col_base = chunk.chunk * cs
-    col_end = col_base + cs
-    w = graph.weights
-    tgt = graph.targets
-    far = maxk.farthest
-    k = graph.k
-    for row, vals in enumerate(chunk.rows, chunk.split * cs):
-        base = row * k
-        mi = far[row]
-        wmax = w[base + mi]
-        for col, d in enumerate(vals[col_base:col_end], col_base):
-            if d < wmax and col != row:
-                slot = base + mi
-                tgt[slot] = col
-                w[slot] = d
-                mi = 0
-                wmax = w[base]
-                for s in range(1, k):
-                    ws = w[base + s]
-                    if ws > wmax or (ws == wmax and tgt[base + s] > tgt[base + mi]):
-                        wmax = ws
-                        mi = s
-        far[row] = mi
 
 
 def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
@@ -194,37 +138,53 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
                 missed.append(q[~done])
         pending = np.concatenate(missed)
         r += 1
-    return KnnGraph(n=n, k=k, targets=targets.ravel().tolist(), weights=weights.ravel().tolist())
+    return KnnGraph(targets, weights)
 
 
 def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     """The paper's driver: the Maxk kernel over every (split, chunk) tile pair, row-major.
 
     Distance rows are computed from coordinates one split at a time; the
-    full matrix is never materialized. The finished graph is independent
-    of chunk_size and equals :func:`build_knn_graph`'s once each row is
-    sorted by (weight, target) at the end. This is the reference kernel;
-    its cost is O(n²) steps of Python.
+    full matrix is never materialized. Each row's tile columns are visited
+    in ascending order, the diagonal excluded. An entry strictly smaller
+    than the row's farthest slot overwrites that slot, and the farthest is
+    found again: the largest weight, and among equal weights the highest
+    target. The rows are sorted by (weight, target) at the end, which gives
+    :func:`build_knn_graph`'s graph for every chunk_size. This is the
+    reference kernel; its cost is O(n²) steps of Python.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     n = len(field)
-    graph, maxk = init_knn_state(n, k)
+    _check_k(n, k)
     xy = field.coords
-    n_chunks = -(-n // chunk_size)
     cs = chunk_size
-    for split in range(n_chunks):
-        r0 = split * cs
+    tgt = [-1] * (n * k)
+    w = [_INF] * (n * k)
+    far = [0] * n  # each row's farthest slot
+    for r0 in range(0, n, cs):
         rows = distance_block(xy, r0, min(r0 + cs, n)).tolist()
-        for chunk_i in range(n_chunks):
-            knn_update_chunk(DistanceChunk(rows, split, chunk_i, cs), graph, maxk)
-    targets = np.array(graph.targets).reshape(n, k)
-    weights = np.array(graph.weights).reshape(n, k)
+        for c0 in range(0, n, cs):
+            for row, vals in enumerate(rows, r0):
+                base = row * k
+                mi = far[row]
+                wmax = w[base + mi]
+                for col, d in enumerate(vals[c0:c0 + cs], c0):
+                    if d < wmax and col != row:
+                        tgt[base + mi] = col
+                        w[base + mi] = d
+                        mi = 0
+                        wmax = w[base]
+                        for s in range(1, k):
+                            ws = w[base + s]
+                            if ws > wmax or (ws == wmax and tgt[base + s] > tgt[base + mi]):
+                                wmax = ws
+                                mi = s
+                far[row] = mi
+    targets = np.array(tgt).reshape(n, k)
+    weights = np.array(w).reshape(n, k)
     rank = np.lexsort((targets, weights))
-    graph.targets = np.take_along_axis(targets, rank, axis=1).ravel().tolist()
-    graph.weights = np.take_along_axis(weights, rank, axis=1).ravel().tolist()
-    graph.rows_sorted = True
-    return graph
+    return KnnGraph(np.take_along_axis(targets, rank, axis=1), np.take_along_axis(weights, rank, axis=1))
 
 
 def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
@@ -239,17 +199,18 @@ def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     weights = np.take_along_axis(d, order, axis=1)
-    return KnnGraph(n=n, k=k, targets=order.ravel().tolist(), weights=weights.ravel().tolist())
+    return KnnGraph(order, weights)
 
 
 def dump_graph(graph: KnnGraph) -> str:
-    """Text dump, one ``source target weight`` line, sorted by (source, weight, target)."""
-    edges = []
-    for row in range(graph.n):
-        base = row * graph.k
-        for s in range(graph.k):
-            if graph.targets[base + s] >= 0:
-                edges.append((row, graph.weights[base + s], graph.targets[base + s]))
-    edges.sort()
-    lines = [f"{s} {t} {format_coord(w)}" for s, w, t in edges]
+    """Text dump, one ``source target weight`` line per slot, row by row.
+
+    Rows are ordered by (weight, target), so the lines are sorted by
+    (source, weight, target).
+    """
+    lines = [
+        f"{source} {t} {format_coord(w)}"
+        for source, (ts, ws) in enumerate(zip(graph.targets.tolist(), graph.weights.tolist()))
+        for t, w in zip(ts, ws)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -96,15 +96,11 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     that target is the nearest unvisited node. Without a graph, or when
     every slot of the row is visited, the step searches the grid ring by
     ring, and a search that grows past a fixed budget scans every node
-    instead. ``graph`` must be a finished kNN graph of this field with
-    its rows in that order, as every builder in :mod:`wsnroute.knn`
-    returns it; a graph whose ``rows_sorted`` is False raises ValueError.
+    instead. ``graph`` must be a kNN graph of this field.
     """
     n = len(field)
     if graph is not None and graph.n != n:
         raise ValueError(f"graph built for n={graph.n}, field has n={n}")
-    if graph is not None and not graph.rows_sorted:
-        raise ValueError("graph rows are not ordered by (weight, target), as knn_update_chunk leaves them")
     if not 0 <= start < n:
         raise ValueError(f"start node {start} out of range for n={n}")
     xy = field.coords
@@ -117,7 +113,7 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     cell_x, cell_y = grid.cx.tolist(), grid.cy.tolist()
     xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
     nx = grid.nx
-    k, targets = (graph.k, graph.targets) if graph is not None else (0, [])
+    slots = graph.targets.tolist() if graph is not None else [[]] * n  # each node's targets
     seen = bytearray(n)
     visited = np.frombuffer(seen, dtype=np.bool_)  # the scan's view of seen
     order = [start]
@@ -131,11 +127,10 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
             nodes[pos[cur]] = last
             pos[last] = pos[cur]
         nxt = -1
-        if k:
-            for t in targets[cur * k:cur * k + k]:
-                if not seen[t]:
-                    nxt = t
-                    break
+        for t in slots[cur]:
+            if not seen[t]:
+                nxt = t
+                break
         if nxt < 0:
             nxt = _nearest_live(grid, live, xs, ys, cur, cx, cy)
             if nxt < 0:
@@ -143,11 +138,6 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
         cur = nxt
         order.append(cur)
     return Route(order=order, closed=False)
-
-
-def nn_route_accelerated(field: SensorField, graph: KnnGraph, start: int = 0) -> Route:
-    """:func:`nn_route` through ``graph``'s slots; the same route as without them."""
-    return nn_route(field, start, graph)
 
 
 def dump_route(route: Route) -> str:

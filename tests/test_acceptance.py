@@ -27,7 +27,6 @@ from wsnroute import (
     export_report,
     generate_uniform,
     nn_route,
-    nn_route_accelerated,
     parse_dataset,
     parse_report,
     route_length,
@@ -97,7 +96,7 @@ def test_accelerated_equivalence():
     for seed in range(50):
         f = generate_uniform(200, 5000, 5000, seed=seed)
         graph = build_knn_graph(f, 5, 64)
-        assert nn_route_accelerated(f, graph, 0).order == nn_route(f, 0).order
+        assert nn_route(f, 0, graph).order == nn_route(f, 0).order
     ok("accelerated NN equivalence (50 seeds, n=200, k=5)")
 
 

@@ -333,7 +333,6 @@ def _schedules(f, initial, move):
 def test_sa_route_matches_scalar_reference(n, move, closed):
     f = generate_uniform(n, 1000, 1000, seed=n)
     initial = Route(order=random_initial_route(n, n).order, closed=closed)
-    batched = not (move == MOVE_TWO_OPT and n < anneal._TWO_OPT_BATCH_MIN_N)
     numpy_scored = 0
     for name, sched in _schedules(f, initial, move).items():
         want_history: list[float] = []
@@ -358,9 +357,7 @@ def test_sa_route_matches_scalar_reference(n, move, closed):
         for delta, u, temp, accepted in decisions:
             quiet += streak >= anneal._QUIET_STREAK
             streak = 0 if accepted else streak + 1
-        if not batched:
-            assert stats["numpy_scored"] == stats["runs"] == 0  # tiny 2-opt anneals stay scalar
-        elif name == "sparse" and n >= 30:
+        if name == "sparse" and n >= 30:
             assert stats["numpy_scored"] > quiet, name
         else:
             assert stats["numpy_scored"] >= quiet, name

@@ -18,6 +18,8 @@ from wsnroute.cli import main
 SIM_CONFIG = "alpha = 2.5\ninitial_battery_j = 0.05\nprop_speed = 1e5\nd_max_s = 0.0334\n"
 # The same with batteries that outlast every round of a longer route.
 LONG_LIFE_CONFIG = SIM_CONFIG.replace("0.05", "1e4")
+# A 6x6 integer lattice: every row has exact distance ties at its k-th radius.
+LATTICE = "".join(f"P ({x} {y})\n" for y in range(6) for x in range(6))
 
 CASES = {
     "gen": ["gen", "--n", "40", "--width", "1000", "--height", "700", "--seed", "5"],
@@ -25,6 +27,8 @@ CASES = {
                     "--k", "4", "--chunk-size", "1"],
     "knn-chunk-7": ["knn", "--n", "40", "--seed", "6", "--k", "5", "--chunk-size", "7"],
     "knn-chunk-gt-n": ["knn", "--n", "40", "--seed", "6", "--k", "5", "--chunk-size", "64"],
+    # The dump's (source, weight, target) order through lattice ties.
+    "knn-input-lattice": ["knn", "--input", "{lattice}", "--k", "4"],
     "nn-input-closed": ["nn", "--input", "{field}", "--start", "3", "--closed"],
     "sa-swap": ["sa", "--n", "30", "--width", "400", "--height", "400", "--seed", "11",
                 "--sa-move", "swap", "--sa-max-iters", "3000"],
@@ -66,6 +70,7 @@ DIGESTS = {
     "knn-chunk-1": "add510c74d08026f297b715678fa769e9a02a55ea5702a452c9c8f61ab9e690c",
     "knn-chunk-7": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
     "knn-chunk-gt-n": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
+    "knn-input-lattice": "7d75146b33a6699cdff15944b839a661b6bdaf02638e2b5998df86e898240083",
     "knn-n3000": "70330170f00ba4a950913a30a8760232d77921b088d590d0c4ee02bddee86008",
     "nn-input-closed": "210a9fc0132c7c4eae6e4dc5b971d3af6ce3b201c1a0112d6c50e004e74f5ed4",
     "nn-n3000": "9553da1648f0050da23d392cef7423de254020f4396ae259f18acb4c9ef24cb2",
@@ -99,9 +104,12 @@ def test_golden_output(name, tmp_path, capsys):
     config_file.write_text(SIM_CONFIG)
     long_config_file = tmp_path / "long.cfg"
     long_config_file.write_text(LONG_LIFE_CONFIG)
+    lattice_file = tmp_path / "lattice.txt"
+    lattice_file.write_text(LATTICE)
     assert main(["gen", "--n", "35", "--width", "900", "--height", "600", "--seed", "8",
                  "--output", str(field_file)]) == 0
-    argv = [a.format(field=field_file, config=config_file, long_config=long_config_file) for a in CASES[name]]
+    argv = [a.format(field=field_file, config=config_file, long_config=long_config_file,
+                     lattice=lattice_file) for a in CASES[name]]
     capsys.readouterr()
     assert main(argv) == 0
     out = _drop_wall_times(name, capsys.readouterr().out)

@@ -1,26 +1,20 @@
-"""Chunked kNN kernel tests against the brute-force oracle."""
+"""kNN graph builders against the brute-force oracle, and the finished-graph type."""
 
 import math
-import random
 
 import numpy as np
 import pytest
 
 from wsnroute import (
-    DistanceChunk,
+    KnnGraph,
     Point,
     SensorField,
     brute_force_knn,
     build_knn_graph,
     dump_graph,
     generate_uniform,
-    init_knn_state,
-    knn_update_chunk,
 )
-from wsnroute.field import distance_block
 from wsnroute.knn import maxk_knn_graph
-
-INF = float("inf")
 
 
 def field_of(coords):
@@ -30,13 +24,12 @@ def field_of(coords):
     return SensorField(coords=pts, width=max(w, 1.0), height=max(h, 1.0))
 
 
-def neighbor_sets(graph):
-    return [graph.neighbor_set(r) for r in range(graph.n)]
+def same_slots(a, b):
+    """Equal slot arrays; every builder orders a row by (weight, target)."""
+    return np.array_equal(a.targets, b.targets) and np.array_equal(a.weights, b.weights)
 
 
-def slots(graph):
-    """The graph's slot arrays; every builder orders a row by (weight, target)."""
-    return graph.targets, graph.weights
+BUILDERS = (build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k))
 
 
 # --- oracle behavior pinned first; the chunked path must match it ---
@@ -71,95 +64,77 @@ def test_oracle_rejects_bad_k():
         brute_force_knn(f, 5)
 
 
-# --- state initialization ---
+# --- the finished-graph type ---
 
 
-def test_init_state_shape_and_sentinels():
-    g, mk = init_knn_state(3, 1)
-    assert g.weights == [INF, INF, INF]
-    assert g.targets == [-1, -1, -1]
-    assert mk.farthest == [0, 0, 0]
-
-
-def test_init_state_large():
-    g, mk = init_knn_state(2000, 10)
-    assert len(g.weights) == 20000
-    assert all(w == INF for w in g.weights)
-    assert mk.farthest == [0] * 2000
-
-
-def test_init_state_rejects_bad_k():
+def test_knn_graph_has_read_only_n_by_k_arrays():
+    g = KnnGraph([[1], [0], [1]], [[1.0], [1.0], [2.0]])
+    assert (g.n, g.k) == (3, 1)
+    assert g.targets.dtype == np.intp and g.weights.dtype == np.float64
     with pytest.raises(ValueError):
-        init_knn_state(3, 3)
+        g.targets[0, 0] = 2
     with pytest.raises(ValueError):
-        init_knn_state(3, 0)
+        g.weights[0, 0] = 0.5
 
 
-# --- kernel semantics ---
+def test_knn_graph_rejects_unsorted_rows_and_bad_shapes():
+    # Every row of the oracle reversed: the 3 nearest, out of (weight, target) order.
+    oracle = brute_force_knn(generate_uniform(40, 1000, 1000, seed=13), 3)
+    with pytest.raises(ValueError, match="ordered"):
+        KnnGraph(oracle.targets[:, ::-1], oracle.weights[:, ::-1])
+    # equal weights: the lower target must come first
+    with pytest.raises(ValueError, match="ordered"):
+        KnnGraph([[1, 2], [0, 2], [1, 0]], [[1.0, 1.0]] * 3)
+    with pytest.raises(ValueError, match="shape"):
+        KnnGraph(oracle.targets, oracle.weights[:, :2])
+    with pytest.raises(ValueError, match="shape"):
+        KnnGraph(oracle.targets.ravel(), oracle.weights.ravel())
+    with pytest.raises(ValueError, match="node indices"):
+        KnnGraph([[1], [-1]], [[1.0], [1.0]])
+    with pytest.raises(ValueError, match="node indices"):
+        KnnGraph([[1], [2]], [[1.0], [1.0]])
 
 
-def single_chunk(f, cs=None):
-    n = len(f)
-    return DistanceChunk(distance_block(f.coords, 0, n).tolist(), 0, 0, cs or n)
+# --- hand-traced cases, through every builder ---
 
 
 def test_kernel_hand_traced_collinear():
-    # nodes at x = 0, 1, 3; k=1; one 3x3 chunk
+    # nodes at x = 0, 1, 3; k=1; one 3x3 tile
     f = field_of([(0, 0), (1, 0), (3, 0)])
-    g, mk = init_knn_state(3, 1)
-    knn_update_chunk(single_chunk(f), g, mk)
-    assert g.neighbor_set(0) == {(1, 1.0)}
-    assert g.neighbor_set(1) == {(0, 1.0)}
-    assert g.neighbor_set(2) == {(1, 2.0)}
+    for build in BUILDERS:
+        g = build(f, 1, 3)
+        assert g.neighbor_set(0) == {(1, 1.0)}
+        assert g.neighbor_set(1) == {(0, 1.0)}
+        assert g.neighbor_set(2) == {(1, 2.0)}
 
 
 def test_kernel_no_improvement_leaves_state_unchanged():
-    f = field_of([(0, 0), (1, 0), (3, 0)])
-    g, mk = init_knn_state(3, 1)
-    chunk = single_chunk(f)
-    knn_update_chunk(chunk, g, mk)
-    before = (list(g.weights), list(g.targets), list(mk.farthest))
-    # every distance now >= the stored best, strict < admits nothing
-    far = DistanceChunk([[v + 100.0 for v in row] for row in chunk.rows], 0, 0, 3)
-    knn_update_chunk(far, g, mk)
-    assert (g.weights, g.targets, mk.farthest) == before
+    # Node 1 sits between nodes 0 and 2, both 1 away. Node 2's entry is no
+    # improvement on node 0's, so the strict < leaves the one slot as it is,
+    # whether both columns fall in one tile or in two.
+    f = SensorField(coords=[(-1, 0), (0, 0), (1, 0)], width=1.0, height=1.0)
+    for cs in (1, 2, 3):
+        assert maxk_knn_graph(f, 1, cs).neighbor_set(1) == {(0, 1.0)}
 
 
 def test_kernel_diagonal_zero_never_creates_edge():
     f = field_of([(0, 0), (5, 0)])
-    g, mk = init_knn_state(2, 1)
-    knn_update_chunk(single_chunk(f), g, mk)
-    assert g.neighbor_set(0) == {(1, 5.0)}
-    assert g.neighbor_set(1) == {(0, 5.0)}
-    assert 0.0 not in g.weights
+    for build in BUILDERS:
+        g = build(f, 1, 2)
+        assert g.neighbor_set(0) == {(1, 5.0)}
+        assert g.neighbor_set(1) == {(0, 5.0)}
+        assert 0.0 not in g.weights
 
 
 def test_kernel_tile_wider_than_field():
     # chunk_size 4 over a 3-node field: the tile has 3 rows and its column
     # window runs past the last column; nothing beyond node 2 may appear
     f = field_of([(0, 0), (1, 0), (3, 0)])
-    g, mk = init_knn_state(3, 1)
-    knn_update_chunk(single_chunk(f, cs=4), g, mk)
-    assert g.neighbor_set(0) == {(1, 1.0)}
-    assert g.neighbor_set(1) == {(0, 1.0)}
-    assert g.neighbor_set(2) == {(1, 2.0)}
-    assert all(0 <= t < 3 for t in g.targets)
-
-
-def test_kernel_maxk_coherent_after_every_call():
-    f = generate_uniform(60, 500, 500, seed=8)
-    n, k, cs = 60, 4, 16
-    g, mk = init_knn_state(n, k)
-    n_chunks = -(-n // cs)
-    xy = f.coords
-    for split in range(n_chunks):
-        rows = distance_block(xy, split * cs, min(split * cs + cs, n)).tolist()
-        for chunk_i in range(n_chunks):
-            knn_update_chunk(DistanceChunk(rows, split, chunk_i, cs), g, mk)
-            for row in range(n):
-                base = row * k
-                row_w = g.weights[base : base + k]
-                assert g.weights[base + mk.farthest[row]] == max(row_w)
+    for build in BUILDERS:
+        g = build(f, 1, 4)
+        assert g.neighbor_set(0) == {(1, 1.0)}
+        assert g.neighbor_set(1) == {(0, 1.0)}
+        assert g.neighbor_set(2) == {(1, 2.0)}
 
 
 # --- driver ---
@@ -167,10 +142,10 @@ def test_kernel_maxk_coherent_after_every_call():
 
 def test_build_matches_oracle_and_is_chunk_size_independent():
     f = generate_uniform(50, 100, 100, seed=7)
-    want = slots(brute_force_knn(f, 5))
+    want = brute_force_knn(f, 5)
     for build in (build_knn_graph, maxk_knn_graph):
         for cs in (7, 50):
-            assert slots(build(f, 5, cs)) == want, f"{build.__name__} chunk_size={cs}"
+            assert same_slots(build(f, 5, cs), want), f"{build.__name__} chunk_size={cs}"
 
 
 def test_build_two_nodes():
@@ -187,17 +162,16 @@ def test_build_sweep_small_fields():
     for n in (10, 37):
         f = generate_uniform(n, 1000, 1000, seed=int(rng.integers(2**32)))
         for k in (1, 3, 5):
-            want = slots(brute_force_knn(f, k))
+            want = brute_force_knn(f, k)
             for build in (build_knn_graph, maxk_knn_graph):
                 for cs in (1, 3, n):
-                    assert slots(build(f, k, cs)) == want, f"{build.__name__} k={k} chunk_size={cs}"
+                    assert same_slots(build(f, k, cs), want), f"{build.__name__} k={k} chunk_size={cs}"
 
 
 def test_build_large_field_completes_with_finite_slots():
     f = generate_uniform(2000, 20000, 20000, seed=42)
     g = build_knn_graph(f, 10, 256)
-    assert all(w < INF for w in g.weights)
-    assert all(t >= 0 for t in g.targets)
+    assert np.isfinite(g.weights).all()
     # spot-check a few rows against the oracle
     oracle = brute_force_knn(f, 10)
     for r in (0, 999, 1999):
@@ -215,17 +189,17 @@ def test_build_matches_oracle_on_integer_lattice(k):
         for cs in (1, 5, 13, 200):
             g = build(f, k, cs)
             assert dump_graph(g) == want, f"{build.__name__} chunk_size={cs}"
-            assert slots(g) == slots(oracle), f"{build.__name__} chunk_size={cs}"
+            assert same_slots(g, oracle), f"{build.__name__} chunk_size={cs}"
 
 
 def test_every_builder_orders_rows_by_weight_then_target():
     # Collinear duplicates tie at every radius, so only the target decides
     # the order within a row.
     f = field_of([(x % 4, 0) for x in range(12)])
-    for build in (build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k)):
+    for build in BUILDERS:
         g = build(f, 7, 5)
         for r in range(g.n):
-            row = list(zip(g.weights[r * 7:r * 7 + 7], g.targets[r * 7:r * 7 + 7]))
+            row = list(zip(g.weights[r].tolist(), g.targets[r].tolist()))
             assert row == sorted(row)
 
 
@@ -238,28 +212,18 @@ def test_build_no_self_edges():
 
 def test_build_rejects_bad_args():
     f = generate_uniform(5, 10, 10, seed=0)
-    with pytest.raises(ValueError):
-        build_knn_graph(f, 5, 2)
-    with pytest.raises(ValueError):
-        build_knn_graph(f, 2, 0)
+    for build in (build_knn_graph, maxk_knn_graph):
+        for k, cs in ((5, 2), (0, 2), (2, 0)):
+            with pytest.raises(ValueError):
+                build(f, k, cs)
 
 
-def test_shuffled_driver_order_gives_same_weights():
-    # per-row slot contents depend only on the candidate multiset, so a
-    # shuffled (split, chunk) enumeration must land on the same weights
-    f = generate_uniform(40, 1000, 1000, seed=13)
-    n, k, cs = 40, 3, 7
-    n_chunks = -(-n // cs)
-    xy = f.coords
-    pairs = [(s, c) for s in range(n_chunks) for c in range(n_chunks)]
-    random.Random(5).shuffle(pairs)
-    g, mk = init_knn_state(n, k)
-    for split, chunk_i in pairs:
-        rows = distance_block(xy, split * cs, min(split * cs + cs, n)).tolist()
-        knn_update_chunk(DistanceChunk(rows, split, chunk_i, cs), g, mk)
-    want = neighbor_sets(brute_force_knn(f, k))
-    # random reals: no exact distance ties, so full sets must agree too
-    assert neighbor_sets(g) == want
+def test_init_state_rejects_bad_k():
+    f = generate_uniform(3, 10, 10, seed=0)
+    with pytest.raises(ValueError):
+        maxk_knn_graph(f, 3, 3)
+    with pytest.raises(ValueError):
+        maxk_knn_graph(f, 0, 3)
 
 
 def test_dump_sorted_and_matches_oracle_dump():

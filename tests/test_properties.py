@@ -23,7 +23,6 @@ from wsnroute import (
     build_knn_graph,
     generate_uniform,
     nn_route,
-    nn_route_accelerated,
 )
 from wsnroute import routes
 from wsnroute.field import distances_from
@@ -89,7 +88,8 @@ def test_knn_build_matches_oracle_at_every_chunk_size(f, data):
         for cs in (1, 3, 7, 64):
             g = build(f, k, cs)
             # the same slots in the same order: rows sorted by (weight, target)
-            assert (g.targets, g.weights) == (oracle.targets, oracle.weights), f"{build.__name__} chunk_size={cs}"
+            assert np.array_equal(g.targets, oracle.targets), f"{build.__name__} chunk_size={cs}"
+            assert np.array_equal(g.weights, oracle.weights), f"{build.__name__} chunk_size={cs}"
 
 
 @SETTINGS
@@ -159,7 +159,6 @@ def test_accelerated_nn_matches_greedy_from_any_start(f, data):
     want = scan_nn_route(f, start)
     for build in BUILDERS:
         assert nn_route(f, start, build(f, k, 7)).order == want
-    assert nn_route_accelerated(f, build_knn_graph(f, k, 7), start).order == want
 
 
 @SETTINGS

@@ -4,23 +4,16 @@ import numpy as np
 import pytest
 
 from wsnroute import (
-    DistanceChunk,
     Point,
     Route,
     SensorField,
-    brute_force_knn,
     brute_force_optimal,
     build_knn_graph,
     distance,
     generate_uniform,
-    init_knn_state,
-    knn_update_chunk,
     nn_route,
-    nn_route_accelerated,
     route_length,
 )
-from wsnroute.field import distance_block
-from wsnroute.knn import maxk_knn_graph
 from wsnroute.routes import dump_route
 
 import wsnroute.routes as routes_mod
@@ -117,7 +110,7 @@ def test_accelerated_equals_plain_with_exhaustive_graph():
 
     routes_mod._nearest_unvisited = counting
     try:
-        fast = nn_route_accelerated(f, graph, 0)
+        fast = nn_route(f, 0, graph)
     finally:
         routes_mod._nearest_unvisited = real
     assert fast.order == nn_route(f, 0).order
@@ -128,37 +121,20 @@ def test_accelerated_equals_plain_small_k():
     for seed in range(12):
         f = generate_uniform(80, 1000, 1000, seed=100 + seed)
         graph = build_knn_graph(f, 5, 17)
-        assert nn_route_accelerated(f, graph, 0).order == nn_route(f, 0).order
+        assert nn_route(f, 0, graph).order == nn_route(f, 0).order
 
 
 def test_accelerated_three_nodes_k1():
     f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(3, 0)), width=3, height=1)
     graph = build_knn_graph(f, 1, 3)
-    assert nn_route_accelerated(f, graph, 0).order == nn_route(f, 0).order == [0, 1, 2]
+    assert nn_route(f, 0, graph).order == nn_route(f, 0).order == [0, 1, 2]
 
 
 def test_accelerated_rejects_size_mismatch():
     f = generate_uniform(10, 10, 10, seed=1)
     graph = build_knn_graph(generate_uniform(9, 10, 10, seed=1), 2, 3)
     with pytest.raises(ValueError):
-        nn_route_accelerated(f, graph, 0)
-
-
-def test_nn_rejects_graph_with_unsorted_rows():
-    # Every tile folded in by the public kernel: each row holds its 3 nearest,
-    # but out of (weight, target) order, and the slot walk would take a
-    # farther node than the nearest unvisited one.
-    f = generate_uniform(40, 1000, 1000, seed=13)
-    graph, maxk = init_knn_state(40, 3)
-    for split in range(6):
-        rows = distance_block(f.coords, 7 * split, min(7 * split + 7, 40)).tolist()
-        for chunk in range(6):
-            knn_update_chunk(DistanceChunk(rows, split, chunk, 7), graph, maxk)
-    assert [graph.neighbor_set(r) for r in range(40)] == [
-        brute_force_knn(f, 3).neighbor_set(r) for r in range(40)]
-    with pytest.raises(ValueError, match="not ordered"):
         nn_route(f, 0, graph)
-    assert nn_route(f, 0, maxk_knn_graph(f, 3, 7)).order == nn_route(f, 0).order
 
 
 def test_routes_are_permutations():
