@@ -309,7 +309,7 @@ def sa_route(
     rng = np.random.Generator(np.random.PCG64(seed))
     cur_len = route_length(field, initial)
     best_len = cur_len
-    best_order = list(order)
+    best_order = order  # the live order while it is the best; a copy once an accept leaves it
     two_opt = schedule.move_kind == MOVE_TWO_OPT
     move_delta = _two_opt_delta if two_opt else _swap_delta
     per_level = schedule.iters_per_temp
@@ -357,6 +357,8 @@ def sa_route(
             pos += step
             it += step
             if accept:
+                if best_order is order and not cur_len + delta < best_len:
+                    best_order = order.copy()
                 if two_opt:
                     order[i : j + 1] = order[j : i - 1 if i else None : -1]
                     rx[i : j + 1] = rx[i : j + 1][::-1]
@@ -368,7 +370,7 @@ def sa_route(
                 cur_len += delta
                 if cur_len < best_len:
                     best_len = cur_len
-                    best_order = order.copy()
+                    best_order = order
                 accepted += 1
                 uphill += delta > 0.0
                 # a scalar step is 1, so only a late accept in a run stays batched

@@ -81,21 +81,6 @@ class CellGrid:
         rows = range(max(cy - r, 0), min(cy + r, self.ny - 1) + 1)
         return np.sort(np.concatenate([self.order[start[y * nx + lo]:start[y * nx + hi]] for y in rows]))
 
-    def ring(self, cx: int, cy: int, r: int) -> list[int]:
-        """Ids of the cells at Chebyshev distance exactly ``r`` from (cx, cy)."""
-        nx, ny = self.nx, self.ny
-        if r == 0:
-            return [cy * nx + cx]
-        lo, hi = max(cx - r, 0), min(cx + r, nx - 1)
-        out = []
-        for y in (cy - r, cy + r):
-            if 0 <= y < ny:
-                out.extend(range(y * nx + lo, y * nx + hi + 1))
-        for x in (cx - r, cx + r):
-            if 0 <= x < nx:
-                out.extend(range(max(cy - r + 1, 0) * nx + x, min(cy + r - 1, ny - 1) * nx + x + 1, nx))
-        return out
-
     def members(self) -> list[list[int]]:
         """Each cell's nodes as a list, index-ascending, by cell id."""
         order, start = self.order.tolist(), self.start.tolist()

@@ -11,7 +11,8 @@ the survivors, and the simulation stops.
 The ``rotate-start`` policy rebuilds the greedy route from start node
 ``round_index mod n`` each round, spreading the start/terminal roles across
 the network; ``fixed-route`` replays one route every round. Rotating rounds
-share one kNN graph of the field, whose slots settle most greedy steps.
+share one kNN graph of the field, whose slots settle most greedy steps; the
+graph also keeps the greedy builder's cell grid of the field for every round.
 """
 
 from __future__ import annotations
@@ -52,12 +53,15 @@ class SimReport:
     per_node_residual: list[float]
 
 
+def _left_sum(total: float, terms: np.ndarray) -> float:
+    """``total`` plus each of ``terms`` in turn: a Python ``+=`` loop's rounding, not ``np.sum``'s."""
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+
+
 def path_delay(field: SensorField, route: Route, dp: DelayParams) -> float:
-    """End-to-end delay: per hop, propagation (d / prop_speed) plus processing."""
-    total = 0.0
-    for d in hop_lengths(field.coords, route.order, route.closed).tolist():
-        total += d / dp.prop_speed + dp.per_hop_s
-    return total
+    """End-to-end delay: per hop, propagation (d / prop_speed) plus processing, summed in hop order."""
+    d = hop_lengths(field.coords, route.order, route.closed)
+    return _left_sum(0.0, d / dp.prop_speed + dp.per_hop_s)
 
 
 def check_delay(field: SensorField, route: Route, dp: DelayParams) -> DelayVerdict:
@@ -68,7 +72,7 @@ def check_delay(field: SensorField, route: Route, dp: DelayParams) -> DelayVerdi
     return DelayVerdict(feasible=False, excess_s=delay - dp.d_max_s)
 
 
-def _round_charges(field: SensorField, route: Route, rp: RadioParams) -> list[float]:
+def _round_charges(field: SensorField, route: Route, rp: RadioParams) -> np.ndarray:
     """Per-node round charge for one sweep along the route.
 
     The same bits as ``tx_energy`` per sender and ``rx_energy`` per
@@ -93,7 +97,7 @@ def _round_charges(field: SensorField, route: Route, rp: RadioParams) -> list[fl
         charges[order[:hops]] = rp.e_elec * bits + rp.eps_amp * bits * powers
     # hop h's receiver is order[h + 1], and order[0] for a closed route's last hop
     charges[np.roll(order, -1)[:hops]] += rx_energy(rp, bits)
-    return charges.tolist()
+    return charges
 
 
 def simulate_lifetime(
@@ -123,7 +127,7 @@ def simulate_lifetime(
     if rotate and route is not None:
         raise ValueError(f"route applies to {POLICY_FIXED} only; {POLICY_ROTATE} starts round r at node r mod n")
 
-    def plan(rt: Route) -> tuple[list[float], bool]:
+    def plan(rt: Route) -> tuple[np.ndarray, bool]:
         return _round_charges(field, rt, rp), check_delay(field, rt, dp).feasible
 
     graph = None
@@ -134,7 +138,7 @@ def simulate_lifetime(
     elif n > 1 and max_rounds > 0:
         graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256)
 
-    residual = state.residual_j
+    residual = np.array(state.residual_j, dtype=np.float64)
     total = 0.0
     rounds_completed = 0
     first_death_round = None
@@ -142,23 +146,22 @@ def simulate_lifetime(
     for round_idx in range(max_rounds):
         if rotate:
             charges, within_deadline = plan(nn_route(field, round_idx % n, graph))
-        dying = [i for i in range(n) if charges[i] > residual[i]]
-        if dying:
-            for i in dying:
-                total += residual[i]
-                residual[i] = 0.0
+        dying = np.flatnonzero(charges > residual)
+        if len(dying):
+            total = _left_sum(total, residual[dying])
+            residual[dying] = 0.0
             first_death_round = round_idx + 1
             break
-        for i, c in enumerate(charges):
-            residual[i] -= c
-            total += c
+        residual -= charges
+        total = _left_sum(total, charges)
         rounds_completed += 1
         if not within_deadline:
             violations += 1
+    state.residual_j[:] = residual.tolist()
     return SimReport(
         rounds_completed=rounds_completed,
         first_death_round=first_death_round,
         total_energy_j=total,
         deadline_violations=violations,
-        per_node_residual=list(residual),
+        per_node_residual=list(state.residual_j),
     )

@@ -59,32 +59,93 @@ def _nearest_unvisited(xy: np.ndarray, cur: int, visited: np.ndarray) -> int:
 _NN_PER_CELL = 2
 _STEP_CELLS = 64
 _STEP_POINTS = 64
+# Empty cells on each side of the grid, 3. A search counts the (2r+1)**2
+# cells of its square by ring r, on the grid or not, so it reaches ring 3 at
+# most: (2*4+1)**2 > _STEP_CELLS. With this padding every ring of every cell
+# lies inside the cell array, at fixed offsets from the cell.
+_PAD = (math.isqrt(_STEP_CELLS) - 1) // 2
 
 
-def _nearest_live(grid: CellGrid, live: list[list[int]], xs: list[float], ys: list[float],
-                  cur: int, cx: int, cy: int) -> int:
+class _NnIndex:
+    """What greedy NN reads of one field and its kNN graph, built once.
+
+    ``cells`` is the grid's cells with ``_PAD`` empty cells on each side:
+    a list of node indices, ascending, per cell that holds nodes and one
+    shared empty tuple for every other cell. ``cell[i]`` is node i's padded
+    cell id, ``pos[i]`` its place in that list and ``cx[i]``/``cy[i]`` its
+    cell on the grid. Ring r around padded cell c is ``c + o`` for each
+    ``o`` in ``rings[r]``. Nothing here is written after construction: a
+    route copies ``pos`` and the lists it deletes from. Construction raises
+    ValueError when ``graph`` does not fit the field: another size, or a
+    slot weight that is not the canonical distance to its target.
+    """
+
+    def __init__(self, field: SensorField, graph: KnnGraph | None):
+        xy = field.coords
+        n = len(xy)
+        if graph is not None:
+            if graph.n != n:
+                raise ValueError(f"graph built for n={graph.n}, field has n={n}")
+            dx = xy[graph.targets, 0] - xy[:, 0, None]
+            dy = xy[graph.targets, 1] - xy[:, 1, None]
+            if not np.array_equal(np.sqrt(dx * dx + dy * dy), graph.weights):
+                raise ValueError("graph weights are not this field's distances; was it built for another field?")
+        self.field = field
+        self.grid = grid = CellGrid(xy, _NN_PER_CELL)
+        nx, ny = grid.nx, grid.ny
+        w = nx + 2 * _PAD
+        self.rings = [
+            [dy * w + dx for dy in range(-r, r + 1) for dx in range(-r, r + 1) if max(abs(dx), abs(dy)) == r]
+            for r in range(_PAD + 1)
+        ]
+        # A cell without nodes is the shared empty tuple: no route deletes from it.
+        self.cells: list = [()] * (w * (ny + 2 * _PAD))
+        self.pos = [0] * n
+        for c, nodes in enumerate(grid.members()):
+            if nodes:
+                cy, cx = divmod(c, nx)
+                self.cells[(cy + _PAD) * w + cx + _PAD] = nodes
+                for p, i in enumerate(nodes):
+                    self.pos[i] = p
+        self.cx, self.cy = grid.cx.tolist(), grid.cy.tolist()
+        self.cell = ((grid.cy + _PAD) * w + grid.cx + _PAD).tolist()
+        self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
+        self.slots = graph.targets.tolist() if graph is not None else [()] * n  # each node's targets
+
+
+def _nn_index(field: SensorField, graph: KnnGraph | None) -> _NnIndex:
+    """The index of ``field`` and ``graph``, kept on the graph for later calls with the same field."""
+    if graph is None:
+        return _NnIndex(field, None)
+    index = getattr(graph, "_nn_index", None)
+    if index is None or index.field is not field:
+        index = _NnIndex(field, graph)
+        object.__setattr__(graph, "_nn_index", index)  # the graph is frozen; the index dies with it
+    return index
+
+
+def _nearest_live(ix: _NnIndex, live: list, cur: int) -> int:
     """Nearest live node to ``cur`` by ring search (lowest index among ties), or -1 over budget."""
+    xs, ys = ix.xs, ix.ys
     x, y = xs[cur], ys[cur]
+    c = ix.cell[cur]
     best, best_d = -1, math.inf
-    cells = points = 0
-    r = 0
-    while True:
-        ring = grid.ring(cx, cy, r)
-        cells += len(ring)
-        for c in ring:
-            points += len(live[c])
-        if cells > _STEP_CELLS or points > _STEP_POINTS:
-            return -1
-        for c in ring:
-            for j in live[c]:
+    points = 0
+    for r, offs in enumerate(ix.rings):
+        for o in offs:
+            nodes = live[c + o]
+            points += len(nodes)
+            if points > _STEP_POINTS:
+                return -1
+            for j in nodes:
                 dx = xs[j] - x
                 dy = ys[j] - y
                 d = math.sqrt(dx * dx + dy * dy)
                 if d < best_d or (d == best_d and j < best):
                     best, best_d = j, d
-        if best_d < grid.cover(x, y, cx, cy, r):
+        if best >= 0 and best_d < ix.grid.cover(x, y, ix.cx[cur], ix.cy[cur], r):
             return best
-        r += 1
+    return -1
 
 
 def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) -> Route:
@@ -96,32 +157,27 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     that target is the nearest unvisited node. Without a graph, or when
     every slot of the row is visited, the step searches the grid ring by
     ring, and a search that grows past a fixed budget scans every node
-    instead. ``graph`` must be a kNN graph of this field.
+    instead. ``graph`` must be a kNN graph of this field: ValueError if its
+    size or any slot weight disagrees with the field. The grid, slot lists
+    and ring offsets are built once per (field, graph) and kept on the
+    graph, so repeated calls on one field share them.
     """
     n = len(field)
-    if graph is not None and graph.n != n:
-        raise ValueError(f"graph built for n={graph.n}, field has n={n}")
     if not 0 <= start < n:
         raise ValueError(f"start node {start} out of range for n={n}")
+    ix = _nn_index(field, graph)
     xy = field.coords
-    grid = CellGrid(xy, _NN_PER_CELL)
-    live = grid.members()
-    pos = [0] * n  # each live node's position in its cell's list
-    for nodes in live:
-        for p, i in enumerate(nodes):
-            pos[i] = p
-    cell_x, cell_y = grid.cx.tolist(), grid.cy.tolist()
-    xs, ys = xy[:, 0].tolist(), xy[:, 1].tolist()
-    nx = grid.nx
-    slots = graph.targets.tolist() if graph is not None else [[]] * n  # each node's targets
+    live = [nodes[:] for nodes in ix.cells]  # a tuple's [:] is itself; only lists are copied
+    pos = ix.pos.copy()
+    cell = ix.cell
+    slots = ix.slots
     seen = bytearray(n)
     visited = np.frombuffer(seen, dtype=np.bool_)  # the scan's view of seen
     order = [start]
     cur = start
     for _ in range(n - 1):
         seen[cur] = 1
-        cx, cy = cell_x[cur], cell_y[cur]
-        nodes = live[cy * nx + cx]
+        nodes = live[cell[cur]]
         last = nodes.pop()
         if last != cur:  # the cell's last node fills the deleted one's place
             nodes[pos[cur]] = last
@@ -132,7 +188,7 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
                 nxt = t
                 break
         if nxt < 0:
-            nxt = _nearest_live(grid, live, xs, ys, cur, cx, cy)
+            nxt = _nearest_live(ix, live, cur)
             if nxt < 0:
                 nxt = _nearest_unvisited(xy, cur, visited)
         cur = nxt

@@ -18,6 +18,9 @@ from wsnroute.cli import main
 SIM_CONFIG = "alpha = 2.5\ninitial_battery_j = 0.05\nprop_speed = 1e5\nd_max_s = 0.0334\n"
 # The same with batteries that outlast every round of a longer route.
 LONG_LIFE_CONFIG = SIM_CONFIG.replace("0.05", "1e4")
+# Batteries that last past round n, so the rotating start wraps before the
+# first death, and a deadline about half the routes miss.
+WRAP_CONFIG = "initial_battery_j = 2\nprop_speed = 1e5\nd_max_s = 0.3315\n"
 # A 6x6 integer lattice: every row has exact distance ties at its k-th radius.
 LATTICE = "".join(f"P ({x} {y})\n" for y in range(6) for x in range(6))
 
@@ -51,6 +54,10 @@ CASES = {
     "simulate-rotate-n400": ["simulate", "--n", "400", "--width", "2000", "--height", "2000",
                              "--seed", "3", "--rounds", "5", "--policy", "rotate-start",
                              "--config", "{long_config}", "--format", "json"],
+    # 442 rounds on 300 nodes: the start wraps, then a node dies in round 443.
+    "simulate-rotate-wrap-n300": ["simulate", "--n", "300", "--width", "200", "--height", "200",
+                                  "--seed", "7", "--rounds", "1000", "--policy", "rotate-start",
+                                  "--config", "{wrap_config}", "--format", "json"],
     "bench-csv": ["bench", "--n", "30", "--width", "500", "--height", "500",
                   "--seeds", "1..3", "--format", "csv"],
     # Enough nodes for a grid of hundreds of cells.
@@ -83,6 +90,7 @@ DIGESTS = {
     "simulate-rotate-csv": "1e655fa883c3ddb3b0bafa219252e54e7240f2aa4f0b94b28aae5aee0ee11c50",
     "simulate-rotate-json": "78f1787148784b8fdbac27fd1bed1ad61e66ff9143b0d1eb98e26e04898d2b6d",
     "simulate-rotate-n400": "8c0fd73fae930b42afba75565dd3fc6a31bf622ea468e2cc2686824f436a11a9",
+    "simulate-rotate-wrap-n300": "a7b597d7ea343a7b1c2aa92b4f0d665888a3f8e1afbc0025836de3765bab77bc",
 }
 
 
@@ -104,12 +112,14 @@ def test_golden_output(name, tmp_path, capsys):
     config_file.write_text(SIM_CONFIG)
     long_config_file = tmp_path / "long.cfg"
     long_config_file.write_text(LONG_LIFE_CONFIG)
+    wrap_config_file = tmp_path / "wrap.cfg"
+    wrap_config_file.write_text(WRAP_CONFIG)
     lattice_file = tmp_path / "lattice.txt"
     lattice_file.write_text(LATTICE)
     assert main(["gen", "--n", "35", "--width", "900", "--height", "600", "--seed", "8",
                  "--output", str(field_file)]) == 0
     argv = [a.format(field=field_file, config=config_file, long_config=long_config_file,
-                     lattice=lattice_file) for a in CASES[name]]
+                     wrap_config=wrap_config_file, lattice=lattice_file) for a in CASES[name]]
     capsys.readouterr()
     assert main(argv) == 0
     out = _drop_wall_times(name, capsys.readouterr().out)

@@ -58,6 +58,19 @@ def test_path_delay_reversal_symmetric():
         assert fwd == pytest.approx(rev, rel=1e-12)
 
 
+def test_path_delay_is_the_left_to_right_hop_sum():
+    # the scalar loop the numpy delay replaced, bit for bit
+    dp = DelayParams(prop_speed=1e5)
+    for n in (1, 2, 3, 200):
+        f = generate_uniform(n, 1000, 1000, seed=n)
+        order = [int(v) for v in np.random.default_rng(n).permutation(n)]
+        for closed in (False, True):
+            want = 0.0
+            for d in hop_lengths(f.coords, order, closed).tolist():
+                want += d / dp.prop_speed + dp.per_hop_s
+            assert path_delay(f, Route(order=order, closed=closed), dp) == want
+
+
 def test_check_delay_boundary_inclusive():
     f = chain_field([0, 300])
     dp = DelayParams(per_hop_s=1e-3, prop_speed=3e8)
@@ -117,6 +130,7 @@ def test_simulate_two_node_death_arithmetic():
     assert rep.per_node_residual[0] == 0.0
     assert rep.per_node_residual[1] == 3 * tx - 3 * rx  # receiver survives untouched
     assert rep.total_energy_j == 3 * (tx + rx)
+    assert state.residual_j == rep.per_node_residual  # the state is drained in place
 
 
 def test_simulate_simultaneous_deaths_drain_and_conserve():
@@ -275,7 +289,7 @@ def test_round_charges_match_per_hop_radio_calls(alpha, closed):
         for a, b, d in hops:
             want[a] += tx_energy(rp, rp.packet_bits, d)
             want[b] += rx_energy(rp, rp.packet_bits)
-        assert _round_charges(f, route, rp) == want
+        assert _round_charges(f, route, rp).tolist() == want
 
 
 def test_round_charges_overflow_to_inf_silently():
@@ -284,6 +298,6 @@ def test_round_charges_overflow_to_inf_silently():
     f = SensorField(coords=[(0.0, 0.0), (1e76, 0.0)], width=1e76, height=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        charges = _round_charges(f, Route([0, 1]), rp)
+        charges = _round_charges(f, Route([0, 1]), rp).tolist()
     assert charges == [math.inf, rx_energy(rp, rp.packet_bits)]
     assert tx_energy(rp, rp.packet_bits, 1e76) == math.inf

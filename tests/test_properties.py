@@ -172,3 +172,46 @@ def test_nn_with_few_slots_matches_scan_oracle(f, data):
     want = scan_nn_route(f, start)
     for build in BUILDERS:
         assert nn_route(f, start, build(f, k, 7)).order == want
+
+
+@st.composite
+def thin_fields(draw) -> SensorField:
+    # Two anchors 300 apart against x in 0..15 keep the grid one or two cells wide.
+    points = [(0, 0), (0, 300)] + draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 300)),
+                                                max_size=58))
+    if draw(st.booleans()):
+        points = [(y, x) for x, y in points]
+    return SensorField(coords=[(float(x), float(y)) for x, y in points], width=300.0, height=300.0)
+
+
+@SETTINGS
+@given(f=thin_fields(), data=st.data())
+def test_nn_on_thin_grids_from_corner_starts_matches_scan_oracle(f, data):
+    # Every ring of a cell on the grid's edge reaches into its empty padding,
+    # so these searches hand steps over to the scan soonest.
+    grid = CellGrid(f.coords, routes._NN_PER_CELL)
+    assert min(grid.nx, grid.ny) <= 2
+    s = f.coords[:, 0] + f.coords[:, 1]
+    t = f.coords[:, 0] - f.coords[:, 1]
+    corners = [int(np.argmin(s)), int(np.argmax(s)), int(np.argmin(t)), int(np.argmax(t))]
+    start = data.draw(st.sampled_from(corners), label="start")
+    k = data.draw(st.integers(1, min(3, len(f) - 1)), label="k")
+    want = scan_nn_route(f, start)
+    assert nn_route(f, start).order == want
+    for build in BUILDERS:
+        assert nn_route(f, start, build(f, k, 7)).order == want
+
+
+def test_nn_routes_alternating_over_fields_and_graphs_match_scan_oracle():
+    # Each graph keeps the index of the field it last routed; calls that
+    # alternate between fields, graphs and no graph must not mix them up.
+    fields = [generate_uniform(300, 1000, 1000, seed=s) for s in (21, 22)]
+    graphs = [build_knn_graph(f, 4, 64) for f in fields]
+    twin = SensorField(coords=fields[0].coords, width=1000.0, height=1000.0, seed=21)
+    calls = [(0, 0), (1, 1), (0, None), (0, 0), (1, None), (1, 1), (0, 0)]
+    for step, (i, g) in enumerate(calls):
+        start = 37 * step % 300
+        graph = None if g is None else graphs[g]
+        assert nn_route(fields[i], start, graph).order == scan_nn_route(fields[i], start)
+    assert nn_route(twin, 5, graphs[0]).order == scan_nn_route(twin, 5)
+    assert nn_route(fields[0], 6, graphs[0]).order == scan_nn_route(fields[0], 6)

@@ -1,5 +1,8 @@
 """Greedy route construction and length accounting tests."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,43 @@ def test_accelerated_rejects_size_mismatch():
     graph = build_knn_graph(generate_uniform(9, 10, 10, seed=1), 2, 3)
     with pytest.raises(ValueError):
         nn_route(f, 0, graph)
+
+
+def test_nn_rejects_graph_of_another_field_of_the_same_size():
+    # without the weight check this route differs from the scan's at 199 of 200 positions
+    f = generate_uniform(200, 1000, 1000, seed=1)
+    with pytest.raises(ValueError, match="another field"):
+        nn_route(f, 0, build_knn_graph(generate_uniform(200, 1000, 1000, seed=2), 4, 64))
+    # also once the graph has routed its own field
+    own = generate_uniform(200, 1000, 1000, seed=2)
+    graph = build_knn_graph(own, 4, 64)
+    assert nn_route(own, 5, graph).order == nn_route(own, 5).order
+    with pytest.raises(ValueError, match="another field"):
+        nn_route(f, 0, graph)
+    assert nn_route(own, 6, graph).order == nn_route(own, 6).order
+
+
+def test_nn_index_lives_on_the_graph_and_nowhere_else(monkeypatch):
+    built = []
+
+    class Recorded(routes_mod._NnIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(routes_mod, "_NnIndex", Recorded)
+    f = generate_uniform(300, 1000, 1000, seed=4)
+    nn_route(f, 0)
+    assert len(built) == 1 and built[0]() is None  # a graph-free call keeps nothing
+    graph = build_knn_graph(f, 4, 64)
+    for start in (0, 7, 299):
+        nn_route(f, start, graph)
+    assert len(built) == 2 and built[1]() is not None  # one index for every call on this field
+    nn_route(SensorField(coords=f.coords, width=1000, height=1000, seed=4), 0, graph)
+    assert len(built) == 3 and built[1]() is None  # another field object: rebuilt, the old one freed
+    del graph
+    gc.collect()
+    assert built[2]() is None
 
 
 def test_routes_are_permutations():
