@@ -20,7 +20,6 @@ from .bench import (
     BenchReport,
     BenchRun,
     export_report,
-    export_route_plot,
     parse_report,
     run_experiment,
 )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .anneal import default_schedule, sa_route, undersized_schedule
-from .field import SensorField, format_coord, generate_uniform
+from .field import format_coord, generate_uniform
 from .knn import build_knn_graph
 from .routes import Route, nn_route, route_length
 
@@ -162,10 +162,3 @@ def parse_report(text: str, output_format: str) -> BenchReport:
         report.runs.append(BenchRun(int(cells[0]), cells[1], float(cells[2]), float(cells[3])))
     return report
 
-
-def export_route_plot(field: SensorField, route: Route) -> str:
-    """``x y`` per line in visit order; closed routes repeat the start point."""
-    pts = field.coords[route.order].tolist()
-    if route.closed and len(pts) > 1:
-        pts.append(pts[0])
-    return "\n".join(f"{format_coord(x)} {format_coord(y)}" for x, y in pts) + "\n"

@@ -148,7 +148,11 @@ def hop_lengths(xy: np.ndarray, order: Sequence[int], closed: bool = False) -> n
 
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_RECORD = re.compile(rf"^\s*P\s*\(\s*({_NUM})\s+({_NUM})\s*\)\s*$")
+# One match per line that is not blank, over lines joined by "\n": a record's
+# two numbers, or two empty groups for any other line. Within a line [^\S\n]
+# is \s, since splitting the text into lines removed every other line boundary.
+_S = r"[^\S\n]"
+_LINE = re.compile(rf"^{_S}*(?:P{_S}*\({_S}*({_NUM}){_S}+({_NUM}){_S}*\){_S}*$|\S.*)", re.MULTILINE)
 
 
 def format_coord(v: float) -> str:
@@ -161,6 +165,19 @@ def format_coord(v: float) -> str:
     return repr(v)
 
 
+def format_coords(a: np.ndarray) -> list[str]:
+    """:func:`format_coord` of each finite entry of a 1-D float64 array.
+
+    Every entry gets ``repr``; only the integral ones below 1e16, which
+    :func:`format_coord` writes without the dot, are formatted again by it.
+    """
+    values = a.tolist()
+    out = list(map(repr, values))
+    for i in np.flatnonzero((a == np.trunc(a)) & (np.abs(a) < 1e16)).tolist():
+        out[i] = format_coord(values[i])
+    return out
+
+
 def parse_dataset(text: str) -> SensorField:
     """Read ``P (<x> <y>)`` records, one per non-empty line.
 
@@ -170,21 +187,20 @@ def parse_dataset(text: str) -> SensorField:
     that is not finite (such as ``1e400``), and :class:`EmptyDatasetError`
     when no records exist.
     """
-    rows: list[tuple[float, float]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        m = _RECORD.match(line)
-        if m is None:
-            raise DatasetParseError(line_no, line.strip())
-        x = float(m.group(1))
-        y = float(m.group(2))
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DatasetParseError(line_no, line.strip(), "non-finite coordinate in")
-        rows.append((x, y))
-    if not rows:
+    lines = text.splitlines()
+    found = _LINE.findall("\n".join(lines))
+    if not found:
         raise EmptyDatasetError("dataset contains no records")
-    xy = np.array(rows, dtype=np.float64)
+    xs, ys = zip(*found)
+    # A line that is not a record has no numbers; records after it are never read.
+    bad = xs.index("") if "" in xs else len(xs)
+    xy = np.column_stack((np.array(list(map(float, xs[:bad]))), np.array(list(map(float, ys[:bad])))))
+    finite = np.isfinite(xy).all(axis=1)
+    if bad < len(xs) or not finite.all():
+        first = bad if finite.all() else int(np.argmin(finite))
+        line_no = [no for no, line in enumerate(lines, start=1) if line.strip()][first]
+        reason = "non-finite coordinate in" if first < bad else "malformed record"
+        raise DatasetParseError(line_no, lines[line_no - 1].strip(), reason)
     span = np.maximum(xy.max(axis=0), 0.0) - np.minimum(xy.min(axis=0), 0.0)
     width, height = span.tolist()
     return SensorField(coords=xy, width=width, height=height, seed=None)
@@ -196,5 +212,5 @@ def write_dataset(field: SensorField) -> str:
     Round-trip law: ``parse_dataset(write_dataset(f)).coords`` equals
     ``f.coords`` element for element.
     """
-    lines = [f"P ({format_coord(x)} {format_coord(y)})" for x, y in field.coords.tolist()]
-    return "\n".join(lines) + "\n"
+    xs, ys = format_coords(field.coords[:, 0]), format_coords(field.coords[:, 1])
+    return "\n".join([f"P ({x} {y})" for x, y in zip(xs, ys)]) + "\n"

@@ -8,7 +8,9 @@ offset where each cell starts, so the cells of one grid row are one slice.
 Searches look at the (2r+1)² square of cells centred on a query's cell and
 use :meth:`CellGrid.cover` to decide whether that square holds the answer:
 every point outside the square is at least ``cover`` away from the query,
-under the package's canonical distance expression as actually rounded.
+under the package's canonical distance expression as actually rounded. The
+walls of every square of one radius are one table, :meth:`CellGrid.walls`,
+read as arrays by the kNN build and as lists of Python floats by greedy NN.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ _SLACK = 2.0**-40
 # flush to 0, so such a distance can round to anything down to 0. This
 # absolute part of the slack takes every bound that small to 0 or below.
 _TINY = 2.0**-499
+
+
+def _walls(origin: float, h: float, count: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high walls, along one axis, of the square within ``r`` of each of ``count`` cells."""
+    c = np.arange(count)
+    low = np.where(c > r, origin + (c - r) * h, -_INF)
+    high = np.where(c + r < count - 1, origin + (c + r + 1) * h, _INF)
+    return low, high
 
 
 class CellGrid:
@@ -58,28 +68,55 @@ class CellGrid:
         self.order = np.argsort(self.cell, kind="stable")
         self.start = np.concatenate(([0], np.cumsum(np.bincount(self.cell, minlength=self.nx * self.ny))))
 
-    def cover(self, x, y, cx: int, cy: int, r: int):
-        """Lower bound on the distance from (x, y), in cell (cx, cy), to any
-        point outside the square of cells within ``r`` of that cell.
+    def walls(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The walls of the square of cells within ``r`` of each cell: ``(left, right, bottom, top)``.
 
-        ``x``/``y`` may be floats or arrays of points sharing the cell. A side
-        of the square at the grid's edge has nothing beyond it; with all four
-        there the bound is +inf. The bound never exceeds a rounded distance.
+        ``left``/``right`` are indexed by cell column and ``bottom``/``top``
+        by cell row. A side of the square at the grid's edge has nothing
+        beyond it, and its wall is at -inf or +inf.
         """
-        h = self.h
-        left = self.x0 + (cx - r) * h if cx > r else -_INF
-        right = self.x0 + (cx + r + 1) * h if cx + r < self.nx - 1 else _INF
-        bottom = self.y0 + (cy - r) * h if cy > r else -_INF
-        top = self.y0 + (cy + r + 1) * h if cy + r < self.ny - 1 else _INF
-        low = np.minimum if isinstance(x, np.ndarray) else min
-        return low(low(x - left, right - x), low(y - bottom, top - y)) - self.slack
+        left, right = _walls(self.x0, self.h, self.nx, r)
+        bottom, top = _walls(self.y0, self.h, self.ny, r)
+        return left, right, bottom, top
 
-    def square(self, cx: int, cy: int, r: int) -> np.ndarray:
-        """Nodes in the cells within ``r`` of cell (cx, cy), index-ascending."""
-        nx, start = self.nx, self.start
-        lo, hi = max(cx - r, 0), min(cx + r, nx - 1) + 1
-        rows = range(max(cy - r, 0), min(cy + r, self.ny - 1) + 1)
-        return np.sort(np.concatenate([self.order[start[y * nx + lo]:start[y * nx + hi]] for y in rows]))
+    def cover(self, x, y, cx, cy, walls):
+        """Lower bound on the distance from (x, y), in cell (cx, cy), to any
+        point outside the square of cells whose ``walls`` are given.
+
+        ``walls`` is :meth:`walls` of the square's radius, as arrays, with
+        ``x``/``y``/``cx``/``cy`` arrays of points and their cells; or as
+        lists, with each a Python number. With all four walls at infinity
+        the bound is +inf. The bound never exceeds a rounded distance.
+        """
+        left, right, bottom, top = walls
+        low = np.minimum if isinstance(x, np.ndarray) else min
+        return low(low(x - left[cx], right[cx] - x), low(y - bottom[cy], top[cy] - y)) - self.slack
+
+    def squares(self, cells: np.ndarray, r: int, width: int) -> np.ndarray:
+        """The nodes in the square of cells within ``r`` of each of ``cells``, one row per cell.
+
+        Each row lists its square's nodes index-ascending and is padded on
+        the right with ``n``, the number of nodes, to the longest square or
+        to ``width`` columns, whichever is more.
+        """
+        nx, ny, start = self.nx, self.ny, self.start
+        cx, cy = cells % nx, cells // nx
+        lo, hi = np.maximum(cx - r, 0), np.minimum(cx + r, nx - 1) + 1
+        # Grid row y of a square is order[start[y*nx + lo]:start[y*nx + hi]]; a row past
+        # the grid's edge is empty.
+        y = cy[:, None] + np.arange(-r, r + 1)
+        row = np.clip(y, 0, ny - 1) * nx
+        a = start[row + lo[:, None]]
+        lens = np.where((y >= 0) & (y < ny), start[row + hi[:, None]] - a, 0)
+        counts = lens.sum(axis=1)
+        lens = lens.ravel()
+        # Every slice, one after another in one run, is scattered into the rows.
+        run = np.arange(counts.sum())
+        nodes = self.order[run + np.repeat(a.ravel() - (np.cumsum(lens) - lens), lens)]
+        out = np.full((len(cells), max(counts.max(), width)), len(self.order))
+        out[np.repeat(np.arange(len(cells)), counts), run - np.repeat(np.cumsum(counts) - counts, counts)] = nodes
+        out.sort(axis=1)
+        return out
 
     def members(self) -> list[list[int]]:
         """Each cell's nodes as a list, index-ascending, by cell id."""

@@ -5,13 +5,13 @@ arrays whose row i holds node i's k nearest other nodes, ordered by
 (weight, target).
 
 :func:`build_knn_graph` buckets the nodes into a uniform cell grid of about
-k nodes to a cell, and no fewer than 8 (:mod:`wsnroute.grid`). A tile is one
-cell's rows, at most chunk_size at a time, against every node in the cells
-around it; each row keeps its k nearest by a stable sort over
-index-ascending columns. A row whose k-th distance does not fall strictly
-inside the grid's cover bound is searched again over a wider square, so the
-result is exact. On a uniform field the work is O(n k log k) rather than
-O(n²).
+k nodes to a cell (:mod:`wsnroute.grid`). A tile is the next chunk_size
+pending rows in cell order, across cells, each against every node in the
+square of cells around its own cell; each row keeps its k nearest by a
+stable sort over index-ascending columns. A row whose k-th distance does not
+fall strictly inside its cell's cover bound is searched again over a wider
+square, so the result is exact. On a uniform field the work is O(n k log k)
+rather than O(n²).
 
 :func:`maxk_knn_graph` is the paper's driver, kept as the reference kernel:
 it folds every tile of the full distance matrix into per-row slots. A tile
@@ -37,15 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SensorField, distance_block, format_coord
+from .field import SensorField, distance_block, format_coords
 from .grid import CellGrid
 
 _INF = float("inf")
-# build_knn_graph puts about max(k, _MIN_PER_CELL) nodes in a cell. Each tile
-# has a fixed numpy cost, so cells of k < 8 nodes make many tiles too small to
-# pay for it: at n=2000, k=4 the build took 43 ms at 4 nodes to a cell and
-# 23 ms at 8 (2-vCPU x86-64 VM).
-_MIN_PER_CELL = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,48 +92,70 @@ def _check_k(n: int, k: int) -> None:
 def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     """The kNN graph from cell-grid tiles; at most ``chunk_size`` query rows per tile.
 
-    A tile is one cell's rows against every node in the square of cells
-    within r of it, index-ascending, starting at r = 1. Each row keeps its k
-    nearest by a stable sort, so ties go to the lowest index. A row whose
-    k-th weight is not strictly inside the square's cover bound could have a
-    nearer node outside it and is searched again at r + 1. The graph equals
-    :func:`brute_force_knn`'s for every chunk_size.
+    A tile is the next ``chunk_size`` pending rows in cell order, across
+    cells, starting at r = 1. Each row is measured against every node in the
+    square of cells within r of its own cell, index-ascending, and keeps its
+    k nearest by a stable sort, so ties go to the lowest index. A row whose
+    k-th weight is not strictly inside its cell's cover bound could have a
+    nearer node outside the square and is searched again at r + 1. The graph
+    equals :func:`brute_force_knn`'s for every chunk_size.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     n = len(field)
     _check_k(n, k)
-    xy = field.coords
-    grid = CellGrid(xy, max(k, _MIN_PER_CELL))
+    # Node n is the pad of a square's row: at +inf, so its distances are +inf
+    # and sort after every real candidate.
+    xs = np.append(field.coords[:, 0], _INF)
+    ys = np.append(field.coords[:, 1], _INF)
+    grid = CellGrid(field.coords, k)
     targets = np.empty((n, k), dtype=np.intp)
     weights = np.empty((n, k))
     pending = grid.order
     r = 1
     while len(pending):
+        walls = grid.walls(r)
         missed = []
-        for rows in np.split(pending, np.flatnonzero(np.diff(grid.cell[pending])) + 1):
-            cx, cy = int(grid.cx[rows[0]]), int(grid.cy[rows[0]])
-            cols = grid.square(cx, cy, r)
-            if len(cols) <= k:  # fewer than k nodes besides the row's own
-                missed.append(rows)
-                continue
-            px, py = xy[cols, 0], xy[cols, 1]
-            for lo in range(0, len(rows), chunk_size):
-                q = rows[lo:lo + chunk_size]
-                qx, qy = xy[q, 0], xy[q, 1]
-                dx = qx[:, None] - px[None, :]
-                dy = qy[:, None] - py[None, :]
-                d = np.sqrt(dx * dx + dy * dy)
-                d[np.arange(len(q)), np.searchsorted(cols, q)] = np.inf
-                best = np.argsort(d, axis=1, kind="stable")[:, :k]
-                w = np.take_along_axis(d, best, axis=1)
-                done = w[:, -1] < grid.cover(qx, qy, cx, cy, r)
-                targets[q[done]] = cols[best[done]]
-                weights[q[done]] = w[done]
-                missed.append(q[~done])
+        for lo in range(0, len(pending), chunk_size):
+            q = pending[lo:lo + chunk_size]
+            done, targets[q], weights[q] = _tile(grid, xs, ys, q, k, r, walls)
+            missed.append(q[~done])
         pending = np.concatenate(missed)
         r += 1
     return KnnGraph(targets, weights)
+
+
+def _tile(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, k: int, r: int,
+          walls: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``q``, in cell order, against the squares of cells within ``r`` of their own cells.
+
+    Returns whether each row is settled, and each row's k nearest candidates
+    and their weights; the slots of a row that is not settled are garbage.
+    """
+    n = len(xs) - 1
+    cell = grid.cell[q]
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    sq = grid.squares(cell[first], r, k + 1)
+    u = np.repeat(np.arange(len(first)), np.diff(first, append=len(q)))  # each row's square
+    qx, qy = xs[q], ys[q]
+    # In place, so a tile holds two (rows, m) arrays at a time.
+    d = np.take(xs[sq], u, axis=0)
+    np.subtract(qx[:, None], d, out=d)
+    d *= d
+    dy = np.take(ys[sq], u, axis=0)
+    np.subtract(qy[:, None], dy, out=dy)
+    dy *= dy
+    d += dy
+    del dy
+    np.sqrt(d, out=d)
+    # Each row's own node, found in the sorted squares made disjoint by a row offset.
+    keys = sq + (np.arange(len(sq)) * (n + 1))[:, None]
+    d[np.arange(len(q)), np.searchsorted(keys.ravel(), u * (n + 1) + q) - u * sq.shape[1]] = _INF
+    best = np.argsort(d, axis=1, kind="stable")[:, :k]
+    w = np.take_along_axis(d, best, axis=1)
+    # A square of k or fewer other nodes leaves +inf at the k-th slot, never inside a bound.
+    done = w[:, -1] < grid.cover(qx, qy, grid.cx[q], grid.cy[q], walls)
+    return done, sq[u[:, None], best], w
 
 
 def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
@@ -206,11 +223,15 @@ def dump_graph(graph: KnnGraph) -> str:
     """Text dump, one ``source target weight`` line per slot, row by row.
 
     Rows are ordered by (weight, target), so the lines are sorted by
-    (source, weight, target).
+    (source, weight, target). Each node id and each distinct weight, told
+    apart by its bits, is formatted once; mutual neighbours share a weight.
     """
-    lines = [
-        f"{source} {t} {format_coord(w)}"
-        for source, (ts, ws) in enumerate(zip(graph.targets.tolist(), graph.weights.tolist()))
-        for t, w in zip(ts, ws)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    n, k = graph.targets.shape
+    bits, slot_weight = np.unique(graph.weights.view(np.int64).ravel(), return_inverse=True)
+    ids = [f"{i} " for i in range(n)]
+    ws = [f"{w}\n" for w in format_coords(bits.view(np.float64))]
+    parts = [""] * (3 * n * k)
+    parts[0::3] = map(ids.__getitem__, np.repeat(np.arange(n), k).tolist())
+    parts[1::3] = map(ids.__getitem__, graph.targets.ravel().tolist())
+    parts[2::3] = map(ws.__getitem__, slot_weight.tolist())
+    return "".join(parts)

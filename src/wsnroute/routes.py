@@ -74,7 +74,8 @@ class _NnIndex:
     shared empty tuple for every other cell. ``cell[i]`` is node i's padded
     cell id, ``pos[i]`` its place in that list and ``cx[i]``/``cy[i]`` its
     cell on the grid. Ring r around padded cell c is ``c + o`` for each
-    ``o`` in ``rings[r]``. Nothing here is written after construction: a
+    ``o`` in ``rings[r]``, and ``walls[r]`` is the grid's walls of radius r
+    as lists of Python floats. Nothing here is written after construction: a
     route copies ``pos`` and the lists it deletes from. Construction raises
     ValueError when ``graph`` does not fit the field: another size, or a
     slot weight that is not the canonical distance to its target.
@@ -110,6 +111,7 @@ class _NnIndex:
         self.cx, self.cy = grid.cx.tolist(), grid.cy.tolist()
         self.cell = ((grid.cy + _PAD) * w + grid.cx + _PAD).tolist()
         self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
+        self.walls = [[a.tolist() for a in grid.walls(r)] for r in range(_PAD + 1)]
         self.slots = graph.targets.tolist() if graph is not None else [()] * n  # each node's targets
 
 
@@ -143,7 +145,7 @@ def _nearest_live(ix: _NnIndex, live: list, cur: int) -> int:
                 d = math.sqrt(dx * dx + dy * dy)
                 if d < best_d or (d == best_d and j < best):
                     best, best_d = j, d
-        if best >= 0 and best_d < ix.grid.cover(x, y, ix.cx[cur], ix.cy[cur], r):
+        if best >= 0 and best_d < ix.grid.cover(x, y, ix.cx[cur], ix.cy[cur], ix.walls[r]):
             return best
     return -1
 

@@ -1,4 +1,4 @@
-"""Benchmark harness, report formats, and plot export tests."""
+"""Benchmark harness and report format tests."""
 
 import time
 
@@ -9,11 +9,7 @@ from wsnroute import (
     BenchConfig,
     BenchReport,
     BenchRun,
-    Point,
-    Route,
-    SensorField,
     export_report,
-    export_route_plot,
     generate_uniform,
     nn_route,
     parse_report,
@@ -117,25 +113,3 @@ def test_csv_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_report("seed,algorithm,cost,wall_time_s\n1,NN,2\n", "csv")
 
-
-def test_route_plot_single_node():
-    f = SensorField(coords=(Point(3, 4),), width=3, height=4)
-    assert export_route_plot(f, Route([0])) == "3 4\n"
-
-
-def test_route_plot_line_count_and_start():
-    f = generate_uniform(12, 100, 100, seed=9)
-    r = nn_route(f, 7)
-    text = export_route_plot(f, r)
-    lines = text.splitlines()
-    assert len(lines) == 12
-    x, y = (float(v) for v in lines[0].split())
-    assert (x, y) == (f.points[7].x, f.points[7].y)
-
-
-def test_route_plot_closed_repeats_start():
-    f = generate_uniform(5, 100, 100, seed=9)
-    r = Route(order=nn_route(f, 0).order, closed=True)
-    lines = export_route_plot(f, r).splitlines()
-    assert len(lines) == 6
-    assert lines[0] == lines[-1]

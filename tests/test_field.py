@@ -1,11 +1,14 @@
 """Field generation, geometry, and dataset format tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnroute import (
+    DatasetError,
     DatasetParseError,
     EmptyDatasetError,
     Point,
@@ -15,7 +18,9 @@ from wsnroute import (
     parse_dataset,
     write_dataset,
 )
-from wsnroute.field import distance_block, distances_from, format_coord
+from wsnroute.field import distance_block, distances_from, format_coord, format_coords
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
 def test_generate_single_point_in_bounds():
@@ -177,6 +182,104 @@ def test_format_coord_shortest_roundtrip():
     assert float(format_coord(1 / 3)) == 1 / 3
     assert format_coord(-0.0) == "-0"
     assert format_coord(0.0) == "0"
+
+
+# Integral values either side of 1e16, subnormals, signed zeros and others
+# that format_coord writes apart from repr.
+SPECIAL_FLOATS = [-0.0, 0.0, 1.0, -3.0, 0.1, 1e-7, 1e300, -1e300, 5e-324, -2.2250738585072014e-308,
+                  9999999999999998.0, -9999999999999998.0, 1e16, -1e16, 1.0000000000000002e16]
+coordinates = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS),
+                        st.integers(-2**60, 2**60).map(float))
+
+
+@SETTINGS
+@given(values=st.lists(coordinates, max_size=40))
+def test_format_coords_is_format_coord_of_each_entry(values):
+    a = np.array(values, dtype=np.float64)
+    assert format_coords(a) == [format_coord(v) for v in a.tolist()]
+
+
+def reference_write(field):
+    """The per-line writer, one format_coord call per coordinate: the oracle."""
+    lines = [f"P ({format_coord(x)} {format_coord(y)})" for x, y in field.coords.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@SETTINGS
+@given(coords=st.lists(st.tuples(coordinates.filter(lambda v: abs(v) < 1e150),
+                                 coordinates.filter(lambda v: abs(v) < 1e150)), min_size=1, max_size=20))
+def test_write_matches_the_per_line_writer(coords):
+    f = SensorField(coords=coords, width=1.0, height=1.0)
+    assert write_dataset(f) == reference_write(f)
+
+
+def test_write_matches_the_per_line_writer_on_generated_fields():
+    for f in (generate_uniform(500, 20000, 20000, seed=4), SensorField(coords=[(-0.0, 3.0), (4.0, -0.0)],
+                                                                       width=4.0, height=3.0)):
+        assert write_dataset(f) == reference_write(f)
+
+
+_NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_OLD_RECORD = re.compile(rf"^\s*P\s*\(\s*({_NUM})\s+({_NUM})\s*\)\s*$")
+
+
+def reference_parse(text):
+    """The per-line parser, one regex match per line: the oracle."""
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        m = _OLD_RECORD.match(line)
+        if m is None:
+            raise DatasetParseError(line_no, line.strip())
+        x = float(m.group(1))
+        y = float(m.group(2))
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DatasetParseError(line_no, line.strip(), "non-finite coordinate in")
+        rows.append((x, y))
+    if not rows:
+        raise EmptyDatasetError("dataset contains no records")
+    xy = np.array(rows, dtype=np.float64)
+    span = np.maximum(xy.max(axis=0), 0.0) - np.minimum(xy.min(axis=0), 0.0)
+    width, height = span.tolist()
+    return SensorField(coords=xy, width=width, height=height, seed=None)
+
+
+def parse_outcome(parse, text):
+    try:
+        f = parse(text)
+    except DatasetError as e:
+        return type(e), str(e), getattr(e, "line_no", None), getattr(e, "line", None)
+    return f.coords.tobytes(), f.width, f.height, f.seed
+
+
+# Line boundaries for str.splitlines, and spaces that are not.
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\u2028"]
+SPACES = st.text(alphabet=" \t\xa0\u3000", max_size=2)
+NUMBERS = st.sampled_from(["0", "-0", "7", "+2", "1.5", ".5", "3.", "-4e2", "1E-7", "1e400", "-1e309", "٣"])
+
+
+@st.composite
+def dataset_lines(draw):
+    kind = draw(st.sampled_from(["record", "record", "record", "blank", "malformed"]))
+    if kind == "blank":
+        return draw(SPACES)
+    if kind == "malformed":
+        return draw(st.sampled_from(["Q (1 2)", "P (1)", "P 1 2", "P (1 2", "P (1 2) x", "P (1,2)", "p (1 2)",
+                                     "P (inf 2)", "x"]))
+    s = [draw(SPACES) for _ in range(5)]
+    x, y = draw(NUMBERS), draw(NUMBERS)
+    return f"{s[0]}P{s[1]}({s[2]}{x}{draw(SPACES.filter(bool))}{y}{s[3]}){s[4]}"
+
+
+@SETTINGS
+@given(lines=st.lists(st.tuples(dataset_lines(), st.sampled_from(LINE_ENDS)), max_size=12),
+       last_end=st.booleans())
+def test_parse_matches_the_per_line_parser(lines, last_end):
+    text = "".join(line + end for line, end in lines)
+    if lines and not last_end:
+        text = text[:-len(lines[-1][1])]
+    assert parse_outcome(parse_dataset, text) == parse_outcome(reference_parse, text)
 
 
 def test_distance_identity_and_pythagorean():

@@ -23,6 +23,11 @@ LONG_LIFE_CONFIG = SIM_CONFIG.replace("0.05", "1e4")
 WRAP_CONFIG = "initial_battery_j = 2\nprop_speed = 1e5\nd_max_s = 0.3315\n"
 # A 6x6 integer lattice: every row has exact distance ties at its k-th radius.
 LATTICE = "".join(f"P ({x} {y})\n" for y in range(6) for x in range(6))
+# Three tight clusters and one far outlier. No other node shares the
+# outlier's square of cells before r = 6, so its row is retried that often.
+CENTRES = [(0, 0), (60, 20), (30, 70)]
+CLUSTERED = "".join(f"P ({CENTRES[i % 3][0] + i * 37 % 41 / 8} {CENTRES[i % 3][1] + i * 53 % 43 / 8})\n"
+                    for i in range(300)) + "P (5000 4000)\n"
 
 CASES = {
     "gen": ["gen", "--n", "40", "--width", "1000", "--height", "700", "--seed", "5"],
@@ -31,6 +36,7 @@ CASES = {
     "knn-chunk-7": ["knn", "--n", "40", "--seed", "6", "--k", "5", "--chunk-size", "7"],
     "knn-chunk-gt-n": ["knn", "--n", "40", "--seed", "6", "--k", "5", "--chunk-size", "64"],
     # The dump's (source, weight, target) order through lattice ties.
+    "knn-input-outlier": "d8a9208fa3799c25f69c4c969f006bde47918939146444880fe8be0db70fae12",
     "knn-input-lattice": ["knn", "--input", "{lattice}", "--k", "4"],
     "nn-input-closed": ["nn", "--input", "{field}", "--start", "3", "--closed"],
     "sa-swap": ["sa", "--n", "30", "--width", "400", "--height", "400", "--seed", "11",
@@ -62,6 +68,10 @@ CASES = {
                   "--seeds", "1..3", "--format", "csv"],
     # Enough nodes for a grid of hundreds of cells.
     "knn-n3000": ["knn", "--n", "3000", "--seed", "9", "--k", "10", "--chunk-size", "256"],
+    # Tiles of 100 rows that start and end inside cells of about 8 nodes.
+    "knn-n3000-k3-chunk-100": ["knn", "--n", "3000", "--seed", "10", "--k", "3", "--chunk-size", "100"],
+    "knn-input-outlier": ["knn", "--input", "{clustered}", "--k", "4"],
+    "gen-n3000": ["gen", "--n", "3000", "--seed", "12"],
     "nn-n3000": ["nn", "--n", "3000", "--seed", "9", "--start", "17"],
     # Long enough for quiet stretches, so the annealer scores proposals in numpy runs.
     "sa-paper-budget-n300": ["sa", "--n", "300", "--seed", "4", "--paper-budget"],
@@ -74,10 +84,13 @@ DIGESTS = {
     "bench-csv": "75c88155e89085f6c20da273e585b9b94b89e2d0a7a24c55d2bec7b3bd697427",
     "bench-json-knn": "9e941e7784846924e89da81d4fa462266f2e4df8847450228db36cab569c0d2c",
     "gen": "6171b17f69da6ea68f0ef9563281ffd6a4b2f7a3940e4ca15deabfd7c95b24c2",
+    "gen-n3000": "0319328d475c3efc5914964acef3a04fa7ed83fe6ba187148eeabf408282c4d4",
     "knn-chunk-1": "add510c74d08026f297b715678fa769e9a02a55ea5702a452c9c8f61ab9e690c",
     "knn-chunk-7": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
     "knn-chunk-gt-n": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
+    "knn-input-outlier": "d8a9208fa3799c25f69c4c969f006bde47918939146444880fe8be0db70fae12",
     "knn-input-lattice": "7d75146b33a6699cdff15944b839a661b6bdaf02638e2b5998df86e898240083",
+    "knn-n3000-k3-chunk-100": "c424a9f29f4be92acf83f3d5eecb469e49690287d18fc420a1ae6bd29737f6b0",
     "knn-n3000": "70330170f00ba4a950913a30a8760232d77921b088d590d0c4ee02bddee86008",
     "nn-input-closed": "210a9fc0132c7c4eae6e4dc5b971d3af6ce3b201c1a0112d6c50e004e74f5ed4",
     "nn-n3000": "9553da1648f0050da23d392cef7423de254020f4396ae259f18acb4c9ef24cb2",
@@ -116,10 +129,13 @@ def test_golden_output(name, tmp_path, capsys):
     wrap_config_file.write_text(WRAP_CONFIG)
     lattice_file = tmp_path / "lattice.txt"
     lattice_file.write_text(LATTICE)
+    clustered_file = tmp_path / "clustered.txt"
+    clustered_file.write_text(CLUSTERED)
     assert main(["gen", "--n", "35", "--width", "900", "--height", "600", "--seed", "8",
                  "--output", str(field_file)]) == 0
     argv = [a.format(field=field_file, config=config_file, long_config=long_config_file,
-                     wrap_config=wrap_config_file, lattice=lattice_file) for a in CASES[name]]
+                     wrap_config=wrap_config_file, lattice=lattice_file,
+                     clustered=clustered_file) for a in CASES[name]]
     capsys.readouterr()
     assert main(argv) == 0
     out = _drop_wall_times(name, capsys.readouterr().out)

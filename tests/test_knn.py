@@ -14,6 +14,8 @@ from wsnroute import (
     dump_graph,
     generate_uniform,
 )
+from wsnroute.field import format_coord
+from wsnroute.grid import CellGrid
 from wsnroute.knn import maxk_knn_graph
 
 
@@ -179,17 +181,30 @@ def test_build_large_field_completes_with_finite_slots():
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
-def test_build_matches_oracle_on_integer_lattice(k):
+def test_build_matches_oracle_on_integer_lattice(k, monkeypatch):
     # A 12x12 unit lattice ties many candidates at the k-th radius; an
     # eviction must drop the highest target among them, as the oracle does.
-    f = field_of([(x, y) for y in range(12) for x in range(12)])
-    oracle = brute_force_knn(f, k)
-    want = dump_graph(oracle)
-    for build in (build_knn_graph, maxk_knn_graph):
-        for cs in (1, 5, 13, 200):
-            g = build(f, k, cs)
-            assert dump_graph(g) == want, f"{build.__name__} chunk_size={cs}"
-            assert same_slots(g, oracle), f"{build.__name__} chunk_size={cs}"
+    # A far outlier leaves its square without other nodes, so its row is
+    # searched again at wider squares, in tiles with the lattice's rows.
+    radii = []
+    squares = CellGrid.squares
+
+    def spy(grid, cells, r, width):
+        radii.append(r)
+        return squares(grid, cells, r, width)
+
+    monkeypatch.setattr(CellGrid, "squares", spy)
+    lattice = [(x, y) for y in range(12) for x in range(12)]
+    for f in (field_of(lattice), field_of(lattice + [(90, 70)])):
+        radii.clear()
+        oracle = brute_force_knn(f, k)
+        want = dump_graph(oracle)
+        for build in (build_knn_graph, maxk_knn_graph):
+            for cs in (1, 5, 13, 200):
+                g = build(f, k, cs)
+                assert dump_graph(g) == want, f"{build.__name__} n={len(f)} chunk_size={cs}"
+                assert same_slots(g, oracle), f"{build.__name__} n={len(f)} chunk_size={cs}"
+    assert max(radii) >= 4  # the outlier's square holds no other node before r = 4
 
 
 def test_every_builder_orders_rows_by_weight_then_target():
@@ -234,3 +249,27 @@ def test_dump_sorted_and_matches_oracle_dump():
     rows = [line.split() for line in chunked.splitlines()]
     keys = [(int(s), float(w), int(t)) for s, t, w in rows]
     assert keys == sorted(keys)
+
+
+def reference_dump(graph):
+    """The per-line dump that formats every slot's weight on its own: the oracle."""
+    lines = [
+        f"{source} {t} {format_coord(w)}"
+        for source, (ts, ws) in enumerate(zip(graph.targets.tolist(), graph.weights.tolist()))
+        for t, w in zip(ts, ws)
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("graph", [
+    pytest.param(lambda: build_knn_graph(generate_uniform(300, 1000, 1000, seed=3), 10, 64), id="uniform"),
+    # 3-4-5 triangle: every weight is integral and written without the dot
+    pytest.param(lambda: brute_force_knn(field_of([(0, 0), (3, 0), (0, 4)]), 2), id="triangle-345"),
+    pytest.param(lambda: build_knn_graph(field_of([(x, y) for y in range(6) for x in range(6)]), 5, 7),
+                 id="lattice"),
+    # equal weights whose bits differ are formatted apart
+    pytest.param(lambda: KnnGraph([[1], [0], [1]], [[-0.0], [0.0], [1e16]]), id="signed-zeros"),
+])
+def test_dump_matches_the_per_line_dump(graph):
+    g = graph()
+    assert dump_graph(g) == reference_dump(g)

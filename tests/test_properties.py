@@ -1,7 +1,9 @@
 """Property tests: the fast kNN and greedy paths against their oracles.
 
 Fields are small integer lattices, tight clusters around a few centres, and
-lattices with a step of 0.1, 1/3 or 1e-170 or an offset of 1e9. Duplicate
+lattices with a step of 0.1, 1/3 or 1e-170 or an offset of 1e9. The kNN
+build also sees grids one or two cells wide, nodes at a few places only,
+points on one line, and a lattice with one far outlier. Duplicate
 points, collinear runs and exact distance ties (where the lowest-index rule
 decides) are common; on the scaled and offset lattices rounding moves points
 and cell walls by an ulp, or flushes a squared distance to 0, which a cell
@@ -65,6 +67,43 @@ scaled_lattices = st.builds(
 fields = st.one_of(lattice_points.map(as_field), clustered_fields(), scaled_lattices)
 
 
+@st.composite
+def thin_fields(draw) -> SensorField:
+    # Two anchors 300 apart against x in 0..15 keep the grid one or two cells wide.
+    points = [(0, 0), (0, 300)] + draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 300)),
+                                                max_size=58))
+    if draw(st.booleans()):
+        points = [(y, x) for x, y in points]
+    return SensorField(coords=[(float(x), float(y)) for x, y in points], width=300.0, height=300.0)
+
+
+# Every node at one of a few places.
+duplicate_fields = st.builds(
+    lambda places, picks: SensorField(coords=[places[i % len(places)] for i in picks], width=1.0, height=1.0),
+    st.lists(st.tuples(st.integers(-5, 5).map(float), st.integers(-5, 5).map(float)), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2), min_size=2, max_size=40),
+)
+
+# Points on one line, axis-parallel, diagonal or at a slope that rounds.
+collinear_fields = st.builds(
+    lambda ts, step: SensorField(coords=[(step[0] * t, step[1] * t) for t in ts], width=1.0, height=1.0),
+    st.lists(st.integers(-30, 30), min_size=2, max_size=40),
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.1, 0.3)]),
+)
+
+
+@st.composite
+def outlier_fields(draw) -> SensorField:
+    # A far outlier stretches the grid, so its own square holds no other node
+    # and its row is searched again at r >= 2.
+    points = draw(lattice_points)
+    far = draw(st.sampled_from([(1e3, 0.0), (-700.0, 2e3), (5e5, 5e5)]))
+    return SensorField(coords=[(float(x), float(y)) for x, y in points] + [far], width=1.0, height=1.0)
+
+
+knn_fields = st.one_of(fields, thin_fields(), duplicate_fields, collinear_fields, outlier_fields())
+
+
 def scan_nn_route(f: SensorField, start: int) -> list[int]:
     """Greedy oracle: every step scans all nodes and masks the visited ones."""
     visited = np.zeros(len(f), dtype=bool)
@@ -79,7 +118,7 @@ def scan_nn_route(f: SensorField, start: int) -> list[int]:
 
 
 @SETTINGS
-@given(f=fields, data=st.data())
+@given(f=knn_fields, data=st.data())
 def test_knn_build_matches_oracle_at_every_chunk_size(f, data):
     n = len(f)
     k = data.draw(st.integers(1, n - 1), label="k")
@@ -90,6 +129,43 @@ def test_knn_build_matches_oracle_at_every_chunk_size(f, data):
             # the same slots in the same order: rows sorted by (weight, target)
             assert np.array_equal(g.targets, oracle.targets), f"{build.__name__} chunk_size={cs}"
             assert np.array_equal(g.weights, oracle.weights), f"{build.__name__} chunk_size={cs}"
+
+
+@st.composite
+def many_cell_fields(draw) -> SensorField:
+    # Enough nodes for tens of cells, so that a tile spans cells whose squares
+    # differ in size: short squares are padded, and each row needs its own
+    # cell's cover bound. Lattice points near the origin tie and repeat, and
+    # the pads' +inf keeps them out of every row; a skewed field crowds some
+    # cells and leaves others sparse.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(30, 300), label="n")
+    kind = draw(st.sampled_from(["lattice", "uniform", "skewed", "clusters", "outlier", "thin"]), label="kind")
+    xy = rng.integers(0, 40, (n, 2)).astype(float)
+    if kind == "uniform":
+        xy = rng.random((n, 2)) * 100
+    elif kind == "skewed":
+        xy = rng.random((n, 2)) ** 3 * 100
+    elif kind == "clusters":
+        xy = rng.integers(0, 400, (4, 2))[rng.integers(0, 4, n)] + rng.integers(-3, 4, (n, 2))
+    elif kind == "outlier":
+        xy[-1] = (900.0, -700.0)
+    elif kind == "thin":
+        xy[:, 0] %= 3
+        xy[:, 1] *= 10
+    return SensorField(coords=xy, width=1.0, height=1.0)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(f=many_cell_fields(), data=st.data())
+def test_grid_build_matches_oracle_on_many_cell_fields(f, data):
+    n = len(f)
+    k = data.draw(st.integers(1, 12), label="k")
+    oracle = brute_force_knn(f, k)
+    for cs in (1, 2, 7, n + 1):
+        g = build_knn_graph(f, k, cs)
+        assert np.array_equal(g.targets, oracle.targets), f"chunk_size={cs}"
+        assert np.array_equal(g.weights, oracle.weights), f"chunk_size={cs}"
 
 
 @SETTINGS
@@ -112,7 +188,11 @@ def test_grid_cover_never_exceeds_an_outside_distance(f):
             cx, cy = int(grid.cx[q]), int(grid.cy[q])
             for r in range(4):
                 outside = (np.abs(grid.cx - cx) > r) | (np.abs(grid.cy - cy) > r)
-                assert (dist[q][outside] >= grid.cover(x, y, cx, cy, r)).all()
+                walls = grid.walls(r)
+                bound = grid.cover(x, y, cx, cy, [w.tolist() for w in walls])
+                assert (dist[q][outside] >= bound).all()
+                # the array form, for every point at once, gives the same bounds
+                assert grid.cover(f.coords[:, 0], f.coords[:, 1], grid.cx, grid.cy, walls)[q] == bound
 
 
 def nn_test_field(kind: str) -> SensorField:
@@ -172,16 +252,6 @@ def test_nn_with_few_slots_matches_scan_oracle(f, data):
     want = scan_nn_route(f, start)
     for build in BUILDERS:
         assert nn_route(f, start, build(f, k, 7)).order == want
-
-
-@st.composite
-def thin_fields(draw) -> SensorField:
-    # Two anchors 300 apart against x in 0..15 keep the grid one or two cells wide.
-    points = [(0, 0), (0, 300)] + draw(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 300)),
-                                                max_size=58))
-    if draw(st.booleans()):
-        points = [(y, x) for x, y in points]
-    return SensorField(coords=[(float(x), float(y)) for x, y in points], width=300.0, height=300.0)
 
 
 @SETTINGS
