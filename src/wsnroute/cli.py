@@ -218,7 +218,7 @@ def _cmd_simulate(args, parser) -> int:
         print(f"warning: no round completed; nodes ran out of energy in round 1 on the "
               f"{cfg.initial_battery_j!r} J initial battery (set initial_battery_j in --config)",
               file=sys.stderr)
-    doc = dataclasses.asdict(report)
+    doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}  # asdict would copy every residual
     if args.format == "json":
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     else:

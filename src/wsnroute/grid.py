@@ -10,7 +10,7 @@ use :meth:`CellGrid.cover` to decide whether that square holds the answer:
 every point outside the square is at least ``cover`` away from the query,
 under the package's canonical distance expression as actually rounded. The
 walls of every square of one radius are one table, :meth:`CellGrid.walls`,
-read as arrays by the kNN build and as lists of Python floats by greedy NN.
+and ``cover`` bounds whole arrays of points: a kNN tile's rows, or every node.
 """
 
 from __future__ import annotations
@@ -83,14 +83,13 @@ class CellGrid:
         """Lower bound on the distance from (x, y), in cell (cx, cy), to any
         point outside the square of cells whose ``walls`` are given.
 
-        ``walls`` is :meth:`walls` of the square's radius, as arrays, with
-        ``x``/``y``/``cx``/``cy`` arrays of points and their cells; or as
-        lists, with each a Python number. With all four walls at infinity
-        the bound is +inf. The bound never exceeds a rounded distance.
+        ``walls`` is :meth:`walls` of the square's radius, and ``x``/``y``/
+        ``cx``/``cy`` are arrays of points and their cells. With all four
+        walls at infinity the bound is +inf. The bound never exceeds a
+        rounded distance.
         """
         left, right, bottom, top = walls
-        low = np.minimum if isinstance(x, np.ndarray) else min
-        return low(low(x - left[cx], right[cx] - x), low(y - bottom[cy], top[cy] - y)) - self.slack
+        return np.minimum(np.minimum(x - left[cx], right[cx] - x), np.minimum(y - bottom[cy], top[cy] - y)) - self.slack
 
     def squares(self, cells: np.ndarray, r: int, width: int) -> np.ndarray:
         """The nodes in the square of cells within ``r`` of each of ``cells``, one row per cell.

@@ -51,7 +51,8 @@ class KnnGraph:
     float64. Every target is a node index, and every row is ordered by
     (weight, target), so the first slot whose target passes a test is the
     nearest node that does; among exact distance ties the lowest target
-    index is kept. Construction raises ValueError otherwise.
+    index is kept. Every weight is finite and not below 0. Construction
+    raises ValueError otherwise.
     """
 
     targets: np.ndarray
@@ -64,6 +65,8 @@ class KnnGraph:
             raise ValueError(f"targets {targets.shape} and weights {weights.shape} must be one (n, k) shape")
         if targets.size and not (0 <= targets.min() and targets.max() < len(targets)):
             raise ValueError(f"targets must be node indices in 0..{len(targets) - 1}")
+        if not np.isfinite(weights).all() or (weights < 0).any():  # NaN would pass the order check
+            raise ValueError("weights must be finite and non-negative")
         w0, w1 = weights[:, :-1], weights[:, 1:]
         if ((w0 > w1) | ((w0 == w1) & (targets[:, :-1] > targets[:, 1:]))).any():
             raise ValueError("graph rows must be ordered by (weight, target)")

@@ -58,22 +58,25 @@ def _left_sum(total: float, terms: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
-def path_delay(field: SensorField, route: Route, dp: DelayParams) -> float:
-    """End-to-end delay: per hop, propagation (d / prop_speed) plus processing, summed in hop order."""
-    d = hop_lengths(field.coords, route.order, route.closed)
+def path_delay(field: SensorField, route: Route, dp: DelayParams, lengths: np.ndarray | None = None) -> float:
+    """End-to-end delay: per hop, propagation (d / prop_speed) plus processing, summed in hop order.
+
+    ``lengths``, when given, are the route's ``hop_lengths``, which are then not measured again.
+    """
+    d = hop_lengths(field.coords, route.order, route.closed) if lengths is None else lengths
     return _left_sum(0.0, d / dp.prop_speed + dp.per_hop_s)
 
 
-def check_delay(field: SensorField, route: Route, dp: DelayParams) -> DelayVerdict:
-    """Feasible iff the end-to-end delay is within d_max_s (boundary inclusive)."""
-    delay = path_delay(field, route, dp)
+def check_delay(field: SensorField, route: Route, dp: DelayParams, lengths: np.ndarray | None = None) -> DelayVerdict:
+    """Feasible iff the end-to-end delay is within d_max_s (boundary inclusive); ``lengths`` as for path_delay."""
+    delay = path_delay(field, route, dp, lengths)
     if delay <= dp.d_max_s:
         return DelayVerdict(feasible=True)
     return DelayVerdict(feasible=False, excess_s=delay - dp.d_max_s)
 
 
-def _round_charges(field: SensorField, route: Route, rp: RadioParams) -> np.ndarray:
-    """Per-node round charge for one sweep along the route.
+def _round_charges(field: SensorField, route: Route, rp: RadioParams, lengths: np.ndarray) -> np.ndarray:
+    """Per-node round charge for one sweep along the route, whose ``hop_lengths`` are ``lengths``.
 
     The same bits as ``tx_energy`` per sender and ``rx_energy`` per
     receiver: ``d**alpha`` stays a Python float power, numpy adds
@@ -82,7 +85,7 @@ def _round_charges(field: SensorField, route: Route, rp: RadioParams) -> np.ndar
     its charge is one sum of two terms.
     """
     order = np.asarray(route.order, dtype=np.intp)
-    lengths = hop_lengths(field.coords, order, route.closed).tolist()
+    lengths = lengths.tolist()
     bits = rp.packet_bits
     alpha = rp.alpha
     try:
@@ -128,7 +131,8 @@ def simulate_lifetime(
         raise ValueError(f"route applies to {POLICY_FIXED} only; {POLICY_ROTATE} starts round r at node r mod n")
 
     def plan(rt: Route) -> tuple[np.ndarray, bool]:
-        return _round_charges(field, rt, rp), check_delay(field, rt, dp).feasible
+        lengths = hop_lengths(field.coords, rt.order, rt.closed)  # one pass serves charges and delay
+        return _round_charges(field, rt, rp, lengths), check_delay(field, rt, dp, lengths).feasible
 
     graph = None
     if not rotate:

@@ -5,7 +5,7 @@ flag adds the return edge to the length. The greedy builder always picks the
 nearest unvisited node, breaking exact distance ties by lowest index, which
 keeps it consistent with the kNN module's tie rule. It finds that node in
 the current node's kNN slots when a graph is given, else by a ring search
-over a cell grid from which visited nodes are deleted, else by a full scan.
+over a cell grid from which visited nodes are deleted, else by a scan.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SensorField, distances_from, hop_lengths
+from .field import SensorField, hop_lengths
 from .grid import CellGrid
 from .knn import KnnGraph
 
@@ -46,16 +46,17 @@ def route_length(field: SensorField, route: Route) -> float:
     return float(np.sum(hop_lengths(field.coords, route.order, route.closed)))
 
 
-def _nearest_unvisited(xy: np.ndarray, cur: int, visited: np.ndarray) -> int:
-    d = distances_from(xy, cur)
-    d[visited] = np.inf
-    return int(np.argmin(d))  # first occurrence: lowest index wins ties
+def _nearest_unvisited(xy: np.ndarray, cur: int, alive: np.ndarray) -> int:
+    """The node of ``alive``, ascending unvisited node indices, nearest to ``cur``."""
+    dx = xy[alive, 0] - xy[cur, 0]
+    dy = xy[alive, 1] - xy[cur, 1]
+    return int(alive[np.argmin(np.sqrt(dx * dx + dy * dy))])  # first occurrence: lowest index wins ties
 
 
 # Greedy NN buckets about this many nodes to a grid cell. A step's ring
 # search gives up once it would look at more than _STEP_CELLS cells or
-# _STEP_POINTS live nodes, and the step takes the full numpy scan instead, so
-# a clustered or duplicate-heavy field costs about what a scan per step does.
+# _STEP_POINTS live nodes, and the step scans the live nodes instead, so a
+# clustered or duplicate-heavy field costs about what a scan per step does.
 _NN_PER_CELL = 2
 _STEP_CELLS = 64
 _STEP_POINTS = 64
@@ -72,13 +73,13 @@ class _NnIndex:
     ``cells`` is the grid's cells with ``_PAD`` empty cells on each side:
     a list of node indices, ascending, per cell that holds nodes and one
     shared empty tuple for every other cell. ``cell[i]`` is node i's padded
-    cell id, ``pos[i]`` its place in that list and ``cx[i]``/``cy[i]`` its
-    cell on the grid. Ring r around padded cell c is ``c + o`` for each
-    ``o`` in ``rings[r]``, and ``walls[r]`` is the grid's walls of radius r
-    as lists of Python floats. Nothing here is written after construction: a
-    route copies ``pos`` and the lists it deletes from. Construction raises
-    ValueError when ``graph`` does not fit the field: another size, or a
-    slot weight that is not the canonical distance to its target.
+    cell id and ``pos[i]`` its place in that list. Ring r around padded cell
+    c is ``c + o`` for each ``o`` in ``rings[r]``, and a memoryview holds the
+    grid's cover bound of node i's ring r at ``covers[i * (_PAD + 1) + r]``.
+    Nothing here is written after construction: a route copies ``pos`` and
+    the lists it deletes from. Construction raises ValueError when ``graph``
+    does not fit the field: another size, or a slot weight that is not the
+    canonical distance to its target.
     """
 
     def __init__(self, field: SensorField, graph: KnnGraph | None):
@@ -92,7 +93,7 @@ class _NnIndex:
             if not np.array_equal(np.sqrt(dx * dx + dy * dy), graph.weights):
                 raise ValueError("graph weights are not this field's distances; was it built for another field?")
         self.field = field
-        self.grid = grid = CellGrid(xy, _NN_PER_CELL)
+        grid = CellGrid(xy, _NN_PER_CELL)
         nx, ny = grid.nx, grid.ny
         w = nx + 2 * _PAD
         self.rings = [
@@ -108,10 +109,10 @@ class _NnIndex:
                 self.cells[(cy + _PAD) * w + cx + _PAD] = nodes
                 for p, i in enumerate(nodes):
                     self.pos[i] = p
-        self.cx, self.cy = grid.cx.tolist(), grid.cy.tolist()
         self.cell = ((grid.cy + _PAD) * w + grid.cx + _PAD).tolist()
         self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
-        self.walls = [[a.tolist() for a in grid.walls(r)] for r in range(_PAD + 1)]
+        covers = [grid.cover(xy[:, 0], xy[:, 1], grid.cx, grid.cy, grid.walls(r)) for r in range(_PAD + 1)]
+        self.covers = memoryview(np.stack(covers, axis=1).ravel())
         self.slots = graph.targets.tolist() if graph is not None else [()] * n  # each node's targets
 
 
@@ -129,13 +130,14 @@ def _nn_index(field: SensorField, graph: KnnGraph | None) -> _NnIndex:
 def _nearest_live(ix: _NnIndex, live: list, cur: int) -> int:
     """Nearest live node to ``cur`` by ring search (lowest index among ties), or -1 over budget."""
     xs, ys = ix.xs, ix.ys
-    x, y = xs[cur], ys[cur]
-    c = ix.cell[cur]
+    x, y, c = xs[cur], ys[cur], ix.cell[cur]
     best, best_d = -1, math.inf
     points = 0
     for r, offs in enumerate(ix.rings):
         for o in offs:
             nodes = live[c + o]
+            if not nodes:
+                continue
             points += len(nodes)
             if points > _STEP_POINTS:
                 return -1
@@ -145,7 +147,7 @@ def _nearest_live(ix: _NnIndex, live: list, cur: int) -> int:
                 d = math.sqrt(dx * dx + dy * dy)
                 if d < best_d or (d == best_d and j < best):
                     best, best_d = j, d
-        if best >= 0 and best_d < ix.grid.cover(x, y, ix.cx[cur], ix.cy[cur], ix.walls[r]):
+        if best_d < ix.covers[cur * (_PAD + 1) + r]:  # best_d is inf, below no cover, until a node is found
             return best
     return -1
 
@@ -158,11 +160,11 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     ``graph``, when one is given: rows are ordered by (weight, target), so
     that target is the nearest unvisited node. Without a graph, or when
     every slot of the row is visited, the step searches the grid ring by
-    ring, and a search that grows past a fixed budget scans every node
-    instead. ``graph`` must be a kNN graph of this field: ValueError if its
-    size or any slot weight disagrees with the field. The grid, slot lists
-    and ring offsets are built once per (field, graph) and kept on the
-    graph, so repeated calls on one field share them.
+    ring, and a search that grows past a fixed budget scans the unvisited
+    nodes instead. ``graph`` must be a kNN graph of this field: ValueError
+    if its size or any slot weight disagrees with the field. The grid, slot
+    lists, ring offsets and cover bounds are built once per (field, graph)
+    and kept on the graph, so repeated calls on one field share them.
     """
     n = len(field)
     if not 0 <= start < n:
@@ -170,29 +172,28 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     ix = _nn_index(field, graph)
     xy = field.coords
     live = [nodes[:] for nodes in ix.cells]  # a tuple's [:] is itself; only lists are copied
-    pos = ix.pos.copy()
-    cell = ix.cell
-    slots = ix.slots
-    seen = bytearray(n)
-    visited = np.frombuffer(seen, dtype=np.bool_)  # the scan's view of seen
+    cell, slots, pos = ix.cell, ix.slots, ix.pos.copy()
+    todo = bytearray(b"\x01") * n  # 1 while the node is unvisited
+    unvisited = np.frombuffer(todo, dtype=np.bool_)  # the scan's view of todo
+    alive = np.arange(n)  # a superset of the unvisited nodes, ascending; each scan compacts it
+    keep = np.empty(n, dtype=np.bool_)  # one mask buffer; numpy caches each small array size it frees
     order = [start]
     cur = start
     for _ in range(n - 1):
-        seen[cur] = 1
+        todo[cur] = 0
         nodes = live[cell[cur]]
         last = nodes.pop()
         if last != cur:  # the cell's last node fills the deleted one's place
             nodes[pos[cur]] = last
             pos[last] = pos[cur]
-        nxt = -1
-        for t in slots[cur]:
-            if not seen[t]:
-                nxt = t
+        for nxt in slots[cur]:
+            if todo[nxt]:
                 break
-        if nxt < 0:
+        else:
             nxt = _nearest_live(ix, live, cur)
             if nxt < 0:
-                nxt = _nearest_unvisited(xy, cur, visited)
+                alive = alive[np.take(unvisited, alive, out=keep[:len(alive)], mode="clip")]
+                nxt = _nearest_unvisited(xy, cur, alive)
         cur = nxt
         order.append(cur)
     return Route(order=order, closed=False)

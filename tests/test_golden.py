@@ -73,6 +73,9 @@ CASES = {
     "knn-input-outlier": ["knn", "--input", "{clustered}", "--k", "4"],
     "gen-n3000": ["gen", "--n", "3000", "--seed", "12"],
     "nn-n3000": ["nn", "--n", "3000", "--seed", "9", "--start", "17"],
+    # Each cluster crowds 100 nodes into one cell, so 236 of the 300 steps
+    # outgrow the ring search and hand over to the scan of live nodes.
+    "nn-input-clustered": ["nn", "--input", "{clustered}", "--start", "150"],
     # Long enough for quiet stretches, so the annealer scores proposals in numpy runs.
     "sa-paper-budget-n300": ["sa", "--n", "300", "--seed", "4", "--paper-budget"],
     "sa-swap-closed-n200": ["sa", "--n", "200", "--seed", "3", "--sa-move", "swap", "--closed"],
@@ -93,6 +96,7 @@ DIGESTS = {
     "knn-n3000-k3-chunk-100": "c424a9f29f4be92acf83f3d5eecb469e49690287d18fc420a1ae6bd29737f6b0",
     "knn-n3000": "70330170f00ba4a950913a30a8760232d77921b088d590d0c4ee02bddee86008",
     "nn-input-closed": "210a9fc0132c7c4eae6e4dc5b971d3af6ce3b201c1a0112d6c50e004e74f5ed4",
+    "nn-input-clustered": "41b98c221629baab99dc90ac90b546880ba299b7bd5c0ba4d38ae660ea4c2630",
     "nn-n3000": "9553da1648f0050da23d392cef7423de254020f4396ae259f18acb4c9ef24cb2",
     "sa-nn-init-closed": "ac3ab4af1c1e54741abce984d3248745e6bffce582c3e44abf3d08ae8083177a",
     "sa-paper-budget-n300": "3d7c823a34dfa770cb607c39e951d9e1a740a2671d178a3a549f8acc39c75c9a",

@@ -97,6 +97,17 @@ def test_knn_graph_rejects_unsorted_rows_and_bad_shapes():
         KnnGraph([[1], [2]], [[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("weights", [
+    # NaN compares false both ways, so the (weight, target) order check lets it through
+    [[math.nan, 1.0], [1.0, 2.0], [1.0, 2.0]],
+    [[1.0, math.inf], [1.0, 2.0], [1.0, 2.0]],
+    [[-1.0, 1.0], [1.0, 2.0], [1.0, 2.0]],
+], ids=["nan", "inf", "negative"])
+def test_knn_graph_rejects_weights_that_are_no_distance(weights):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        KnnGraph([[1, 2], [0, 2], [0, 1]], weights)
+
+
 # --- hand-traced cases, through every builder ---
 
 

@@ -21,6 +21,7 @@ from wsnroute import (
     tx_energy,
 )
 from wsnroute.field import hop_lengths
+from wsnroute import lifetime
 from wsnroute.lifetime import POLICY_FIXED, POLICY_ROTATE, _round_charges
 
 
@@ -66,9 +67,11 @@ def test_path_delay_is_the_left_to_right_hop_sum():
         order = [int(v) for v in np.random.default_rng(n).permutation(n)]
         for closed in (False, True):
             want = 0.0
-            for d in hop_lengths(f.coords, order, closed).tolist():
+            lengths = hop_lengths(f.coords, order, closed)
+            for d in lengths.tolist():
                 want += d / dp.prop_speed + dp.per_hop_s
             assert path_delay(f, Route(order=order, closed=closed), dp) == want
+            assert path_delay(f, Route(order=order, closed=closed), dp, lengths) == want
 
 
 def test_check_delay_boundary_inclusive():
@@ -229,6 +232,30 @@ def test_simulate_rotate_shared_graph_changes_no_round(monkeypatch):
     assert 0 < shared.deadline_violations < shared.rounds_completed
 
 
+@pytest.mark.parametrize("policy", [POLICY_FIXED, POLICY_ROTATE])
+def test_simulate_measures_each_route_once(policy, monkeypatch):
+    # A planned route's hop lengths feed both its charges and its delay
+    # check, which goes through the module's check_delay once per route.
+    f = generate_uniform(50, 1000, 1000, seed=3)
+    dp = DelayParams(d_max_s=0.05)
+    want = simulate_lifetime(f, policy, EnergyState.fresh(50, 1.0), RadioParams(), dp, 7)
+    calls = {"hop_lengths": 0, "check_delay": 0}
+
+    def counted(name):
+        real = getattr(lifetime, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(lifetime, name, wrapper)
+
+    counted("hop_lengths")
+    counted("check_delay")
+    assert simulate_lifetime(f, policy, EnergyState.fresh(50, 1.0), RadioParams(), dp, 7) == want
+    routes = 7 if policy == POLICY_ROTATE else 1
+    assert calls == {"hop_lengths": routes, "check_delay": routes}
+
+
 def test_simulate_counts_deadline_violations():
     f = chain_field([0, 300, 600])
     rp = EXACT_RADIO
@@ -289,7 +316,7 @@ def test_round_charges_match_per_hop_radio_calls(alpha, closed):
         for a, b, d in hops:
             want[a] += tx_energy(rp, rp.packet_bits, d)
             want[b] += rx_energy(rp, rp.packet_bits)
-        assert _round_charges(f, route, rp).tolist() == want
+        assert _round_charges(f, route, rp, hop_lengths(f.coords, order, closed)).tolist() == want
 
 
 def test_round_charges_overflow_to_inf_silently():
@@ -298,6 +325,6 @@ def test_round_charges_overflow_to_inf_silently():
     f = SensorField(coords=[(0.0, 0.0), (1e76, 0.0)], width=1e76, height=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        charges = _round_charges(f, Route([0, 1]), rp).tolist()
+        charges = _round_charges(f, Route([0, 1]), rp, hop_lengths(f.coords, [0, 1])).tolist()
     assert charges == [math.inf, rx_energy(rp, rp.packet_bits)]
     assert tx_energy(rp, rp.packet_bits, 1e76) == math.inf

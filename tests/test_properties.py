@@ -10,9 +10,9 @@ and cell walls by an ulp, or flushes a squared distance to 0, which a cell
 grid's cover bound must allow for. Examples
 are derandomized and no example database is kept, so every run draws the
 same cases. Greedy NN is also checked on three fixed 600-node fields, where
-it either searches its grid or hands a step over to a full scan. With a kNN
-graph from any of the three builders it takes the first unvisited slot of a
-row first.
+it either searches its grid or hands a step over to a scan of the live
+nodes. With a kNN graph from any of the three builders it takes the first
+unvisited slot of a row first.
 """
 
 import numpy as np
@@ -177,22 +177,34 @@ def test_nn_route_matches_scan_oracle(f, data):
 
 # With five points to a cell, node 2 lies on a wall of node 1's cell, 0.2
 # away, and that wall's rounded position is 0.20000000000000004 away.
-@example(f=SensorField(coords=[(3 * 0.1, -1 * 0.1), (0.0, 0.0), (0.0, 2 * 0.1)], width=1.0, height=1.0))
+ON_A_WALL = SensorField(coords=[(3 * 0.1, -1 * 0.1), (0.0, 0.0), (0.0, 2 * 0.1)], width=1.0, height=1.0)
+
+
+@example(f=ON_A_WALL)
 @SETTINGS
 @given(f=scaled_lattices)
 def test_grid_cover_never_exceeds_an_outside_distance(f):
     dist = [distances_from(f.coords, q) for q in range(len(f))]
     for per_cell in (1, 2, 5):
         grid = CellGrid(f.coords, per_cell)
-        for q, (x, y) in enumerate(f.coords.tolist()):
-            cx, cy = int(grid.cx[q]), int(grid.cy[q])
-            for r in range(4):
-                outside = (np.abs(grid.cx - cx) > r) | (np.abs(grid.cy - cy) > r)
-                walls = grid.walls(r)
-                bound = grid.cover(x, y, cx, cy, [w.tolist() for w in walls])
-                assert (dist[q][outside] >= bound).all()
-                # the array form, for every point at once, gives the same bounds
-                assert grid.cover(f.coords[:, 0], f.coords[:, 1], grid.cx, grid.cy, walls)[q] == bound
+        for r in range(4):
+            bounds = grid.cover(f.coords[:, 0], f.coords[:, 1], grid.cx, grid.cy, grid.walls(r))
+            for q in range(len(f)):
+                outside = (np.abs(grid.cx - grid.cx[q]) > r) | (np.abs(grid.cy - grid.cy[q]) > r)
+                assert (dist[q][outside] >= bounds[q]).all()
+
+
+@example(f=ON_A_WALL)
+@SETTINGS
+@given(f=scaled_lattices)
+def test_nn_index_stores_every_nodes_grid_covers(f):
+    # Greedy NN reads node i's cover for ring r at i * (_PAD + 1) + r; each
+    # must be the grid's own bound, bit for bit.
+    ix = routes._NnIndex(f, None)
+    grid = CellGrid(f.coords, routes._NN_PER_CELL)
+    for r in range(routes._PAD + 1):
+        want = grid.cover(f.coords[:, 0], f.coords[:, 1], grid.cx, grid.cy, grid.walls(r)).tolist()
+        assert [ix.covers[i * (routes._PAD + 1) + r] for i in range(len(f))] == want
 
 
 def nn_test_field(kind: str) -> SensorField:
@@ -210,19 +222,38 @@ def nn_test_field(kind: str) -> SensorField:
                                           ("clustered", 100, 599)])
 def test_nn_grid_search_and_full_scan_handover_match_a_scan(kind, lo, hi, monkeypatch):
     # Most uniform steps end in the ring search; most duplicate steps hand
-    # over to the full scan. Either way the route is the scan's.
+    # over to the scan of the live nodes. Either way the route is the scan's.
     f = nn_test_field(kind)
     scans = []
     real = routes._nearest_unvisited
 
-    def counting(xy, cur, visited):
+    def counting(xy, cur, alive):
         scans.append(cur)
-        return real(xy, cur, visited)
+        return real(xy, cur, alive)
 
     monkeypatch.setattr(routes, "_nearest_unvisited", counting)
     for start in (0, 299):
         assert nn_route(f, start).order == scan_nn_route(f, start)
     assert lo <= len(scans) / 2 <= hi
+
+
+def test_nn_scans_over_a_shrinking_live_array_match_a_scan(monkeypatch):
+    # Every handover compacts the live array to the unvisited nodes, so a
+    # route's scans see fewer nodes each time, and ties among duplicates
+    # still go to the lowest index.
+    f = nn_test_field("duplicates")
+    sizes = []
+    real = routes._nearest_unvisited
+
+    def recording(xy, cur, alive):
+        sizes.append(len(alive))
+        return real(xy, cur, alive)
+
+    monkeypatch.setattr(routes, "_nearest_unvisited", recording)
+    for start in range(0, 600, 23):
+        sizes.clear()
+        assert nn_route(f, start).order == scan_nn_route(f, start)
+        assert len(sizes) >= 300 and sizes == sorted(set(sizes), reverse=True)
 
 
 BUILDERS = (build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k))

@@ -107,9 +107,9 @@ def test_accelerated_equals_plain_with_exhaustive_graph():
     calls = []
     real = routes_mod._nearest_unvisited
 
-    def counting(xy, cur, visited):
+    def counting(xy, cur, alive):
         calls.append(cur)
-        return real(xy, cur, visited)
+        return real(xy, cur, alive)
 
     routes_mod._nearest_unvisited = counting
     try:
