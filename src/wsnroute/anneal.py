@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SensorField, distance_block
+from .field import SensorField, distance_block, hop_lengths
 from .routes import Route, route_length, validate_route
 
 MOVE_SWAP = "swap"
@@ -45,7 +45,7 @@ class AnnealSchedule:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.iters_per_temp < 1:
             raise ValueError(f"iters_per_temp must be >= 1, got {self.iters_per_temp}")
-        if self.initial_temp < 0.0:
+        if not self.initial_temp >= 0.0:
             raise ValueError(f"initial_temp must be >= 0, got {self.initial_temp}")
         if self.move_kind not in _MOVES:
             raise ValueError(f"move_kind must be one of {_MOVES}, got {self.move_kind!r}")
@@ -110,88 +110,139 @@ def undersized_schedule(field: SensorField, initial: Route) -> AnnealSchedule:
     )
 
 
-def _two_opt_delta(order: list[int], i: int, j: int, xs: list[float], ys: list[float], n: int, closed: bool) -> float:
-    """Length change from reversing order[i..j]; O(1), interior edges keep length.
+def _route_arrays(field: SensorField, route: Route) -> tuple[np.ndarray, np.ndarray]:
+    """The annealer's route state, indexed by route position: ``order`` and ``xyl``.
 
-    The link before i exists when ``i > 0 or closed``, the link after j when
-    ``j < n - 1 or closed``; a closed route wraps both. The wrap after j is a
-    conditional rather than ``% n``, which CPython 3.11 does not specialise
-    for ints; this runs once per proposal.
+    ``xyl`` is a (3, n + 1) array whose rows ``rx``, ``ry`` and ``lk`` hold
+    the node coordinates in route order and, in ``lk[p]``, the length of the
+    link from position p to p + 1. On a closed route ``lk[n - 1]`` is the
+    link back to position 0; on an open one it is 0.0. Each row has a pad
+    of 0.0 at position n.
+    """
+    n = len(route.order)
+    order = np.array(route.order, dtype=np.intp)
+    xyl = np.zeros((3, n + 1))
+    xyl[:2, :n] = field.coords[order].T
+    hops = hop_lengths(field.coords, order, route.closed)
+    xyl[2, : len(hops)] = hops
+    return order, xyl
+
+
+def _two_opt_delta(i: int, j: int, x, y, lk, n: int, closed: bool) -> float:
+    """Length change from reversing route positions i..j; O(1), interior links keep length.
+
+    ``x``, ``y`` and ``lk`` are the rows ``rx``, ``ry`` and ``lk`` of
+    ``_route_arrays``'s ``xyl``, read by position (memoryviews in the
+    annealer). The link before i exists when ``i > 0 or closed``, the link
+    after j when ``j < n - 1 or closed``; a closed route wraps both. The old
+    links are read from ``lk``; only the new ones take a square root. The
+    wraps are conditionals rather than ``% n``, which CPython 3.11 does not
+    specialise for ints; this runs once per proposal.
     """
     if closed and (j - i + 1) >= n:
         return 0.0
-    oi = order[i]
-    oj = order[j]
     delta = 0.0
     if i > 0 or closed:
-        p = order[i - 1]
-        dxa = xs[p] - xs[oj]
-        dya = ys[p] - ys[oj]
-        dxc = xs[p] - xs[oi]
-        dyc = ys[p] - ys[oi]
-        delta += math.sqrt(dxa * dxa + dya * dya) - math.sqrt(dxc * dxc + dyc * dyc)
+        p = i - 1 if i else n - 1
+        dxa = x[p] - x[j]
+        dya = y[p] - y[j]
+        delta += math.sqrt(dxa * dxa + dya * dya) - lk[p]
     if j < n - 1 or closed:
-        q = order[j + 1] if j < n - 1 else order[0]
-        dxb = xs[oi] - xs[q]
-        dyb = ys[oi] - ys[q]
-        dxd = xs[oj] - xs[q]
-        dyd = ys[oj] - ys[q]
-        delta += math.sqrt(dxb * dxb + dyb * dyb) - math.sqrt(dxd * dxd + dyd * dyd)
+        q = j + 1 if j < n - 1 else 0
+        dxb = x[i] - x[q]
+        dyb = y[i] - y[q]
+        delta += math.sqrt(dxb * dxb + dyb * dyb) - lk[j]
     return delta
 
 
-def _swap_delta(order: list[int], i: int, j: int, xs: list[float], ys: list[float], n: int, closed: bool) -> float:
-    """Length change from exchanging order[i] and order[j], i < j; O(1).
+def _swap_delta(i: int, j: int, x, y, lk, n: int, closed: bool) -> float:
+    """Length change from exchanging the nodes at route positions i < j; O(1).
 
     Neighbouring positions are a two-node reversal. Otherwise each node takes
-    over the other's links: the outer ones change as in reversing
-    order[i..j], and the inner neighbours order[i + 1] and order[j - 1] trade
-    one node for the other. On a closed route this covers positions 0 and
-    n - 1 too: reversing the whole cycle changes nothing, and their shared
-    link stays.
+    over the other's links: the outer ones change as in reversing positions
+    i..j, and the inner neighbours at i + 1 and j - 1 trade one node for the
+    other. On a closed route this covers positions 0 and n - 1 too:
+    reversing the whole cycle changes nothing, and their shared link stays.
     """
     if j == i + 1:
-        return _two_opt_delta(order, i, j, xs, ys, n, closed)
-    a = order[i]
-    b = order[j]
-    r = order[i + 1]
-    s = order[j - 1]
-    dxa = xs[b] - xs[r]
-    dya = ys[b] - ys[r]
-    dxc = xs[a] - xs[r]
-    dyc = ys[a] - ys[r]
-    dxb = xs[a] - xs[s]
-    dyb = ys[a] - ys[s]
-    dxd = xs[b] - xs[s]
-    dyd = ys[b] - ys[s]
-    inner = math.sqrt(dxa * dxa + dya * dya) - math.sqrt(dxc * dxc + dyc * dyc)
-    inner += math.sqrt(dxb * dxb + dyb * dyb) - math.sqrt(dxd * dxd + dyd * dyd)
-    return _two_opt_delta(order, i, j, xs, ys, n, closed) + inner
+        return _two_opt_delta(i, j, x, y, lk, n, closed)
+    r = i + 1
+    s = j - 1
+    dxa = x[j] - x[r]
+    dya = y[j] - y[r]
+    dxb = x[i] - x[s]
+    dyb = y[i] - y[s]
+    inner = math.sqrt(dxa * dxa + dya * dya) - lk[i]
+    inner += math.sqrt(dxb * dxb + dyb * dyb) - lk[s]
+    return _two_opt_delta(i, j, x, y, lk, n, closed) + inner
 
 
-# Proposals are drawn _DRAW at a time. After _QUIET_STREAK rejections in a row
-# the annealer scores them in numpy runs, the first _FIRST_RUN long and each
-# later one twice the last, up to _LONGEST_RUN. A run whose accepted proposal
-# lies _STAY or more into it is followed at once by a new run of _FIRST_RUN;
-# an accept sooner than that hands the loop back to scalar proposals. At
-# n=2000, runs of 4096 or more cost more per proposal than runs of 1024.
+def _apply_move(order: np.ndarray, xyl: np.ndarray, views: tuple, i: int, j: int, closed: bool, two_opt: bool) -> None:
+    """Reverse route positions i..j (2-opt) or swap positions i and j, in place.
+
+    ``order`` and ``xyl`` are ``_route_arrays``'s, and ``views`` the
+    memoryviews of the rows of ``xyl``. A reversal reverses the links inside
+    it, ``lk[i:j]``; then each link the move relinks gets its length again
+    from the moved coordinates. The operands are those of the move's delta
+    up to sign, so ``lk`` stays equal to ``hop_lengths`` of the new order,
+    bit for bit.
+    """
+    x, y, lk = views
+    n = len(order)
+    if two_opt:
+        stop = i - 1 if i else None
+        order[i : j + 1] = order[j:stop:-1]
+        xyl[:2, i : j + 1] = xyl[:2, j:stop:-1]
+        xyl[2, i:j] = xyl[2, j - 1 : stop : -1]
+        relinked = (i - 1, j)
+    else:
+        order[i], order[j] = order[j], order[i]
+        x[i], x[j] = x[j], x[i]
+        y[i], y[j] = y[j], y[i]
+        relinked = (i - 1, i, j - 1, j)
+    for p in relinked:
+        if p < 0:
+            if not closed:
+                continue
+            p = n - 1
+        elif p == n - 1 and not closed:
+            continue
+        q = p + 1 if p < n - 1 else 0
+        dx = x[p] - x[q]
+        dy = y[p] - y[q]
+        lk[p] = math.sqrt(dx * dx + dy * dy)
+
+
+# Proposals are drawn _DRAW at a time, and turned into Python lists _BLOCK at
+# a time, only where the scalar path reads them. After _QUIET_STREAK
+# rejections in a row the annealer scores proposals in numpy runs, the first
+# _FIRST_RUN long and each later one twice the last, up to _LONGEST_RUN. A
+# run whose accepted proposal lies _STAY or more into it is followed at once
+# by a new run of _FIRST_RUN; an accept sooner than that hands the loop back
+# to scalar proposals. At n=2000, runs of 4096 or more cost more per proposal
+# than runs of 1024. The streak, the first run and the stay were tuned at
+# n=2000 under --paper-budget, where a run costs about as much as ten scalar
+# proposals; they move no output, only which path scores a proposal.
 _DRAW = 8192
-_QUIET_STREAK = 48
-_FIRST_RUN = 64
+_BLOCK = 256
+_QUIET_STREAK = 16
+_FIRST_RUN = 128
 _LONGEST_RUN = 1024
-_STAY = 16
+_STAY = 8
 
 
 def _link_ends(ij: np.ndarray, n: int, closed: bool, two_opt: bool) -> np.ndarray:
-    """Route positions of the ends of every link each move (i, j), i < j, of ``ij`` relinks.
+    """Where the links each move (i, j), i < j, of ``ij`` relinks are found in the flat ``xyl``.
 
-    Row l of the result is link l's head and row L + l its tail, for the
-    L = 4 links of ``_two_opt_delta`` or the L = 8 of ``_swap_delta``, in
-    their order: each new link, then the old link it replaces. A closed
-    route wraps position -1 to n - 1 and n to 0. A link the move lacks has
-    both ends at the pad, position n, so that its length is exactly 0.0:
-    the links before an open route's start and after its end, every 2-opt
-    link of a closed route's whole-cycle reversal, and a swap of
+    There are L = 2 links for ``_two_opt_delta`` and L = 4 for
+    ``_swap_delta``, in their order. Rows 0..L-1 of the result index the x
+    of each new link's head, rows L..2L-1 its y, rows 2L..4L-1 the x and y
+    of its tail, and rows 4L..5L-1 the length of the old link it replaces,
+    all in ``_route_arrays``'s ``xyl.reshape(-1)``. A closed route wraps
+    position -1 to n - 1 and n to 0. A link the move lacks is at the pad,
+    position n, in every row, so that its new and old lengths are exactly
+    0.0: the links before an open route's start and after its end, every
+    2-opt link of a closed route's whole-cycle reversal, and a swap of
     neighbours' inner links.
     """
     i, j = ij
@@ -204,43 +255,46 @@ def _link_ends(ij: np.ndarray, n: int, closed: bool, two_opt: bool) -> np.ndarra
     else:
         before = i == 0
         after = j == n - 1
-    heads = [p, p, i, j]
-    tails = [j, i, q, q]
+    heads = [p, i]
+    tails = [j, q]
+    old = [p, j]
     if not two_opt:
-        heads += [j, i, i, j]
-        tails += [i + 1, i + 1, j - 1, j - 1]
-    ends = np.array([heads, tails])
-    ends[:, :2, before] = n
-    ends[:, 2:4, after] = n
+        heads += [j, i]
+        tails += [i + 1, j - 1]
+        old += [i, j - 1]
+    ends = np.array([heads, tails, old])
+    ends[:, 0, before] = n
+    ends[:, 1, after] = n
     if not two_opt:
-        ends[:, 4:, j == i + 1] = n
-    return ends.reshape(-1, ij.shape[1])
+        ends[:, 2:, j == i + 1] = n
+    heads, tails, old = ends
+    w = n + 1
+    return np.concatenate((heads, heads + w, tails, tails + w, old + 2 * w))
 
 
-def _run_deltas(rx: np.ndarray, ry: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _run_deltas(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """``_two_opt_delta`` or ``_swap_delta`` of each column of ``ends``, from ``_link_ends``.
 
-    ``rx`` and ``ry`` hold the route's coordinates in route order and 0.0
-    at the pad. Each entry is the scalar function's value bit for bit: the
-    same differences, squares, correctly rounded square roots and additions
-    in the same order. A pad link adds 0.0 - 0.0, and x + 0.0 is x, because
-    a difference of square roots is never -0.0.
+    ``flat`` is ``_route_arrays``'s ``xyl.reshape(-1)``, with 0.0 at the
+    pads. Each entry is the scalar function's value bit for bit: the same
+    differences, squares, correctly rounded square roots, old link lengths
+    and additions in the same order. A pad link adds 0.0 - 0.0, and x + 0.0
+    is x, because a difference of a square root and a link length is never
+    -0.0.
     """
-    links = len(ends) // 2
-    x = rx[ends]
-    y = ry[ends]
+    links = len(ends) // 5
+    g = flat[ends]
     # in place on the head rows, so a run holds few temporaries
-    dx = x[:links]
-    dx -= x[links:]
-    dx *= dx
-    dy = y[:links]
-    dy -= y[links:]
-    dy *= dy
-    dx += dy
-    d = np.sqrt(dx, out=dx)
-    delta = (d[0] - d[1]) + (d[2] - d[3])
-    if links == 8:
-        delta += (d[4] - d[5]) + (d[6] - d[7])
+    d = g[: 2 * links]
+    d -= g[2 * links : 4 * links]
+    d *= d
+    s = d[:links]
+    s += d[links:]
+    np.sqrt(s, out=s)
+    s -= g[4 * links :]
+    delta = s[0] + s[1]
+    if links == 4:
+        delta += s[2] + s[3]
     return delta
 
 
@@ -281,31 +335,31 @@ def sa_route(
     ``final_temp``, and ``stop``: ``"min_temp"`` when T fell below
     ``min_temp``, else ``"budget"``.
 
+    The route lives only in the position-indexed arrays of
+    ``_route_arrays``: the order, the coordinates in route order and the
+    link lengths, which every accept keeps up to date (``_apply_move``).
     Most proposals are rejected, in long quiet stretches. After
     ``_QUIET_STREAK`` rejections in a row, proposals are scored in numpy
     runs against the unchanged route; a run never crosses a cooling level or
     the end of a draw of ``_DRAW`` proposals. An accept ``_STAY`` or more
     proposals into a run starts the next run at once; a sooner one hands the
-    loop back to scalar proposals. Runs read the route's coordinates in
-    route order, ``rx`` and ``ry``, and the route positions of every link a
-    move relinks, found once per draw. The result is the scalar loop's, bit
-    for bit: the draws are the same, every delta is computed with the same
-    IEEE operations, and numpy only picks candidates, with a test
-    (``-delta/T > log(u) - 1e-9``) that admits every proposal the scalar
-    test accepts. Each candidate is then decided by that scalar test,
-    ``math.exp`` included.
+    loop back to scalar proposals, which read the arrays through
+    memoryviews and the proposals from lists made ``_BLOCK`` at a time. Runs
+    read the positions of every link a move relinks, found once per draw.
+    The result is the scalar loop's, bit for bit: the draws are the same,
+    every delta is computed with the same IEEE operations, and numpy only
+    picks candidates, with a test (``-delta/T > log(u) - 1e-9``) that admits
+    every proposal the scalar test accepts. Each candidate is then decided
+    by that scalar test, ``math.exp`` included.
     """
     schedule.validate()
     validate_route(field, initial)
     n = len(initial.order)
-    order = list(initial.order)
     closed = initial.closed
     budget = schedule.max_iters if n > 1 else 0  # one node has no move
-    xs = field.coords[:, 0].tolist()
-    ys = field.coords[:, 1].tolist()
-    # node coordinates in route order, with the pad at n
-    rx = np.append(field.coords[order, 0], 0.0)
-    ry = np.append(field.coords[order, 1], 0.0)
+    order, xyl = _route_arrays(field, initial)
+    flat = xyl.reshape(-1)
+    views = x, y, lk = tuple(memoryview(row) for row in xyl)
     rng = np.random.Generator(np.random.PCG64(seed))
     cur_len = route_length(field, initial)
     best_len = cur_len
@@ -315,7 +369,7 @@ def sa_route(
     per_level = schedule.iters_per_temp
     temp = schedule.initial_temp
     it = accepted = uphill = numpy_scored = runs = 0
-    pos = m = 0
+    pos = m = block_end = base = 0
     quiet = 0
     run = _FIRST_RUN
     # -delta / T overflows to -inf at tiny T; the candidate test wants that
@@ -325,29 +379,32 @@ def sa_route(
                 m = min(_DRAW, budget - it)
                 ij, u, log_u = _draw(rng, n, m)
                 ends = _link_ends(ij, n, closed, two_opt)
-                buf_i = ij[0].tolist()
-                buf_j = ij[1].tolist()
-                buf_u = u.tolist()
-                pos = 0
+                pos = block_end = 0
             if quiet < _QUIET_STREAK:
+                if pos >= block_end:
+                    base = pos
+                    block_end = min(pos + _BLOCK, m)
+                    buf_i = ij[0, base:block_end].tolist()
+                    buf_j = ij[1, base:block_end].tolist()
+                    buf_u = u[base:block_end].tolist()
                 step = 1
-                i = buf_i[pos]
-                j = buf_j[pos]
-                delta = move_delta(order, i, j, xs, ys, n, closed)
-                accept = delta <= 0.0 or buf_u[pos] < math.exp(-delta / temp)
+                i = buf_i[pos - base]
+                j = buf_j[pos - base]
+                delta = move_delta(i, j, x, y, lk, n, closed)
+                accept = delta <= 0.0 or buf_u[pos - base] < math.exp(-delta / temp)
             else:
                 step = min(run, m - pos, per_level - it % per_level)
-                deltas = _run_deltas(rx, ry, ends[:, pos : pos + step])
+                deltas = _run_deltas(flat, ends[:, pos : pos + step])
                 # deltas / -T is -delta / T bit for bit: the sign is set apart from the rounding
-                picks = np.flatnonzero(deltas / -temp > log_u[pos : pos + step])
+                picks = (deltas / -temp > log_u[pos : pos + step]).nonzero()[0]
                 accept = False
                 for c in picks.tolist():
                     delta = float(deltas[c])
-                    if delta <= 0.0 or buf_u[pos + c] < math.exp(-delta / temp):
+                    if delta <= 0.0 or float(u[pos + c]) < math.exp(-delta / temp):
                         accept = True
                         step = c + 1
-                        i = buf_i[pos + c]
-                        j = buf_j[pos + c]
+                        i = int(ij[0, pos + c])
+                        j = int(ij[1, pos + c])
                         break
                 runs += 1
                 numpy_scored += step
@@ -359,14 +416,7 @@ def sa_route(
             if accept:
                 if best_order is order and not cur_len + delta < best_len:
                     best_order = order.copy()
-                if two_opt:
-                    order[i : j + 1] = order[j : i - 1 if i else None : -1]
-                    rx[i : j + 1] = rx[i : j + 1][::-1]
-                    ry[i : j + 1] = ry[i : j + 1][::-1]
-                else:
-                    order[i], order[j] = order[j], order[i]
-                    rx[i], rx[j] = rx[j], rx[i]
-                    ry[i], ry[j] = ry[j], ry[i]
+                _apply_move(order, xyl, views, i, j, closed, two_opt)
                 cur_len += delta
                 if cur_len < best_len:
                     best_len = cur_len
@@ -395,7 +445,7 @@ def sa_route(
         )
     # cur_len drifts by at most ~1 ulp per accepted move; the exact final
     # comparison keeps the non-increase guarantee unconditional.
-    best = Route(order=best_order, closed=closed)
+    best = Route(order=best_order.tolist(), closed=closed)
     if route_length(field, best) <= route_length(field, initial):
         return best
     return Route(order=list(initial.order), closed=closed)

@@ -21,12 +21,15 @@ from wsnroute import anneal
 from wsnroute.anneal import (
     MOVE_SWAP,
     MOVE_TWO_OPT,
+    _apply_move,
+    _route_arrays,
     _swap_delta,
     _two_opt_delta,
     default_schedule,
     undersized_schedule,
 )
 from wsnroute.bench import random_initial_route
+from wsnroute.field import hop_lengths
 
 
 def tiny_schedule(max_iters=2000, move_kind=MOVE_TWO_OPT, initial_temp=1.0):
@@ -91,6 +94,7 @@ def test_schedule_rejects_bad_values():
         dict(max_iters=-1),
         dict(iters_per_temp=0),
         dict(initial_temp=-1.0),
+        dict(initial_temp=math.nan),
         dict(move_kind="three_opt"),
     ):
         with pytest.raises(ValueError):
@@ -110,14 +114,12 @@ def test_move_deltas_match_exact_length_change(n, closed):
     ij = np.array(pairs).T
     for _ in range(20):
         f = SensorField(coords=rng.random((n, 2)) * 1000, width=1000, height=1000)
-        xs = f.coords[:, 0].tolist()
-        ys = f.coords[:, 1].tolist()
         order = [int(v) for v in rng.permutation(n)]
         before = route_length(f, Route(order=order, closed=closed))
-        rx = np.append(f.coords[order, 0], 0.0)
-        ry = np.append(f.coords[order, 1], 0.0)
+        _, xyl = _route_arrays(f, Route(order=order, closed=closed))
+        x, y, lk = (memoryview(row) for row in xyl)
         batched = {
-            delta: anneal._run_deltas(rx, ry, anneal._link_ends(ij, n, closed, two_opt)).tolist()
+            delta: anneal._run_deltas(xyl.reshape(-1), anneal._link_ends(ij, n, closed, two_opt)).tolist()
             for delta, two_opt in ((_two_opt_delta, True), (_swap_delta, False))
         }
         for k, (i, j) in enumerate(pairs):
@@ -126,9 +128,40 @@ def test_move_deltas_match_exact_length_change(n, closed):
             swapped[i], swapped[j] = swapped[j], swapped[i]
             for delta, after in ((_two_opt_delta, reversed_), (_swap_delta, swapped)):
                 exact = route_length(f, Route(order=after, closed=closed)) - before
-                got = delta(order, i, j, xs, ys, n, closed)
+                got = delta(i, j, x, y, lk, n, closed)
                 assert got == pytest.approx(exact, abs=1e-9), (delta.__name__, order, i, j)
                 assert batched[delta][k] == got, (delta.__name__, order, i, j)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("two_opt", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
+def test_accepted_moves_keep_link_lengths_exact(n, two_opt, closed):
+    # after every move the route arrays are those of the new order: the
+    # coordinates, and each link's length bit for bit as hop_lengths gives it
+    rng = np.random.default_rng(10 * n + 2 * two_opt + closed)
+    f = SensorField(coords=rng.random((n, 2)) * 1000, width=1000, height=1000)
+    order = [int(v) for v in rng.permutation(n)]
+    got_order, xyl = _route_arrays(f, Route(order=order, closed=closed))
+    views = tuple(memoryview(row) for row in xyl)
+    # the 0 / n - 1 seam first, then neighbours, then any pair
+    moves = [(0, n - 1), (0, 1), (n - 2, n - 1)] + [tuple(sorted(rng.choice(n, 2, replace=False)))
+                                                    for _ in range(200)]
+    hops = n if closed else n - 1
+    for i, j in moves:
+        i, j = int(i), int(j)
+        if two_opt:
+            order[i : j + 1] = order[i : j + 1][::-1]
+        else:
+            order[i], order[j] = order[j], order[i]
+        _apply_move(got_order, xyl, views, i, j, closed, two_opt)
+        rx, ry, lk = xyl
+        assert got_order.tolist() == order, (i, j)
+        assert rx[:n].tolist() == f.coords[order, 0].tolist()
+        assert ry[:n].tolist() == f.coords[order, 1].tolist()
+        assert lk[:hops].tobytes() == hop_lengths(f.coords, order, closed).tobytes(), (order, i, j)
+        assert (rx[n], ry[n], lk[n]) == (0.0, 0.0, 0.0)
+        assert lk[n - 1] == 0.0 or closed
 
 
 # --- annealer behavior ---
@@ -237,6 +270,51 @@ def test_undersized_schedule_caps_budget():
 # --- the batched annealer against the scalar loop it replaced ---
 
 
+def _ref_two_opt_delta(order, i, j, xs, ys, n, closed):
+    """Length change from reversing order[i..j], read through node-indexed coordinates."""
+    if closed and (j - i + 1) >= n:
+        return 0.0
+    oi = order[i]
+    oj = order[j]
+    delta = 0.0
+    if i > 0 or closed:
+        p = order[i - 1]
+        dxa = xs[p] - xs[oj]
+        dya = ys[p] - ys[oj]
+        dxc = xs[p] - xs[oi]
+        dyc = ys[p] - ys[oi]
+        delta += math.sqrt(dxa * dxa + dya * dya) - math.sqrt(dxc * dxc + dyc * dyc)
+    if j < n - 1 or closed:
+        q = order[j + 1] if j < n - 1 else order[0]
+        dxb = xs[oi] - xs[q]
+        dyb = ys[oi] - ys[q]
+        dxd = xs[oj] - xs[q]
+        dyd = ys[oj] - ys[q]
+        delta += math.sqrt(dxb * dxb + dyb * dyb) - math.sqrt(dxd * dxd + dyd * dyd)
+    return delta
+
+
+def _ref_swap_delta(order, i, j, xs, ys, n, closed):
+    """Length change from exchanging order[i] and order[j], i < j, read through node-indexed coordinates."""
+    if j == i + 1:
+        return _ref_two_opt_delta(order, i, j, xs, ys, n, closed)
+    a = order[i]
+    b = order[j]
+    r = order[i + 1]
+    s = order[j - 1]
+    dxa = xs[b] - xs[r]
+    dya = ys[b] - ys[r]
+    dxc = xs[a] - xs[r]
+    dyc = ys[a] - ys[r]
+    dxb = xs[a] - xs[s]
+    dyb = ys[a] - ys[s]
+    dxd = xs[b] - xs[s]
+    dyd = ys[b] - ys[s]
+    inner = math.sqrt(dxa * dxa + dya * dya) - math.sqrt(dxc * dxc + dyc * dyc)
+    inner += math.sqrt(dxb * dxb + dyb * dyb) - math.sqrt(dxd * dxd + dyd * dyd)
+    return _ref_two_opt_delta(order, i, j, xs, ys, n, closed) + inner
+
+
 def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
     """``sa_route`` as a plain scalar loop: one proposal, one delta, one test.
 
@@ -255,7 +333,7 @@ def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
     best_len = cur_len
     best_order = list(order)
     two_opt = schedule.move_kind == MOVE_TWO_OPT
-    move_delta = _two_opt_delta if two_opt else _swap_delta
+    move_delta = _ref_two_opt_delta if two_opt else _ref_swap_delta
     temp = schedule.initial_temp
     it = 0
     buf_i: list[int] = []

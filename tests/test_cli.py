@@ -185,6 +185,13 @@ def test_sa_nn_init_with_paper_budget(capsys):
     assert len(out.splitlines()) == 26
 
 
+def test_sa_nan_initial_temp_is_runtime_error(capsys):
+    code, out, err = run_cli(capsys, "sa", "--n", "50", "--seed", "3", "--sa-initial-temp", "nan")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "initial_temp" in err
+
+
 def test_simulate_json_report(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("initial_battery_j = 0.001\npacket_bits = 1000\n")

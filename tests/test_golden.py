@@ -36,7 +36,6 @@ CASES = {
     "knn-chunk-7": ["knn", "--n", "40", "--seed", "6", "--k", "5", "--chunk-size", "7"],
     "knn-chunk-gt-n": ["knn", "--n", "40", "--seed", "6", "--k", "5", "--chunk-size", "64"],
     # The dump's (source, weight, target) order through lattice ties.
-    "knn-input-outlier": "d8a9208fa3799c25f69c4c969f006bde47918939146444880fe8be0db70fae12",
     "knn-input-lattice": ["knn", "--input", "{lattice}", "--k", "4"],
     "nn-input-closed": ["nn", "--input", "{field}", "--start", "3", "--closed"],
     "sa-swap": ["sa", "--n", "30", "--width", "400", "--height", "400", "--seed", "11",
@@ -79,6 +78,11 @@ CASES = {
     # Long enough for quiet stretches, so the annealer scores proposals in numpy runs.
     "sa-paper-budget-n300": ["sa", "--n", "300", "--seed", "4", "--paper-budget"],
     "sa-swap-closed-n200": ["sa", "--n", "200", "--seed", "3", "--sa-move", "swap", "--closed"],
+    # Accepted 2-opt moves reverse slices thousands of positions long.
+    "sa-paper-budget-n10000": ["sa", "--n", "10000", "--seed", "1", "--paper-budget",
+                               "--sa-max-iters", "200000"],
+    "sa-swap-closed-paper-budget-n10000": ["sa", "--n", "10000", "--seed", "2", "--sa-move", "swap",
+                                           "--closed", "--paper-budget", "--sa-max-iters", "100000"],
     "bench-json-knn": ["bench", "--n", "30", "--width", "500", "--height", "500",
                        "--seeds", "4,7", "--k", "5", "--preset", "generous", "--format", "json"],
 }
@@ -100,6 +104,8 @@ DIGESTS = {
     "nn-n3000": "9553da1648f0050da23d392cef7423de254020f4396ae259f18acb4c9ef24cb2",
     "sa-nn-init-closed": "ac3ab4af1c1e54741abce984d3248745e6bffce582c3e44abf3d08ae8083177a",
     "sa-paper-budget-n300": "3d7c823a34dfa770cb607c39e951d9e1a740a2671d178a3a549f8acc39c75c9a",
+    "sa-paper-budget-n10000": "30d02ca785a928a82fea2249c33fdb2f2aa498cdc5aeeb097695d5878973821d",
+    "sa-swap-closed-paper-budget-n10000": "b2b9dd47f5c240c59a7fa3f0cb1717c268bde26b673b23b3e179c8f1da6b9360",
     "sa-swap": "d7d8d6766ea19fd64c06615315034b24a4649f27c7049069c30b2f1899434ccc",
     "sa-swap-closed-n200": "e39fcf4f58e72c248bb7ab4d62e5496ba538acff5f900ce643019c890d15dbd4",
     "simulate-fixed-csv": "3a27c3cc521bbe492398c87dbc137f36d46151698a4fe9798dda85a311cc71a4",
