@@ -27,7 +27,6 @@ from .energy import (
     DeadNodeError,
     DelayParams,
     EnergyConfig,
-    EnergyState,
     LinkCostParams,
     RadioParams,
     link_cost,

@@ -22,7 +22,7 @@ from .bench import (
     random_initial_route,
     run_experiment,
 )
-from .energy import DeadNodeError, EnergyConfig, EnergyState, parse_config
+from .energy import DeadNodeError, EnergyConfig, parse_config
 from .field import DatasetError, SensorField, generate_uniform, parse_dataset, write_dataset
 from .knn import build_knn_graph, dump_graph
 from .lifetime import simulate_lifetime
@@ -211,9 +211,8 @@ def _cmd_simulate(args, parser) -> int:
                      "rotate-start starts round r at node r mod n")
     fld = _resolve_field(args, parser)
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8")) if args.config else EnergyConfig()
-    state = EnergyState.fresh(len(fld), cfg.initial_battery_j)
     route = None if args.start is None else nn_route(fld, args.start)
-    report = simulate_lifetime(fld, args.policy, state, cfg.radio, cfg.delay, args.rounds, route=route)
+    report = simulate_lifetime(fld, args.policy, cfg, args.rounds, route=route)
     if report.rounds_completed == 0 and report.first_death_round == 1:
         print(f"warning: no round completed; nodes ran out of energy in round 1 on the "
               f"{cfg.initial_battery_j!r} J initial battery (set initial_battery_j in --config)",

@@ -7,13 +7,14 @@ Implements the first-order radio model:
 
 and a weighted link cost combining normalized transmission energy, the
 receiver's depleted battery fraction, and a distance-saturating error term.
-The delay model's parameters live here too, so that ``EnergyConfig`` holds
-everything the simulate workflow reads. The defaults below are workbench
-conventions, not measured hardware values; everything is configurable,
-including via a flat key=value file.
-
-All functions here are pure; battery state is mutated only by the lifetime
-simulator.
+The delay model's parameters and the battery level live here too, so that
+one ``EnergyConfig`` holds every setting simulate and the link cost read.
+The defaults below are workbench conventions, not measured hardware values;
+everything is configurable, including via a flat key=value file. Each
+setting is checked where it is built: finite and in range, never NaN;
+only ``d_max_s`` may be +inf. Residual battery is one float64 array of
+joules per node, which the lifetime simulator drains; the functions here
+are pure and only read one.
 
 Args conventions: energies in joules, distances in meters (field units),
 packet sizes in bits.
@@ -24,10 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .field import SensorField, hop_lengths
 from .routes import Route, validate_route
 
 _LN2 = math.log(2.0)
+
+
+def _check_positive(what: str, **values: float) -> None:
+    """Raise ValueError unless every value is positive and finite; NaN fails every comparison."""
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise ValueError(f"{what} {name} must be positive and finite, got {v!r}")
 
 
 class DeadNodeError(RuntimeError):
@@ -51,8 +61,7 @@ class RadioParams:
     packet_bits: int = 2000
 
     def __post_init__(self):
-        if self.e_elec <= 0 or self.eps_amp <= 0 or self.packet_bits <= 0:
-            raise ValueError("radio parameters must be positive")
+        _check_positive("radio parameter", e_elec=self.e_elec, eps_amp=self.eps_amp, packet_bits=self.packet_bits)
         if not 2.0 <= self.alpha <= 4.0:
             raise ValueError(f"alpha must be in [2, 4], got {self.alpha}")
 
@@ -71,41 +80,26 @@ class LinkCostParams:
     error_ref_distance: float = 100.0
 
     def __post_init__(self):
-        if min(self.w_energy, self.w_reserve, self.w_error) < 0:
-            raise ValueError("link cost weights must be >= 0")
+        for name in ("w_energy", "w_reserve", "w_error"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"link cost weight {name} must be finite and >= 0, got {getattr(self, name)!r}")
         if self.w_energy == self.w_reserve == self.w_error == 0:
             raise ValueError("at least one link cost weight must be nonzero")
-        if self.error_ref_distance <= 0:
-            raise ValueError("error_ref_distance must be positive")
+        _check_positive("link cost parameter", error_ref_distance=self.error_ref_distance)
 
 
 @dataclass(frozen=True)
 class DelayParams:
-    """Per-hop delay model and the end-to-end deadline (seconds, meters/second)."""
+    """Per-hop delay model and the end-to-end deadline (seconds, meters/second); no deadline is +inf."""
 
     per_hop_s: float = 1e-3
     prop_speed: float = 3e8
     d_max_s: float = math.inf
 
     def __post_init__(self):
-        if self.per_hop_s <= 0 or self.prop_speed <= 0 or self.d_max_s <= 0:
-            raise ValueError("delay parameters must be positive")
-
-
-@dataclass
-class EnergyState:
-    """Per-node residual battery; all nodes start at the same level."""
-
-    initial_j: float
-    residual_j: list[float]
-
-    @classmethod
-    def fresh(cls, n: int, initial_j: float) -> "EnergyState":
-        if n < 1:
-            raise ValueError(f"need at least one node, got n={n}")
-        if initial_j <= 0:
-            raise ValueError(f"initial battery must be positive, got {initial_j}")
-        return cls(initial_j=initial_j, residual_j=[initial_j] * n)
+        _check_positive("delay parameter", per_hop_s=self.per_hop_s, prop_speed=self.prop_speed)
+        if not self.d_max_s > 0:
+            raise ValueError(f"delay parameter d_max_s must be positive, got {self.d_max_s!r}")
 
 
 def tx_energy(p: RadioParams, bits: int, d: float) -> float:
@@ -132,32 +126,29 @@ def per_link_error(d: float, ref: float) -> float:
     return 1.0 - math.exp(-_LN2 * d / ref)
 
 
-def link_cost(
-    field: SensorField,
-    i: int,
-    j: int,
-    state: EnergyState,
-    rp: RadioParams,
-    lcp: LinkCostParams,
-) -> float:
+def link_cost(field: SensorField, i: int, j: int, residual: np.ndarray, cfg: EnergyConfig) -> float:
     """Composite cost of sending one packet from node i to node j.
 
-    Sum of: w_energy * tx energy normalized so a link at error_ref_distance
-    costs exactly 1; w_reserve * receiver's depleted battery fraction;
-    w_error * the per-link error term.
+    ``residual`` holds each node's remaining battery in joules. Sum of, with
+    the weights of ``cfg.link``: w_energy * tx energy normalized so a link at
+    error_ref_distance costs exactly 1; w_reserve * the receiver's depleted
+    fraction of ``cfg.initial_battery_j``; w_error * the per-link error term.
     """
     if i == j:
         raise ValueError(f"link endpoints must differ, got i == j == {i}")
-    return _hop_cost(hop_lengths(field.coords, (i, j)).item(), i, j, state, rp, lcp)
+    if len(residual) != len(field):
+        raise ValueError(f"residual holds {len(residual)} nodes, field has {len(field)}")
+    return _hop_cost(hop_lengths(field.coords, (i, j)).item(), i, j, residual, cfg)
 
 
-def _hop_cost(d: float, i: int, j: int, state: EnergyState, rp: RadioParams, lcp: LinkCostParams) -> float:
+def _hop_cost(d: float, i: int, j: int, residual: np.ndarray, cfg: EnergyConfig) -> float:
     """:func:`link_cost` of a hop from i to j whose length ``d`` is already known."""
-    if state.residual_j[i] <= 0:
+    if residual[i] <= 0:
         raise DeadNodeError(f"node {i} has no residual energy")
+    rp, lcp = cfg.radio, cfg.link
     e_norm = tx_energy(rp, rp.packet_bits, lcp.error_ref_distance)
     energy_term = tx_energy(rp, rp.packet_bits, d) / e_norm
-    reserve_term = 1.0 - state.residual_j[j] / state.initial_j
+    reserve_term = 1.0 - float(residual[j]) / cfg.initial_battery_j
     return (
         lcp.w_energy * energy_term
         + lcp.w_reserve * reserve_term
@@ -165,36 +156,38 @@ def _hop_cost(d: float, i: int, j: int, state: EnergyState, rp: RadioParams, lcp
     )
 
 
-def route_cost(
-    field: SensorField,
-    route: Route,
-    state: EnergyState,
-    rp: RadioParams,
-    lcp: LinkCostParams,
-) -> float:
+def route_cost(field: SensorField, route: Route, residual: np.ndarray, cfg: EnergyConfig) -> float:
     """Sum of link costs over consecutive pairs (plus the closing link iff closed).
 
     Note this is not geometric length: with weights (1,0,0) and alpha=2 it
     ranks routes by the sum of squared hop distances.
     """
     validate_route(field, route)
+    if len(residual) != len(field):
+        raise ValueError(f"residual holds {len(residual)} nodes, field has {len(field)}")
     order = route.order
     lengths = hop_lengths(field.coords, order, route.closed).tolist()
     total = 0.0
     # zip stops after the last hop, so order[:1] is the closing receiver iff closed.
     for a, b, d in zip(order, order[1:] + order[:1], lengths):
-        total += _hop_cost(d, a, b, state, rp, lcp)
+        total += _hop_cost(d, a, b, residual, cfg)
     return total
 
 
 @dataclass(frozen=True)
 class EnergyConfig:
-    """Everything the simulate workflow needs, loadable from key=value text."""
+    """Every setting of simulate and the link cost, loadable from key=value text.
+
+    ``initial_battery_j`` is every node's battery at the start, in joules.
+    """
 
     radio: RadioParams = RadioParams()
     link: LinkCostParams = LinkCostParams()
     delay: DelayParams = DelayParams()
     initial_battery_j: float = 0.5
+
+    def __post_init__(self):
+        _check_positive("battery", initial_battery_j=self.initial_battery_j)
 
 
 # key -> (the dataclass that owns it, int or float as the field is declared)

@@ -2,7 +2,7 @@
 
 Every builder returns a finished :class:`KnnGraph`: two read-only (n, k)
 arrays whose row i holds node i's k nearest other nodes, ordered by
-(weight, target).
+(weight, target), and the field they were measured on.
 
 :func:`build_knn_graph` buckets the nodes into a uniform cell grid of about
 k nodes to a cell (:mod:`wsnroute.grid`). A tile is the next chunk_size
@@ -33,7 +33,7 @@ encodes the same rule, and all three builds give the same graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -52,11 +52,14 @@ class KnnGraph:
     (weight, target), so the first slot whose target passes a test is the
     nearest node that does; among exact distance ties the lowest target
     index is kept. Every weight is finite and not below 0. Construction
-    raises ValueError otherwise.
+    raises ValueError otherwise. ``field`` is the field a builder measured
+    the rows on; it is None on a graph constructed by hand, which nothing
+    checks to hold a field's nearest nodes, and which ``nn_route`` refuses.
     """
 
     targets: np.ndarray
     weights: np.ndarray
+    field: SensorField | None = dc_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         targets = np.array(self.targets, dtype=np.intp)
@@ -85,6 +88,13 @@ class KnnGraph:
     def neighbor_set(self, row: int) -> set[tuple[int, float]]:
         """The row's neighbors as (target, weight) pairs."""
         return set(zip(self.targets[row].tolist(), self.weights[row].tolist()))
+
+
+def _built(field: SensorField, targets: np.ndarray, weights: np.ndarray) -> KnnGraph:
+    """The finished graph of ``field``'s rows, recording the field it was measured on."""
+    graph = KnnGraph(targets, weights)
+    object.__setattr__(graph, "field", field)
+    return graph
 
 
 def _check_k(n: int, k: int) -> None:
@@ -125,7 +135,7 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
             missed.append(q[~done])
         pending = np.concatenate(missed)
         r += 1
-    return KnnGraph(targets, weights)
+    return _built(field, targets, weights)
 
 
 def _tile(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, k: int, r: int,
@@ -204,7 +214,7 @@ def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     targets = np.array(tgt).reshape(n, k)
     weights = np.array(w).reshape(n, k)
     rank = np.lexsort((targets, weights))
-    return KnnGraph(np.take_along_axis(targets, rank, axis=1), np.take_along_axis(weights, rank, axis=1))
+    return _built(field, np.take_along_axis(targets, rank, axis=1), np.take_along_axis(weights, rank, axis=1))
 
 
 def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
@@ -219,7 +229,7 @@ def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     weights = np.take_along_axis(d, order, axis=1)
-    return KnnGraph(order, weights)
+    return _built(field, order, weights)
 
 
 def dump_graph(graph: KnnGraph) -> str:

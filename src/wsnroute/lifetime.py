@@ -6,7 +6,9 @@ so interior nodes pay both, the first node only transmits and the last only
 receives. Lifetime is the number of fully completed rounds before the first
 node dies. A node dies when its round charge exceeds its residual; it spends
 what it has (residual clamps to 0), the round is aborted without charging
-the survivors, and the simulation stops.
+the survivors, and the simulation stops. Every node starts at the config's
+``initial_battery_j``; the residuals are one float64 array, from the first
+round to the report.
 
 The ``rotate-start`` policy rebuilds the greedy route from start node
 ``round_index mod n`` each round, spreading the start/terminal roles across
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import DelayParams, EnergyState, RadioParams, rx_energy, tx_energy
+from .energy import DelayParams, EnergyConfig, RadioParams, rx_energy, tx_energy
 from .field import SensorField, hop_lengths
 from .knn import build_knn_graph
 from .routes import Route, nn_route, validate_route
@@ -106,33 +108,33 @@ def _round_charges(field: SensorField, route: Route, rp: RadioParams, lengths: n
 def simulate_lifetime(
     field: SensorField,
     policy: str,
-    state: EnergyState,
-    rp: RadioParams,
-    dp: DelayParams,
+    cfg: EnergyConfig,
     max_rounds: int,
     route: Route | None = None,
 ) -> SimReport:
     """Run up to ``max_rounds`` collection rounds, stopping at the first death.
 
-    ``fixed-route`` replays ``route`` (defaults to the greedy route from node
-    0); ``rotate-start`` regenerates the greedy route with a rotating start
-    and takes no ``route``. Deadline violations are counted for completed
-    rounds whose route misses d_max_s. Deterministic given its inputs.
+    Every node starts at ``cfg.initial_battery_j``; rounds are charged by
+    ``cfg.radio`` and checked against ``cfg.delay``. ``fixed-route`` replays
+    ``route`` (defaults to the greedy route from node 0); ``rotate-start``
+    regenerates the greedy route with a rotating start and takes no
+    ``route``. Deadline violations are counted for completed rounds whose
+    route misses d_max_s. Deterministic given its inputs.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     n = len(field)
-    if len(state.residual_j) != n:
-        raise ValueError(f"energy state tracks {len(state.residual_j)} nodes, field has {n}")
+    if n == 0:
+        raise ValueError("the field has no nodes to simulate")
     rotate = policy == POLICY_ROTATE
     if rotate and route is not None:
         raise ValueError(f"route applies to {POLICY_FIXED} only; {POLICY_ROTATE} starts round r at node r mod n")
 
     def plan(rt: Route) -> tuple[np.ndarray, bool]:
         lengths = hop_lengths(field.coords, rt.order, rt.closed)  # one pass serves charges and delay
-        return _round_charges(field, rt, rp, lengths), check_delay(field, rt, dp, lengths).feasible
+        return _round_charges(field, rt, cfg.radio, lengths), check_delay(field, rt, cfg.delay, lengths).feasible
 
     graph = None
     if not rotate:
@@ -142,7 +144,7 @@ def simulate_lifetime(
     elif n > 1 and max_rounds > 0:
         graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256)
 
-    residual = np.array(state.residual_j, dtype=np.float64)
+    residual = np.full(n, cfg.initial_battery_j)
     total = 0.0
     rounds_completed = 0
     first_death_round = None
@@ -161,11 +163,10 @@ def simulate_lifetime(
         rounds_completed += 1
         if not within_deadline:
             violations += 1
-    state.residual_j[:] = residual.tolist()
     return SimReport(
         rounds_completed=rounds_completed,
         first_death_round=first_death_round,
         total_energy_j=total,
         deadline_violations=violations,
-        per_node_residual=list(state.residual_j),
+        per_node_residual=residual.tolist(),
     )

@@ -77,21 +77,15 @@ class _NnIndex:
     c is ``c + o`` for each ``o`` in ``rings[r]``, and a memoryview holds the
     grid's cover bound of node i's ring r at ``covers[i * (_PAD + 1) + r]``.
     Nothing here is written after construction: a route copies ``pos`` and
-    the lists it deletes from. Construction raises ValueError when ``graph``
-    does not fit the field: another size, or a slot weight that is not the
-    canonical distance to its target.
+    the lists it deletes from. Construction raises ValueError unless
+    ``graph`` was built from a field with this one's coordinates.
     """
 
     def __init__(self, field: SensorField, graph: KnnGraph | None):
         xy = field.coords
         n = len(xy)
-        if graph is not None:
-            if graph.n != n:
-                raise ValueError(f"graph built for n={graph.n}, field has n={n}")
-            dx = xy[graph.targets, 0] - xy[:, 0, None]
-            dy = xy[graph.targets, 1] - xy[:, 1, None]
-            if not np.array_equal(np.sqrt(dx * dx + dy * dy), graph.weights):
-                raise ValueError("graph weights are not this field's distances; was it built for another field?")
+        if graph is not None and (graph.field is None or not np.array_equal(graph.field.coords, xy)):
+            raise ValueError("graph was built from another field, or by hand; build it from this field")
         self.field = field
         grid = CellGrid(xy, _NN_PER_CELL)
         nx, ny = grid.nx, grid.ny
@@ -161,8 +155,8 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     that target is the nearest unvisited node. Without a graph, or when
     every slot of the row is visited, the step searches the grid ring by
     ring, and a search that grows past a fixed budget scans the unvisited
-    nodes instead. ``graph`` must be a kNN graph of this field: ValueError
-    if its size or any slot weight disagrees with the field. The grid, slot
+    nodes instead. ``graph`` must be built from this field, or from one
+    with the same coordinates: ValueError otherwise. The grid, slot
     lists, ring offsets and cover bounds are built once per (field, graph)
     and kept on the graph, so repeated calls on one field share them.
     """

@@ -15,7 +15,7 @@ from wsnroute import (
     BenchReport,
     BenchRun,
     DelayParams,
-    EnergyState,
+    EnergyConfig,
     Point,
     RadioParams,
     Route,
@@ -194,8 +194,8 @@ def test_energy_conservation_and_battery_monotonicity():
         f = generate_uniform(n, 500, 500, seed=int(rng.integers(2**32)))
         policy = POLICY_ROTATE if rng.integers(2) else POLICY_FIXED
         initial = float(rng.uniform(1e-4, 5e-3))
-        state = EnergyState.fresh(n, initial)
-        rep = simulate_lifetime(f, policy, state, rp, DelayParams(), int(rng.integers(1, 400)))
+        cfg = EnergyConfig(radio=rp, delay=DelayParams(), initial_battery_j=initial)
+        rep = simulate_lifetime(f, policy, cfg, int(rng.integers(1, 400)))
         drained = sum(initial - r for r in rep.per_node_residual)
         scale = max(abs(rep.total_energy_j), abs(drained), 1e-300)
         assert abs(rep.total_energy_j - drained) / scale <= 1e-9
@@ -204,8 +204,8 @@ def test_energy_conservation_and_battery_monotonicity():
     f = generate_uniform(10, 400, 400, seed=5)
     deaths = []
     for mult in (1.0, 2.0, 4.0):
-        state = EnergyState.fresh(10, mult * 5e-2)
-        rep = simulate_lifetime(f, POLICY_FIXED, state, rp, DelayParams(), 100000)
+        cfg = EnergyConfig(radio=rp, delay=DelayParams(), initial_battery_j=mult * 5e-2)
+        rep = simulate_lifetime(f, POLICY_FIXED, cfg, 100000)
         assert rep.first_death_round is not None
         deaths.append(rep.first_death_round)
     assert deaths[0] <= deaths[1] <= deaths[2]
@@ -219,12 +219,9 @@ def test_balancing_effect_on_square():
     )
     rp = RadioParams()
     initial = 20 * (tx_energy(rp, rp.packet_bits, 1.0) + rx_energy(rp, rp.packet_bits))
-    fixed = simulate_lifetime(
-        f, POLICY_FIXED, EnergyState.fresh(4, initial), rp, DelayParams(), 100000
-    )
-    rotated = simulate_lifetime(
-        f, POLICY_ROTATE, EnergyState.fresh(4, initial), rp, DelayParams(), 100000
-    )
+    cfg = EnergyConfig(radio=rp, delay=DelayParams(), initial_battery_j=initial)
+    fixed = simulate_lifetime(f, POLICY_FIXED, cfg, 100000)
+    rotated = simulate_lifetime(f, POLICY_ROTATE, cfg, 100000)
     assert fixed.first_death_round is not None and rotated.first_death_round is not None
     assert rotated.first_death_round > fixed.first_death_round
     ok(

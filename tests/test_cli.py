@@ -227,6 +227,27 @@ def test_simulate_warns_when_round_one_is_fatal(capsys):
     assert warnings[0].startswith("warning:") and "0.5 J" in warnings[0]
 
 
+@pytest.mark.parametrize("line", [
+    "initial_battery_j = nan",  # no node could die, so every round would complete
+    "initial_battery_j = inf",  # --format json would print Infinity, which is not JSON
+    "e_elec = nan",
+    "eps_amp = nan",
+    "per_hop_s = nan",
+    "prop_speed = nan",
+    "d_max_s = nan",
+    "w_energy = nan",
+    "error_ref_distance = nan",
+])
+def test_simulate_nan_or_infinite_config_is_runtime_error(tmp_path, capsys, line):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "simulate", "--n", "20", "--width", "100", "--height", "100",
+                             "--seed", "1", "--rounds", "5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and line.split()[0] in err
+
+
 def test_bench_csv_row_count(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n", "40", "--width", "500", "--height", "500",
                            "--seeds", "1..3", "--format", "csv")

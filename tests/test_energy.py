@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from wsnroute import (
     DeadNodeError,
-    EnergyState,
+    DelayParams,
+    EnergyConfig,
     LinkCostParams,
     Point,
     RadioParams,
@@ -19,6 +21,7 @@ from wsnroute import (
     rx_energy,
     tx_energy,
 )
+from wsnroute import energy
 
 
 def chain_field(xs):
@@ -87,82 +90,96 @@ def test_link_cost_normalization_pin():
     # full batteries, hop exactly at the reference distance, unit weights:
     # 1 (energy, self-normalized) + 0 (reserve) + 0.5 (error) = 1.5
     f = chain_field([0, 100])
-    state = EnergyState.fresh(2, 1.0)
-    cost = link_cost(f, 0, 1, state, RadioParams(), LinkCostParams())
+    cost = link_cost(f, 0, 1, np.full(2, 1.0), EnergyConfig(initial_battery_j=1.0))
     assert cost == pytest.approx(1.5, rel=1e-12)
 
 
 def test_link_cost_zero_when_only_reserve_weighted_and_full():
     f = chain_field([0, 100])
-    state = EnergyState.fresh(2, 1.0)
-    lcp = LinkCostParams(w_energy=0.0, w_reserve=1.0, w_error=0.0)
-    assert link_cost(f, 0, 1, state, RadioParams(), lcp) == 0.0
+    cfg = EnergyConfig(link=LinkCostParams(w_energy=0.0, w_reserve=1.0, w_error=0.0), initial_battery_j=1.0)
+    assert link_cost(f, 0, 1, np.full(2, 1.0), cfg) == 0.0
 
 
 def test_link_cost_rises_as_receiver_drains():
     f = chain_field([0, 100])
-    state = EnergyState.fresh(2, 1.0)
-    rp, lcp = RadioParams(), LinkCostParams()
-    prev = link_cost(f, 0, 1, state, rp, lcp)
-    for residual in (0.8, 0.5, 0.2, 0.05):
-        state.residual_j[1] = residual
-        cur = link_cost(f, 0, 1, state, rp, lcp)
+    residual = np.full(2, 1.0)
+    cfg = EnergyConfig(initial_battery_j=1.0)
+    prev = link_cost(f, 0, 1, residual, cfg)
+    for left in (0.8, 0.5, 0.2, 0.05):
+        residual[1] = left
+        cur = link_cost(f, 0, 1, residual, cfg)
         assert cur > prev
         prev = cur
 
 
 def test_link_cost_errors():
     f = chain_field([0, 100])
-    state = EnergyState.fresh(2, 1.0)
+    residual = np.full(2, 1.0)
+    cfg = EnergyConfig(initial_battery_j=1.0)
     with pytest.raises(ValueError):
-        link_cost(f, 1, 1, state, RadioParams(), LinkCostParams())
-    state.residual_j[0] = 0.0
+        link_cost(f, 1, 1, residual, cfg)
+    with pytest.raises(ValueError, match="residual holds 3 nodes"):
+        link_cost(f, 0, 1, np.full(3, 1.0), cfg)
+    with pytest.raises(ValueError, match="residual holds 1 nodes"):
+        route_cost(f, Route([0, 1]), np.full(1, 1.0), cfg)
+    residual[0] = 0.0
     with pytest.raises(DeadNodeError):
-        link_cost(f, 0, 1, state, RadioParams(), LinkCostParams())
+        link_cost(f, 0, 1, residual, cfg)
 
 
 def test_route_cost_single_node():
     f = chain_field([0])
-    state = EnergyState.fresh(1, 1.0)
-    assert route_cost(f, Route([0]), state, RadioParams(), LinkCostParams()) == 0.0
+    assert route_cost(f, Route([0]), np.full(1, 1.0), EnergyConfig(initial_battery_j=1.0)) == 0.0
 
 
 def test_route_cost_error_only_weights_stay_bounded():
     f = chain_field([0, 50, 500, 5000])
-    state = EnergyState.fresh(4, 1.0)
-    lcp = LinkCostParams(w_energy=0.0, w_reserve=0.0, w_error=1.0)
-    cost = route_cost(f, Route([0, 1, 2, 3]), state, RadioParams(), lcp)
+    cfg = EnergyConfig(link=LinkCostParams(w_energy=0.0, w_reserve=0.0, w_error=1.0), initial_battery_j=1.0)
+    cost = route_cost(f, Route([0, 1, 2, 3]), np.full(4, 1.0), cfg)
     assert 0.0 <= cost < 3.0
 
 
 def test_route_cost_collinear_hand_computed():
     # two links at d=100 and d=200, full batteries, unit weights
     f = chain_field([0, 100, 300])
-    state = EnergyState.fresh(3, 1.0)
-    rp, lcp = RadioParams(), LinkCostParams()
+    rp = RadioParams()
     e_norm = rp.e_elec * 2000 + rp.eps_amp * 2000 * 100.0**2
     tx200 = rp.e_elec * 2000 + rp.eps_amp * 2000 * 200.0**2
     want = (1.0 + 0.0 + (1 - math.exp(-math.log(2.0) * 1.0))) + (
         tx200 / e_norm + 0.0 + (1 - math.exp(-math.log(2.0) * 2.0))
     )
-    got = route_cost(f, Route([0, 1, 2]), state, rp, lcp)
+    got = route_cost(f, Route([0, 1, 2]), np.full(3, 1.0), EnergyConfig(initial_battery_j=1.0))
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_route_cost_closed_adds_return_link():
     f = chain_field([0, 100, 300])
-    state = EnergyState.fresh(3, 1.0)
-    rp, lcp = RadioParams(), LinkCostParams()
-    open_cost = route_cost(f, Route([0, 1, 2]), state, rp, lcp)
-    closed_cost = route_cost(f, Route([0, 1, 2], closed=True), state, rp, lcp)
-    assert closed_cost == pytest.approx(open_cost + link_cost(f, 2, 0, state, rp, lcp), rel=1e-12)
+    residual = np.array([1.0, 0.25, 0.5])  # drained receivers raise every link's cost
+    cfg = EnergyConfig(initial_battery_j=1.0)
+    open_cost = route_cost(f, Route([0, 1, 2]), residual, cfg)
+    closed_cost = route_cost(f, Route([0, 1, 2], closed=True), residual, cfg)
+    assert closed_cost == pytest.approx(open_cost + link_cost(f, 2, 0, residual, cfg), rel=1e-12)
 
 
-def test_energy_state_validation():
-    with pytest.raises(ValueError):
-        EnergyState.fresh(0, 1.0)
-    with pytest.raises(ValueError):
-        EnergyState.fresh(3, 0.0)
+def test_link_cost_reads_every_link_key_and_the_battery_through_the_config():
+    # one hop of 100 m into a receiver at 0.3 J: each key moves its own term
+    f = chain_field([0, 100])
+    residual = np.array([1.0, 0.3])
+    rp = RadioParams()
+    e_norm = tx_energy(rp, rp.packet_bits, 200.0)
+    energy, error = tx_energy(rp, rp.packet_bits, 100.0) / e_norm, per_link_error(100.0, 200.0)
+    lcp = LinkCostParams(w_energy=2.0, w_reserve=3.0, w_error=5.0, error_ref_distance=200.0)
+    for battery in (0.5, 2.0):
+        want = 2.0 * energy + 3.0 * (1.0 - 0.3 / battery) + 5.0 * error
+        got = link_cost(f, 0, 1, residual, EnergyConfig(link=lcp, initial_battery_j=battery))
+        assert got == pytest.approx(want, rel=1e-12)
+        assert route_cost(f, Route([0, 1]), residual, EnergyConfig(link=lcp, initial_battery_j=battery)) == got
+
+
+def test_battery_must_be_positive_and_finite():
+    for battery in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="initial_battery_j"):
+            EnergyConfig(initial_battery_j=battery)
 
 
 def test_parse_config_full_and_partial():
@@ -203,3 +220,23 @@ def test_parse_config_rejects_unknown_key_and_bad_value():
         parse_config("alpha = fast")
     with pytest.raises(ValueError, match="key=value"):
         parse_config("just some words")
+
+
+# Every float key parse_config accepts; int keys (packet_bits) refuse "nan" as a bad value.
+FLOAT_KEYS = ["e_elec", "eps_amp", "alpha", "w_energy", "w_reserve", "w_error", "error_ref_distance",
+              "per_hop_s", "prop_speed", "d_max_s", "initial_battery_j"]
+
+
+def test_float_keys_are_every_float_key_of_the_config():
+    assert set(FLOAT_KEYS) == {key for key, (_, kind) in energy._KEYS.items() if kind is float}
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_parse_config_rejects_nan_and_infinite_values(key, value):
+    # NaN passes a `<= 0` bound, so every bound is written to fail it
+    if key == "d_max_s" and value == "inf":
+        assert parse_config(f"{key} = {value}").delay.d_max_s == math.inf  # no deadline
+        return
+    with pytest.raises(ValueError, match=key):
+        parse_config(f"{key} = {value}")

@@ -8,7 +8,7 @@ import pytest
 
 from wsnroute import (
     DelayParams,
-    EnergyState,
+    EnergyConfig,
     Point,
     RadioParams,
     Route,
@@ -33,6 +33,10 @@ def chain_field(xs):
 # Binary-exact radio constants: every charge is an integer multiple of 2^-18,
 # so the battery arithmetic below has no rounding at all.
 EXACT_RADIO = RadioParams(e_elec=2.0**-20, eps_amp=2.0**-30, alpha=2.0, packet_bits=1024)
+
+
+def config(battery, radio=EXACT_RADIO, delay=DelayParams()):
+    return EnergyConfig(radio=radio, delay=delay, initial_battery_j=battery)
 
 
 def test_path_delay_single_node():
@@ -108,8 +112,7 @@ def test_delay_params_validation():
 
 def test_simulate_zero_rounds():
     f = chain_field([0, 2])
-    state = EnergyState.fresh(2, 1.0)
-    rep = simulate_lifetime(f, POLICY_FIXED, state, EXACT_RADIO, DelayParams(), 0)
+    rep = simulate_lifetime(f, POLICY_FIXED, config(1.0), 0)
     assert rep.rounds_completed == 0
     assert rep.first_death_round is None
     assert rep.total_energy_j == 0.0
@@ -126,14 +129,12 @@ def test_simulate_two_node_death_arithmetic():
     tx = tx_energy(EXACT_RADIO, 1024, 32.0)
     rx = rx_energy(EXACT_RADIO, 1024)
     assert tx == 2.0**-9 and rx == 2.0**-10
-    state = EnergyState.fresh(2, 3 * tx)
-    rep = simulate_lifetime(f, POLICY_FIXED, state, EXACT_RADIO, DelayParams(), 100)
+    rep = simulate_lifetime(f, POLICY_FIXED, config(3 * tx), 100)
     assert rep.rounds_completed == 3
     assert rep.first_death_round == 4
     assert rep.per_node_residual[0] == 0.0
     assert rep.per_node_residual[1] == 3 * tx - 3 * rx  # receiver survives untouched
     assert rep.total_energy_j == 3 * (tx + rx)
-    assert state.residual_j == rep.per_node_residual  # the state is drained in place
 
 
 def test_simulate_simultaneous_deaths_drain_and_conserve():
@@ -143,9 +144,7 @@ def test_simulate_simultaneous_deaths_drain_and_conserve():
     tx = tx_energy(EXACT_RADIO, 1024, 2.0)
     rx = rx_energy(EXACT_RADIO, 1024)
     initial = 3 * tx
-    rep = simulate_lifetime(
-        f, POLICY_FIXED, EnergyState.fresh(2, initial), EXACT_RADIO, DelayParams(), 100
-    )
+    rep = simulate_lifetime(f, POLICY_FIXED, config(initial), 100)
     assert rep.first_death_round == 4
     assert rep.per_node_residual == [0.0, 0.0]
     assert rep.total_energy_j == 2 * initial
@@ -158,8 +157,7 @@ def test_simulate_conservation_and_no_negative_residuals():
         n = int(rng.integers(2, 15))
         f = generate_uniform(n, 500, 500, seed=int(rng.integers(2**32)))
         initial = float(rng.uniform(1e-4, 5e-3))
-        state = EnergyState.fresh(n, initial)
-        rep = simulate_lifetime(f, POLICY_FIXED, state, rp, DelayParams(), 500)
+        rep = simulate_lifetime(f, POLICY_FIXED, config(initial, rp), 500)
         drained = sum(initial - r for r in rep.per_node_residual)
         assert rep.total_energy_j == pytest.approx(drained, rel=1e-9, abs=1e-18)
         assert all(r >= 0.0 for r in rep.per_node_residual)
@@ -170,8 +168,7 @@ def test_simulate_battery_monotonicity():
     rp = RadioParams()
     deaths = []
     for mult in (1.0, 2.0, 4.0):
-        state = EnergyState.fresh(8, mult * 5e-2)
-        rep = simulate_lifetime(f, POLICY_FIXED, state, rp, DelayParams(), 10000)
+        rep = simulate_lifetime(f, POLICY_FIXED, config(mult * 5e-2, rp), 10000)
         assert rep.first_death_round is not None
         deaths.append(rep.first_death_round)
     assert deaths == sorted(deaths) and deaths[0] < deaths[2]
@@ -187,12 +184,8 @@ def test_simulate_rotation_outlives_fixed_on_square():
     tx1 = tx_energy(rp, rp.packet_bits, 1.0)
     rx = rx_energy(rp, rp.packet_bits)
     initial = 20 * (tx1 + rx)
-    fixed = simulate_lifetime(
-        f, POLICY_FIXED, EnergyState.fresh(4, initial), rp, DelayParams(), 10000
-    )
-    rotated = simulate_lifetime(
-        f, POLICY_ROTATE, EnergyState.fresh(4, initial), rp, DelayParams(), 10000
-    )
+    fixed = simulate_lifetime(f, POLICY_FIXED, config(initial, rp), 10000)
+    rotated = simulate_lifetime(f, POLICY_ROTATE, config(initial, rp), 10000)
     assert fixed.first_death_round is not None
     assert rotated.first_death_round is not None
     assert rotated.first_death_round > fixed.first_death_round
@@ -200,7 +193,7 @@ def test_simulate_rotation_outlives_fixed_on_square():
 
 def test_simulate_rotate_single_node():
     f = chain_field([0])
-    rep = simulate_lifetime(f, POLICY_ROTATE, EnergyState.fresh(1, 1.0), EXACT_RADIO, DelayParams(), 3)
+    rep = simulate_lifetime(f, POLICY_ROTATE, config(1.0), 3)
     assert rep.rounds_completed == 3
     assert rep.first_death_round is None
     assert rep.total_energy_j == 0.0
@@ -213,8 +206,7 @@ def test_simulate_rotate_two_nodes_alternate_roles():
     f = chain_field([0, 32])
     tx = tx_energy(EXACT_RADIO, 1024, 32.0)
     rx = rx_energy(EXACT_RADIO, 1024)
-    state = EnergyState.fresh(2, 2 * (tx + rx))
-    rep = simulate_lifetime(f, POLICY_ROTATE, state, EXACT_RADIO, DelayParams(), 100)
+    rep = simulate_lifetime(f, POLICY_ROTATE, config(2 * (tx + rx)), 100)
     assert rep.rounds_completed == 4
     assert rep.first_death_round == 5
     assert rep.per_node_residual == [0.0, 0.0]
@@ -225,9 +217,9 @@ def test_simulate_rotate_shared_graph_changes_no_round(monkeypatch):
     # The kNN graph rotating rounds share only speeds up the greedy route.
     f = generate_uniform(300, 1000, 1000, seed=12)
     dp = DelayParams(d_max_s=0.29905215)  # about half the routes miss it
-    shared = simulate_lifetime(f, POLICY_ROTATE, EnergyState.fresh(300, 1.0), RadioParams(), dp, 30)
+    shared = simulate_lifetime(f, POLICY_ROTATE, config(1.0, RadioParams(), dp), 30)
     monkeypatch.setattr("wsnroute.lifetime.build_knn_graph", lambda *args: None)
-    plain = simulate_lifetime(f, POLICY_ROTATE, EnergyState.fresh(300, 1.0), RadioParams(), dp, 30)
+    plain = simulate_lifetime(f, POLICY_ROTATE, config(1.0, RadioParams(), dp), 30)
     assert shared == plain
     assert 0 < shared.deadline_violations < shared.rounds_completed
 
@@ -238,7 +230,7 @@ def test_simulate_measures_each_route_once(policy, monkeypatch):
     # check, which goes through the module's check_delay once per route.
     f = generate_uniform(50, 1000, 1000, seed=3)
     dp = DelayParams(d_max_s=0.05)
-    want = simulate_lifetime(f, policy, EnergyState.fresh(50, 1.0), RadioParams(), dp, 7)
+    want = simulate_lifetime(f, policy, config(1.0, RadioParams(), dp), 7)
     calls = {"hop_lengths": 0, "check_delay": 0}
 
     def counted(name):
@@ -251,7 +243,7 @@ def test_simulate_measures_each_route_once(policy, monkeypatch):
 
     counted("hop_lengths")
     counted("check_delay")
-    assert simulate_lifetime(f, policy, EnergyState.fresh(50, 1.0), RadioParams(), dp, 7) == want
+    assert simulate_lifetime(f, policy, config(1.0, RadioParams(), dp), 7) == want
     routes = 7 if policy == POLICY_ROTATE else 1
     assert calls == {"hop_lengths": routes, "check_delay": routes}
 
@@ -259,39 +251,41 @@ def test_simulate_measures_each_route_once(policy, monkeypatch):
 def test_simulate_counts_deadline_violations():
     f = chain_field([0, 300, 600])
     rp = EXACT_RADIO
-    state = EnergyState.fresh(3, 1.0)
     dp = DelayParams(per_hop_s=1e-3, prop_speed=3e8, d_max_s=1e-6)  # unmeetable
-    rep = simulate_lifetime(f, POLICY_FIXED, state, rp, dp, 5)
+    rep = simulate_lifetime(f, POLICY_FIXED, config(1.0, rp, dp), 5)
     assert rep.rounds_completed == 5
     assert rep.deadline_violations == 5
 
 
 def test_simulate_rejects_bad_args():
     f = chain_field([0, 1])
-    state = EnergyState.fresh(2, 1.0)
     with pytest.raises(ValueError):
-        simulate_lifetime(f, "round-robin", state, EXACT_RADIO, DelayParams(), 5)
+        simulate_lifetime(f, "round-robin", config(1.0), 5)
     with pytest.raises(ValueError):
-        simulate_lifetime(f, POLICY_FIXED, state, EXACT_RADIO, DelayParams(), -1)
-    with pytest.raises(ValueError):
-        simulate_lifetime(
-            f, POLICY_FIXED, EnergyState.fresh(3, 1.0), EXACT_RADIO, DelayParams(), 5
-        )
+        simulate_lifetime(f, POLICY_FIXED, config(1.0), -1)
+
+
+@pytest.mark.parametrize("policy", [POLICY_FIXED, POLICY_ROTATE])
+def test_simulate_rejects_an_empty_field(policy):
+    # rotate-start would divide by zero in round_idx % n; fixed-route has no node 0 to start from
+    f = SensorField(coords=np.empty((0, 2)), width=1.0, height=1.0)
+    for rounds in (0, 3):
+        with pytest.raises(ValueError, match="no nodes"):
+            simulate_lifetime(f, policy, config(1.0), rounds)
+    with pytest.raises(ValueError, match="no nodes"):
+        simulate_lifetime(f, POLICY_FIXED, config(1.0), 3, route=Route([]))
 
 
 def test_simulate_rotate_start_rejects_route():
     f = chain_field([0, 5, 6])
-    state = EnergyState.fresh(3, 1.0)
     with pytest.raises(ValueError, match="route"):
-        simulate_lifetime(f, POLICY_ROTATE, state, EXACT_RADIO, DelayParams(), 1, route=Route([2, 1, 0]))
-    assert state.residual_j == [1.0, 1.0, 1.0]
+        simulate_lifetime(f, POLICY_ROTATE, config(1.0), 1, route=Route([2, 1, 0]))
 
 
 def test_simulate_fixed_route_override():
     f = chain_field([0, 5, 6])
-    state = EnergyState.fresh(3, 1.0)
     route = Route([2, 1, 0])
-    rep = simulate_lifetime(f, POLICY_FIXED, state, EXACT_RADIO, DelayParams(), 1, route=route)
+    rep = simulate_lifetime(f, POLICY_FIXED, config(1.0), 1, route=route)
     assert rep.rounds_completed == 1
     # terminal accounting: node 2 transmits only, node 0 receives only
     tx21 = tx_energy(EXACT_RADIO, 1024, 1.0)

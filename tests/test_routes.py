@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from wsnroute import (
+    KnnGraph,
     Point,
     Route,
     SensorField,
+    brute_force_knn,
     brute_force_optimal,
     build_knn_graph,
     distance,
     generate_uniform,
+    maxk_knn_graph,
     nn_route,
     route_length,
 )
@@ -152,6 +155,32 @@ def test_nn_rejects_graph_of_another_field_of_the_same_size():
     with pytest.raises(ValueError, match="another field"):
         nn_route(f, 0, graph)
     assert nn_route(own, 6, graph).order == nn_route(own, 6).order
+
+
+def test_nn_rejects_a_hand_built_graph():
+    # True distances to the wrong neighbours: node 0's row names node 2, so
+    # the route would go 0, 2, 1 where the nearest node is 1.
+    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(5, 0)), width=5, height=1)
+    graph = KnnGraph([[2], [2], [1]], [[5.0], [4.0], [4.0]])
+    assert graph.field is None
+    with pytest.raises(ValueError, match="by hand"):
+        nn_route(f, 0, graph)
+    assert nn_route(f, 0, build_knn_graph(f, 1, 3)).order == [0, 1, 2]
+
+
+@pytest.mark.parametrize("build", [build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k)],
+                         ids=["grid", "maxk", "oracle"])
+def test_every_builder_records_its_field(build):
+    f = generate_uniform(30, 100, 100, seed=2)
+    graph = build(f, 3, 7)
+    assert graph.field is f
+    # a field with the same coordinates routes through the graph; one with other coordinates does not
+    twin = SensorField(coords=f.coords.copy(), width=100, height=100)
+    assert nn_route(twin, 4, graph).order == nn_route(f, 4).order
+    xy = f.coords.copy()
+    xy[0, 1] = np.nextafter(xy[0, 1], np.inf)  # one ulp of one coordinate
+    with pytest.raises(ValueError, match="another field"):
+        nn_route(SensorField(coords=xy, width=100, height=100), 4, graph)
 
 
 def test_nn_index_lives_on_the_graph_and_nowhere_else(monkeypatch):
