@@ -52,7 +52,6 @@ from .knn import (
     brute_force_knn,
     build_knn_graph,
     dump_graph,
-    maxk_knn_graph,
 )
 from .lifetime import (
     POLICY_FIXED,

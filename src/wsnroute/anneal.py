@@ -34,9 +34,6 @@ class AnnealSchedule:
     move_kind: str = MOVE_TWO_OPT
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError(f"cooling_factor must be in (0, 1), got {self.cooling_factor}")
         if not self.min_temp > 0.0:
@@ -58,31 +55,23 @@ def _mean_edge(field: SensorField, route: Route) -> float:
     return route_length(field, route) / edges if edges else 1.0
 
 
-def default_schedule(
-    field: SensorField,
-    initial: Route,
-    move_kind: str = MOVE_TWO_OPT,
-    max_iters: int | None = None,
-) -> AnnealSchedule:
+def default_schedule(field: SensorField, initial: Route) -> AnnealSchedule:
     """Textbook settings scaled to the instance.
 
     T0 is half the initial route's mean edge length, cooling is geometric at
     0.95 with 20*n proposals per level, and the run stops at 1e-3 * T0. The
-    default iteration cap is exactly the budget needed to reach min_temp.
+    iteration cap is exactly the budget needed to reach min_temp.
     """
     n = len(initial.order)
     t0 = max(0.5 * _mean_edge(field, initial), 1e-12)
     iters_per_temp = 20 * max(n, 1)
     levels = math.ceil(math.log(1e-3) / math.log(0.95))
-    if max_iters is None:
-        max_iters = levels * iters_per_temp
     return AnnealSchedule(
         initial_temp=t0,
         cooling_factor=0.95,
         iters_per_temp=iters_per_temp,
         min_temp=1e-3 * t0,
-        max_iters=max_iters,
-        move_kind=move_kind,
+        max_iters=levels * iters_per_temp,
     )
 
 
@@ -106,7 +95,6 @@ def undersized_schedule(field: SensorField, initial: Route) -> AnnealSchedule:
         iters_per_temp=iters_per_temp,
         min_temp=1e-9 * t0,
         max_iters=budget,
-        move_kind=MOVE_TWO_OPT,
     )
 
 
@@ -352,7 +340,6 @@ def sa_route(
     every proposal the scalar test accepts. Each candidate is then decided
     by that scalar test, ``math.exp`` included.
     """
-    schedule.validate()
     validate_route(field, initial)
     n = len(initial.order)
     closed = initial.closed
@@ -468,7 +455,7 @@ def brute_force_optimal(field: SensorField, start: int | None = None) -> Route:
         raise ValueError(f"start node {start} out of range for n={n}")
     if n == 1:
         return Route(order=[0])
-    d = distance_block(field.coords, 0, n)
+    d = distance_block(field.coords)
     if start is None:
         tail = list(range(n))
         prefix = None

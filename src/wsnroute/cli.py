@@ -158,8 +158,10 @@ def build_parser() -> CliParser:
     p.add_argument("--height", type=float, default=20000.0)
     p.add_argument("--seeds", required=True, help="'1..10' or comma list")
     p.add_argument("--k", type=int, default=None, help="route via a kNN graph of this k")
-    p.add_argument("--preset", choices=("paper-budget", "generous"), default="paper-budget")
-    p.add_argument("--paper-budget", action="store_true", help="alias for --preset paper-budget")
+    preset = p.add_mutually_exclusive_group()
+    preset.add_argument("--preset", choices=("paper-budget", "generous"), default="paper-budget")
+    preset.add_argument("--paper-budget", action="store_const", dest="preset", const="paper-budget",
+                        help="alias for --preset paper-budget")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="report path (default: stdout)")
 
@@ -228,14 +230,13 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    preset = "paper-budget" if args.paper_budget else args.preset
     cfg = BenchConfig(
         n=args.n,
         seeds=_parse_seeds(args.seeds, parser),
         width=args.width,
         height=args.height,
         k=args.k,
-        preset=preset,
+        preset=args.preset,
     )
     report = run_experiment(cfg)
     _emit(export_report(report, args.format), args.output)

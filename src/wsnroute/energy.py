@@ -64,6 +64,15 @@ class RadioParams:
         _check_positive("radio parameter", e_elec=self.e_elec, eps_amp=self.eps_amp, packet_bits=self.packet_bits)
         if not 2.0 <= self.alpha <= 4.0:
             raise ValueError(f"alpha must be in [2, 4], got {self.alpha}")
+        # An infinite eps_amp * bits would charge inf * 0.0 = NaN for a hop of length 0.
+        for name in ("e_elec", "eps_amp"):
+            try:
+                per_packet = getattr(self, name) * self.packet_bits
+            except OverflowError:  # an int packet_bits beyond the float range
+                per_packet = math.inf
+            if per_packet == math.inf:
+                raise ValueError(f"radio parameter {name} * packet_bits overflows, "
+                                 f"got {getattr(self, name)!r} * {self.packet_bits}")
 
 
 @dataclass(frozen=True)

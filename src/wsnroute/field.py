@@ -115,14 +115,14 @@ def distance(p: Point, q: Point) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def distance_block(xy: np.ndarray, row_start: int, row_stop: int) -> np.ndarray:
-    """Distances from each of ``xy[row_start:row_stop]`` to every point.
+def distance_block(xy: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix of distances between every pair of points.
 
-    Returns a (row_stop - row_start, n) array. Uses the canonical metric
-    expression so entries match :func:`distance` bit-for-bit.
+    Uses the canonical metric expression so entries match :func:`distance`
+    bit-for-bit.
     """
-    dx = xy[row_start:row_stop, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[row_start:row_stop, 1][:, None] - xy[:, 1][None, :]
+    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
+    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
     return np.sqrt(dx * dx + dy * dy)
 
 

@@ -1,4 +1,4 @@
-"""k-nearest-neighbor graphs: a cell-grid build, the paper's Maxk kernel, and a brute-force oracle.
+"""k-nearest-neighbor graphs: a cell-grid build and a brute-force oracle.
 
 Every builder returns a finished :class:`KnnGraph`: two read-only (n, k)
 arrays whose row i holds node i's k nearest other nodes, ordered by
@@ -13,22 +13,9 @@ fall strictly inside its cell's cover bound is searched again over a wider
 square, so the result is exact. On a uniform field the work is O(n k log k)
 rather than O(n²).
 
-:func:`maxk_knn_graph` is the paper's driver, kept as the reference kernel:
-it folds every tile of the full distance matrix into per-row slots. A tile
-is a column window of a split's distance rows, read by slicing the rows
-themselves; a last split or window narrower than the chunk size simply has
-fewer rows or columns, so no entry is ever padded. A per-row index of the
-farthest occupied slot (Maxk) makes the eviction check O(1); only when a
-slot is overwritten is the row rescanned for its new farthest. The slots
-are sorted by (weight, target) once every tile is folded in.
-
-Tie rule: among equal distances the lowest column index wins. The grid
-build gets it from the stable sort. The Maxk kernel scans candidates in
-ascending column order with a strict ``<`` comparison, so a later candidate
-never displaces an equal earlier one; and among slots that share the row's
-largest weight the farthest is the one with the highest target, so an
-eviction at the k-th radius drops the highest index. The brute-force oracle
-encodes the same rule, and all three builds give the same graph.
+Tie rule: among equal distances the lowest column index wins. Two things
+define it: :func:`brute_force_knn`, the oracle, and the stable sort inside
+:func:`build_knn_graph`. The two builds give the same graph.
 """
 
 from __future__ import annotations
@@ -171,52 +158,6 @@ def _tile(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, k: int,
     return done, sq[u[:, None], best], w
 
 
-def maxk_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
-    """The paper's driver: the Maxk kernel over every (split, chunk) tile pair, row-major.
-
-    Distance rows are computed from coordinates one split at a time; the
-    full matrix is never materialized. Each row's tile columns are visited
-    in ascending order, the diagonal excluded. An entry strictly smaller
-    than the row's farthest slot overwrites that slot, and the farthest is
-    found again: the largest weight, and among equal weights the highest
-    target. The rows are sorted by (weight, target) at the end, which gives
-    :func:`build_knn_graph`'s graph for every chunk_size. This is the
-    reference kernel; its cost is O(n²) steps of Python.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    n = len(field)
-    _check_k(n, k)
-    xy = field.coords
-    cs = chunk_size
-    tgt = [-1] * (n * k)
-    w = [_INF] * (n * k)
-    far = [0] * n  # each row's farthest slot
-    for r0 in range(0, n, cs):
-        rows = distance_block(xy, r0, min(r0 + cs, n)).tolist()
-        for c0 in range(0, n, cs):
-            for row, vals in enumerate(rows, r0):
-                base = row * k
-                mi = far[row]
-                wmax = w[base + mi]
-                for col, d in enumerate(vals[c0:c0 + cs], c0):
-                    if d < wmax and col != row:
-                        tgt[base + mi] = col
-                        w[base + mi] = d
-                        mi = 0
-                        wmax = w[base]
-                        for s in range(1, k):
-                            ws = w[base + s]
-                            if ws > wmax or (ws == wmax and tgt[base + s] > tgt[base + mi]):
-                                wmax = ws
-                                mi = s
-                far[row] = mi
-    targets = np.array(tgt).reshape(n, k)
-    weights = np.array(w).reshape(n, k)
-    rank = np.lexsort((targets, weights))
-    return _built(field, np.take_along_axis(targets, rank, axis=1), np.take_along_axis(weights, rank, axis=1))
-
-
 def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
     """Verification oracle: per row, sort all candidates by (distance, target).
 
@@ -225,7 +166,7 @@ def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
     """
     n = len(field)
     _check_k(n, k)
-    d = distance_block(field.coords, 0, n)
+    d = distance_block(field.coords)
     np.fill_diagonal(d, np.inf)
     order = np.argsort(d, axis=1, kind="stable")[:, :k]
     weights = np.take_along_axis(d, order, axis=1)

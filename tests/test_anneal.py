@@ -383,9 +383,10 @@ def _schedules(f, initial, move):
     """Schedules whose levels, draws and stops fall at awkward proposal counts."""
     n = len(initial.order)
     t0 = max(route_length(f, initial) / n, 1e-12)
-    cap = 30_000 if n >= 200 else None  # keeps n=200 quick; 30000 is not a multiple of 8192
+    default = default_schedule(f, initial)
+    cap = 30_000 if n >= 200 else default.max_iters  # keeps n=200 quick; 30000 is not a multiple of 8192
     return {
-        "default": default_schedule(f, initial, move, max_iters=cap),
+        "default": dataclasses.replace(default, move_kind=move, max_iters=cap),
         "undersized": dataclasses.replace(undersized_schedule(f, initial), move_kind=move),
         # dense acceptance: the numpy phase is entered and left again and again
         "hot": AnnealSchedule(initial_temp=5 * t0, cooling_factor=0.97, iters_per_temp=997,

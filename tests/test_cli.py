@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wsnroute import brute_force_knn, dump_graph, generate_uniform, nn_route, parse_dataset
+from wsnroute import cli
 from wsnroute.cli import main
 
 
@@ -132,6 +133,20 @@ def test_simulate_overflowing_tx_energy_is_runtime_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_simulate_overflowing_per_packet_energy_is_runtime_error(tmp_path, capsys):
+    # Two nodes at one point: a hop of length 0 times an infinite eps_amp * bits is NaN.
+    data = tmp_path / "f.txt"
+    data.write_text("P (0 0)\nP (0 0)\n")
+    config = tmp_path / "params.cfg"
+    config.write_text("eps_amp = 1e306\ninitial_battery_j = 1e300\n")
+    code, out, err = run_cli(capsys, "simulate", "--input", str(data), "--rounds", "2", "--format", "csv",
+                             "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "eps_amp" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_bench_k_zero_is_runtime_error(capsys):
     code, out, err = run_cli(capsys, "bench", "--n", "5", "--seeds", "1", "--k", "0")
     assert code == 2
@@ -145,6 +160,29 @@ def test_bench_bad_seed_list_is_usage_error(seeds, capsys):
         main(["bench", "--n", "10", "--seeds", seeds])
     assert exc.value.code == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_bench_generous_preset_and_paper_budget_is_usage_error(capsys):
+    # --paper-budget is an alias for --preset paper-budget; it may not override another preset
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "10", "--seeds", "1", "--preset", "generous", "--paper-budget"])
+    assert exc.value.code == 1
+    assert "--paper-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], "paper-budget"),
+    (["--paper-budget"], "paper-budget"),
+    (["--preset", "paper-budget"], "paper-budget"),
+    (["--preset", "generous"], "generous"),
+])
+def test_bench_preset_flags(flags, want, monkeypatch, capsys):
+    seen = []
+    run = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg.preset) or run(cfg))
+    code, _, _ = run_cli(capsys, "bench", "--n", "8", "--width", "100", "--height", "100", "--seeds", "1", *flags)
+    assert code == 0
+    assert seen == [want]
 
 
 def test_simulate_rotate_start_rejects_start(capsys):

@@ -69,6 +69,7 @@ def test_radio_params_validation():
     with pytest.raises(ValueError):
         RadioParams(alpha=4.5)
     RadioParams(alpha=4.0)  # boundary allowed
+    RadioParams(e_elec=8e304, eps_amp=8e304)  # 1.6e308 J per 2000-bit packet: finite, allowed
 
 
 def test_link_cost_params_validation():
@@ -240,3 +241,13 @@ def test_parse_config_rejects_nan_and_infinite_values(key, value):
         return
     with pytest.raises(ValueError, match=key):
         parse_config(f"{key} = {value}")
+
+
+@pytest.mark.parametrize("text, key", [
+    ("eps_amp = 1e306", "eps_amp"),  # 2e309: a hop of length 0 would be charged inf * 0.0 = NaN
+    ("e_elec = 1e306", "e_elec"),
+    ("packet_bits = 1" + "0" * 400, "e_elec"),  # an int too large to convert to a float
+], ids=["eps_amp", "e_elec", "packet_bits"])
+def test_parse_config_rejects_a_per_packet_energy_that_overflows(text, key):
+    with pytest.raises(ValueError, match=rf"{key} \* packet_bits overflows"):
+        parse_config(text)

@@ -87,7 +87,7 @@ def test_field_rejects_span_whose_squared_distances_overflow():
     with pytest.raises(ValueError, match="overflow"):
         SensorField(coords=[(-1.7e308, 0.0), (1.7e308, 0.0)], width=1.0, height=1.0)
     f = generate_uniform(3, 1e150, 1e150, seed=1)
-    assert math.isfinite(distance_block(f.coords, 0, 3).max())
+    assert math.isfinite(distance_block(f.coords).max())
 
 
 def test_parse_sample_record():
@@ -306,7 +306,7 @@ def test_metric_laws_on_sampled_triples():
 def test_vectorized_helpers_match_scalar_distance():
     f = generate_uniform(40, 1000, 1000, seed=11)
     xy = f.coords
-    block = distance_block(xy, 0, len(f))
+    block = distance_block(xy)
     for i in range(0, 40, 7):
         row = distances_from(xy, i)
         for j in range(40):

@@ -16,7 +16,6 @@ from wsnroute import (
 )
 from wsnroute.field import format_coord
 from wsnroute.grid import CellGrid
-from wsnroute.knn import maxk_knn_graph
 
 
 def field_of(coords):
@@ -31,7 +30,7 @@ def same_slots(a, b):
     return np.array_equal(a.targets, b.targets) and np.array_equal(a.weights, b.weights)
 
 
-BUILDERS = (build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k))
+BUILDERS = (build_knn_graph, lambda f, k, cs: brute_force_knn(f, k))
 
 
 # --- oracle behavior pinned first; the chunked path must match it ---
@@ -122,12 +121,12 @@ def test_kernel_hand_traced_collinear():
 
 
 def test_kernel_no_improvement_leaves_state_unchanged():
-    # Node 1 sits between nodes 0 and 2, both 1 away. Node 2's entry is no
-    # improvement on node 0's, so the strict < leaves the one slot as it is,
-    # whether both columns fall in one tile or in two.
+    # Node 1 sits between nodes 0 and 2, both 1 away. Node 2 ties node 0 and
+    # does not displace it, whether the rows fall in one tile or in several.
     f = SensorField(coords=[(-1, 0), (0, 0), (1, 0)], width=1.0, height=1.0)
-    for cs in (1, 2, 3):
-        assert maxk_knn_graph(f, 1, cs).neighbor_set(1) == {(0, 1.0)}
+    for build in BUILDERS:
+        for cs in (1, 2, 3):
+            assert build(f, 1, cs).neighbor_set(1) == {(0, 1.0)}
 
 
 def test_kernel_diagonal_zero_never_creates_edge():
@@ -140,8 +139,8 @@ def test_kernel_diagonal_zero_never_creates_edge():
 
 
 def test_kernel_tile_wider_than_field():
-    # chunk_size 4 over a 3-node field: the tile has 3 rows and its column
-    # window runs past the last column; nothing beyond node 2 may appear
+    # chunk_size 4 over a 3-node field: the tile has 3 rows; nothing beyond
+    # node 2 may appear
     f = field_of([(0, 0), (1, 0), (3, 0)])
     for build in BUILDERS:
         g = build(f, 1, 4)
@@ -156,9 +155,8 @@ def test_kernel_tile_wider_than_field():
 def test_build_matches_oracle_and_is_chunk_size_independent():
     f = generate_uniform(50, 100, 100, seed=7)
     want = brute_force_knn(f, 5)
-    for build in (build_knn_graph, maxk_knn_graph):
-        for cs in (7, 50):
-            assert same_slots(build(f, 5, cs), want), f"{build.__name__} chunk_size={cs}"
+    for cs in (7, 50):
+        assert same_slots(build_knn_graph(f, 5, cs), want), f"chunk_size={cs}"
 
 
 def test_build_two_nodes():
@@ -176,9 +174,8 @@ def test_build_sweep_small_fields():
         f = generate_uniform(n, 1000, 1000, seed=int(rng.integers(2**32)))
         for k in (1, 3, 5):
             want = brute_force_knn(f, k)
-            for build in (build_knn_graph, maxk_knn_graph):
-                for cs in (1, 3, n):
-                    assert same_slots(build(f, k, cs), want), f"{build.__name__} k={k} chunk_size={cs}"
+            for cs in (1, 3, n):
+                assert same_slots(build_knn_graph(f, k, cs), want), f"k={k} chunk_size={cs}"
 
 
 def test_build_large_field_completes_with_finite_slots():
@@ -193,8 +190,8 @@ def test_build_large_field_completes_with_finite_slots():
 
 @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
 def test_build_matches_oracle_on_integer_lattice(k, monkeypatch):
-    # A 12x12 unit lattice ties many candidates at the k-th radius; an
-    # eviction must drop the highest target among them, as the oracle does.
+    # A 12x12 unit lattice ties many candidates at the k-th radius; a row
+    # must keep the lowest targets among them, as the oracle does.
     # A far outlier leaves its square without other nodes, so its row is
     # searched again at wider squares, in tiles with the lattice's rows.
     radii = []
@@ -210,11 +207,10 @@ def test_build_matches_oracle_on_integer_lattice(k, monkeypatch):
         radii.clear()
         oracle = brute_force_knn(f, k)
         want = dump_graph(oracle)
-        for build in (build_knn_graph, maxk_knn_graph):
-            for cs in (1, 5, 13, 200):
-                g = build(f, k, cs)
-                assert dump_graph(g) == want, f"{build.__name__} n={len(f)} chunk_size={cs}"
-                assert same_slots(g, oracle), f"{build.__name__} n={len(f)} chunk_size={cs}"
+        for cs in (1, 5, 13, 200):
+            g = build_knn_graph(f, k, cs)
+            assert dump_graph(g) == want, f"n={len(f)} chunk_size={cs}"
+            assert same_slots(g, oracle), f"n={len(f)} chunk_size={cs}"
     assert max(radii) >= 4  # the outlier's square holds no other node before r = 4
 
 
@@ -238,18 +234,9 @@ def test_build_no_self_edges():
 
 def test_build_rejects_bad_args():
     f = generate_uniform(5, 10, 10, seed=0)
-    for build in (build_knn_graph, maxk_knn_graph):
-        for k, cs in ((5, 2), (0, 2), (2, 0)):
-            with pytest.raises(ValueError):
-                build(f, k, cs)
-
-
-def test_init_state_rejects_bad_k():
-    f = generate_uniform(3, 10, 10, seed=0)
-    with pytest.raises(ValueError):
-        maxk_knn_graph(f, 3, 3)
-    with pytest.raises(ValueError):
-        maxk_knn_graph(f, 0, 3)
+    for k, cs in ((5, 2), (0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            build_knn_graph(f, k, cs)
 
 
 def test_dump_sorted_and_matches_oracle_dump():

@@ -29,7 +29,6 @@ from wsnroute import (
 from wsnroute import routes
 from wsnroute.field import distances_from
 from wsnroute.grid import CellGrid
-from wsnroute.knn import maxk_knn_graph
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -123,12 +122,11 @@ def test_knn_build_matches_oracle_at_every_chunk_size(f, data):
     n = len(f)
     k = data.draw(st.integers(1, n - 1), label="k")
     oracle = brute_force_knn(f, k)
-    for build in (build_knn_graph, maxk_knn_graph):
-        for cs in (1, 3, 7, 64):
-            g = build(f, k, cs)
-            # the same slots in the same order: rows sorted by (weight, target)
-            assert np.array_equal(g.targets, oracle.targets), f"{build.__name__} chunk_size={cs}"
-            assert np.array_equal(g.weights, oracle.weights), f"{build.__name__} chunk_size={cs}"
+    for cs in (1, 3, 7, 64):
+        g = build_knn_graph(f, k, cs)
+        # the same slots in the same order: rows sorted by (weight, target)
+        assert np.array_equal(g.targets, oracle.targets), f"chunk_size={cs}"
+        assert np.array_equal(g.weights, oracle.weights), f"chunk_size={cs}"
 
 
 @st.composite
@@ -256,7 +254,7 @@ def test_nn_scans_over_a_shrinking_live_array_match_a_scan(monkeypatch):
         assert len(sizes) >= 300 and sizes == sorted(set(sizes), reverse=True)
 
 
-BUILDERS = (build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k))
+BUILDERS = (build_knn_graph, lambda f, k, cs: brute_force_knn(f, k))
 
 
 @SETTINGS

@@ -16,7 +16,6 @@ from wsnroute import (
     build_knn_graph,
     distance,
     generate_uniform,
-    maxk_knn_graph,
     nn_route,
     route_length,
 )
@@ -168,8 +167,7 @@ def test_nn_rejects_a_hand_built_graph():
     assert nn_route(f, 0, build_knn_graph(f, 1, 3)).order == [0, 1, 2]
 
 
-@pytest.mark.parametrize("build", [build_knn_graph, maxk_knn_graph, lambda f, k, cs: brute_force_knn(f, k)],
-                         ids=["grid", "maxk", "oracle"])
+@pytest.mark.parametrize("build", [build_knn_graph, lambda f, k, cs: brute_force_knn(f, k)], ids=["grid", "oracle"])
 def test_every_builder_records_its_field(build):
     f = generate_uniform(30, 100, 100, seed=2)
     graph = build(f, 3, 7)
