@@ -7,8 +7,6 @@ simulates round-based network lifetime.
 """
 
 from .anneal import (
-    MOVE_SWAP,
-    MOVE_TWO_OPT,
     AnnealSchedule,
     brute_force_optimal,
     default_schedule,

@@ -1,9 +1,9 @@
 """Simulated-annealing route optimizer and an exact small-instance oracle.
 
 The annealer keeps the best route ever seen (elitism), so its output is
-never longer than the initial route. Moves are either a position swap or a
-segment reversal (2-opt); both preserve the permutation property, and each
-is scored in O(1) from the links it relinks. Each invocation owns a
+never longer than the initial route. Its one move is the segment reversal
+(2-opt) of Croes (1958), which preserves the permutation property and is
+scored in O(1) from the two links it relinks. Each invocation owns a
 self-contained PCG64 stream, so runs are deterministic given (field,
 initial, schedule, seed) and safe to launch concurrently.
 """
@@ -19,11 +19,6 @@ import numpy as np
 from .field import SensorField, distance_block, hop_lengths
 from .routes import Route, route_length, validate_route
 
-MOVE_SWAP = "swap"
-MOVE_TWO_OPT = "two_opt_reverse"
-_MOVES = (MOVE_SWAP, MOVE_TWO_OPT)
-
-
 @dataclass(frozen=True)
 class AnnealSchedule:
     initial_temp: float
@@ -31,9 +26,11 @@ class AnnealSchedule:
     iters_per_temp: int
     min_temp: float
     max_iters: int
-    move_kind: str = MOVE_TWO_OPT
 
     def __post_init__(self):
+        for name in ("initial_temp", "min_temp"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError(f"cooling_factor must be in (0, 1), got {self.cooling_factor}")
         if not self.min_temp > 0.0:
@@ -44,8 +41,6 @@ class AnnealSchedule:
             raise ValueError(f"iters_per_temp must be >= 1, got {self.iters_per_temp}")
         if not self.initial_temp >= 0.0:
             raise ValueError(f"initial_temp must be >= 0, got {self.initial_temp}")
-        if self.move_kind not in _MOVES:
-            raise ValueError(f"move_kind must be one of {_MOVES}, got {self.move_kind!r}")
 
 
 def _mean_edge(field: SensorField, route: Route) -> float:
@@ -143,52 +138,23 @@ def _two_opt_delta(i: int, j: int, x, y, lk, n: int, closed: bool) -> float:
     return delta
 
 
-def _swap_delta(i: int, j: int, x, y, lk, n: int, closed: bool) -> float:
-    """Length change from exchanging the nodes at route positions i < j; O(1).
-
-    Neighbouring positions are a two-node reversal. Otherwise each node takes
-    over the other's links: the outer ones change as in reversing positions
-    i..j, and the inner neighbours at i + 1 and j - 1 trade one node for the
-    other. On a closed route this covers positions 0 and n - 1 too:
-    reversing the whole cycle changes nothing, and their shared link stays.
-    """
-    if j == i + 1:
-        return _two_opt_delta(i, j, x, y, lk, n, closed)
-    r = i + 1
-    s = j - 1
-    dxa = x[j] - x[r]
-    dya = y[j] - y[r]
-    dxb = x[i] - x[s]
-    dyb = y[i] - y[s]
-    inner = math.sqrt(dxa * dxa + dya * dya) - lk[i]
-    inner += math.sqrt(dxb * dxb + dyb * dyb) - lk[s]
-    return _two_opt_delta(i, j, x, y, lk, n, closed) + inner
-
-
-def _apply_move(order: np.ndarray, xyl: np.ndarray, views: tuple, i: int, j: int, closed: bool, two_opt: bool) -> None:
-    """Reverse route positions i..j (2-opt) or swap positions i and j, in place.
+def _apply_move(order: np.ndarray, xyl: np.ndarray, views: tuple, i: int, j: int, closed: bool) -> None:
+    """Reverse route positions i..j (2-opt) in place.
 
     ``order`` and ``xyl`` are ``_route_arrays``'s, and ``views`` the
-    memoryviews of the rows of ``xyl``. A reversal reverses the links inside
-    it, ``lk[i:j]``; then each link the move relinks gets its length again
-    from the moved coordinates. The operands are those of the move's delta
-    up to sign, so ``lk`` stays equal to ``hop_lengths`` of the new order,
-    bit for bit.
+    memoryviews of the rows of ``xyl``. The reversal reverses the links
+    inside it, ``lk[i:j]``; then each of the two links it relinks gets its
+    length again from the moved coordinates. The operands are those of
+    ``_two_opt_delta`` up to sign, so ``lk`` stays equal to ``hop_lengths``
+    of the new order, bit for bit.
     """
     x, y, lk = views
     n = len(order)
-    if two_opt:
-        stop = i - 1 if i else None
-        order[i : j + 1] = order[j:stop:-1]
-        xyl[:2, i : j + 1] = xyl[:2, j:stop:-1]
-        xyl[2, i:j] = xyl[2, j - 1 : stop : -1]
-        relinked = (i - 1, j)
-    else:
-        order[i], order[j] = order[j], order[i]
-        x[i], x[j] = x[j], x[i]
-        y[i], y[j] = y[j], y[i]
-        relinked = (i - 1, i, j - 1, j)
-    for p in relinked:
+    stop = i - 1 if i else None
+    order[i : j + 1] = order[j:stop:-1]
+    xyl[:2, i : j + 1] = xyl[:2, j:stop:-1]
+    xyl[2, i:j] = xyl[2, j - 1 : stop : -1]
+    for p in (i - 1, j):
         if p < 0:
             if not closed:
                 continue
@@ -219,19 +185,18 @@ _LONGEST_RUN = 1024
 _STAY = 8
 
 
-def _link_ends(ij: np.ndarray, n: int, closed: bool, two_opt: bool) -> np.ndarray:
-    """Where the links each move (i, j), i < j, of ``ij`` relinks are found in the flat ``xyl``.
+def _link_ends(ij: np.ndarray, n: int, closed: bool) -> np.ndarray:
+    """Where the two links each move (i, j), i < j, of ``ij`` relinks are found in the flat ``xyl``.
 
-    There are L = 2 links for ``_two_opt_delta`` and L = 4 for
-    ``_swap_delta``, in their order. Rows 0..L-1 of the result index the x
-    of each new link's head, rows L..2L-1 its y, rows 2L..4L-1 the x and y
-    of its tail, and rows 4L..5L-1 the length of the old link it replaces,
-    all in ``_route_arrays``'s ``xyl.reshape(-1)``. A closed route wraps
-    position -1 to n - 1 and n to 0. A link the move lacks is at the pad,
-    position n, in every row, so that its new and old lengths are exactly
-    0.0: the links before an open route's start and after its end, every
-    2-opt link of a closed route's whole-cycle reversal, and a swap of
-    neighbours' inner links.
+    The links are ``_two_opt_delta``'s, in its order: the one before i and
+    the one after j. Rows 0..1 of the result index the x of each new link's
+    head, rows 2..3 its y, rows 4..7 the x and y of its tail, and rows 8..9
+    the length of the old link it replaces, all in ``_route_arrays``'s
+    ``xyl.reshape(-1)``. A closed route wraps position -1 to n - 1 and n to
+    0. A link the move lacks is at the pad, position n, in every row, so
+    that its new and old lengths are exactly 0.0: the links before an open
+    route's start and after its end, and both links of a closed route's
+    whole-cycle reversal.
     """
     i, j = ij
     p = i - 1
@@ -243,25 +208,16 @@ def _link_ends(ij: np.ndarray, n: int, closed: bool, two_opt: bool) -> np.ndarra
     else:
         before = i == 0
         after = j == n - 1
-    heads = [p, i]
-    tails = [j, q]
-    old = [p, j]
-    if not two_opt:
-        heads += [j, i]
-        tails += [i + 1, j - 1]
-        old += [i, j - 1]
-    ends = np.array([heads, tails, old])
+    ends = np.array([[p, i], [j, q], [p, j]])
     ends[:, 0, before] = n
     ends[:, 1, after] = n
-    if not two_opt:
-        ends[:, 2:, j == i + 1] = n
     heads, tails, old = ends
     w = n + 1
     return np.concatenate((heads, heads + w, tails, tails + w, old + 2 * w))
 
 
 def _run_deltas(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``_two_opt_delta`` or ``_swap_delta`` of each column of ``ends``, from ``_link_ends``.
+    """``_two_opt_delta`` of each column of ``ends``, from ``_link_ends``.
 
     ``flat`` is ``_route_arrays``'s ``xyl.reshape(-1)``, with 0.0 at the
     pads. Each entry is the scalar function's value bit for bit: the same
@@ -270,20 +226,16 @@ def _run_deltas(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
     is x, because a difference of a square root and a link length is never
     -0.0.
     """
-    links = len(ends) // 5
     g = flat[ends]
     # in place on the head rows, so a run holds few temporaries
-    d = g[: 2 * links]
-    d -= g[2 * links : 4 * links]
+    d = g[:4]
+    d -= g[4:8]
     d *= d
-    s = d[:links]
-    s += d[links:]
+    s = d[:2]
+    s += d[2:]
     np.sqrt(s, out=s)
-    s -= g[4 * links :]
-    delta = s[0] + s[1]
-    if links == 4:
-        delta += s[2] + s[3]
-    return delta
+    s -= g[8:]
+    return s[0] + s[1]
 
 
 def _draw(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -351,8 +303,6 @@ def sa_route(
     cur_len = route_length(field, initial)
     best_len = cur_len
     best_order = order  # the live order while it is the best; a copy once an accept leaves it
-    two_opt = schedule.move_kind == MOVE_TWO_OPT
-    move_delta = _two_opt_delta if two_opt else _swap_delta
     per_level = schedule.iters_per_temp
     temp = schedule.initial_temp
     it = accepted = uphill = numpy_scored = runs = 0
@@ -365,7 +315,7 @@ def sa_route(
             if pos == m:
                 m = min(_DRAW, budget - it)
                 ij, u, log_u = _draw(rng, n, m)
-                ends = _link_ends(ij, n, closed, two_opt)
+                ends = _link_ends(ij, n, closed)
                 pos = block_end = 0
             if quiet < _QUIET_STREAK:
                 if pos >= block_end:
@@ -377,7 +327,7 @@ def sa_route(
                 step = 1
                 i = buf_i[pos - base]
                 j = buf_j[pos - base]
-                delta = move_delta(i, j, x, y, lk, n, closed)
+                delta = _two_opt_delta(i, j, x, y, lk, n, closed)
                 accept = delta <= 0.0 or buf_u[pos - base] < math.exp(-delta / temp)
             else:
                 step = min(run, m - pos, per_level - it % per_level)
@@ -403,7 +353,7 @@ def sa_route(
             if accept:
                 if best_order is order and not cur_len + delta < best_len:
                     best_order = order.copy()
-                _apply_move(order, xyl, views, i, j, closed, two_opt)
+                _apply_move(order, xyl, views, i, j, closed)
                 cur_len += delta
                 if cur_len < best_len:
                     best_len = cur_len

@@ -72,8 +72,8 @@ def _emit(text: str, output: str | None) -> None:
 def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> list[int]:
     """Seed list syntax: '1..10' (inclusive range) or '1,2,5'.
 
-    Text that is neither, or that names no seed (such as '5..1'), is a
-    usage error.
+    Text that is neither, that names no seed (such as '5..1') or that
+    repeats one (such as '1,2,1'), is a usage error.
     """
     text = text.strip()
     try:
@@ -86,6 +86,8 @@ def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> list[int]:
         seeds = []
     if not seeds:
         parser.error(f"--seeds {text!r} names no seed; expected 'A..B' with A <= B or a comma list")
+    if len(set(seeds)) < len(seeds):
+        parser.error(f"--seeds {text!r} repeats a seed; each seed may run once")
     return seeds
 
 
@@ -100,7 +102,6 @@ def _schedule_from_args(args, fld: SensorField, initial: Route) -> AnnealSchedul
         "iters_per_temp": args.sa_iters_per_temp,
         "min_temp": args.sa_min_temp,
         "max_iters": args.sa_max_iters,
-        "move_kind": args.sa_move,
     }
     changed = {k: v for k, v in overrides.items() if v is not None}
     return dataclasses.replace(base, **changed)
@@ -139,7 +140,6 @@ def build_parser() -> CliParser:
     p.add_argument("--sa-iters-per-temp", type=int, default=None)
     p.add_argument("--sa-min-temp", type=float, default=None)
     p.add_argument("--sa-max-iters", type=int, default=None)
-    p.add_argument("--sa-move", choices=("swap", "two_opt_reverse"), default=None)
     p.add_argument("--output", default=None, help="route dump path (default: append to stdout)")
 
     p = sub.add_parser("simulate", help="run the lifetime simulation")

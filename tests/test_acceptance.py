@@ -148,7 +148,6 @@ def test_sa_sanity():
             iters_per_temp=base.iters_per_temp,
             min_temp=1e-9 * base.initial_temp,
             max_iters=50000,
-            move_kind="two_opt_reverse",
         )
         sa_len = route_length(f, sa_route(f, init, sched, seed))
         opt_len = route_length(f, brute_force_optimal(f))

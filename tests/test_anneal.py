@@ -19,11 +19,8 @@ from wsnroute import (
 )
 from wsnroute import anneal
 from wsnroute.anneal import (
-    MOVE_SWAP,
-    MOVE_TWO_OPT,
     _apply_move,
     _route_arrays,
-    _swap_delta,
     _two_opt_delta,
     default_schedule,
     undersized_schedule,
@@ -32,14 +29,13 @@ from wsnroute.bench import random_initial_route
 from wsnroute.field import hop_lengths
 
 
-def tiny_schedule(max_iters=2000, move_kind=MOVE_TWO_OPT, initial_temp=1.0):
+def tiny_schedule(max_iters=2000, initial_temp=1.0):
     return AnnealSchedule(
         initial_temp=initial_temp,
         cooling_factor=0.95,
         iters_per_temp=50,
         min_temp=1e-12,
         max_iters=max_iters,
-        move_kind=move_kind,
     )
 
 
@@ -95,7 +91,8 @@ def test_schedule_rejects_bad_values():
         dict(iters_per_temp=0),
         dict(initial_temp=-1.0),
         dict(initial_temp=math.nan),
-        dict(move_kind="three_opt"),
+        dict(initial_temp=math.inf),
+        dict(min_temp=math.inf),
     ):
         with pytest.raises(ValueError):
             AnnealSchedule(**{**ok, **bad})
@@ -118,28 +115,23 @@ def test_move_deltas_match_exact_length_change(n, closed):
         before = route_length(f, Route(order=order, closed=closed))
         _, xyl = _route_arrays(f, Route(order=order, closed=closed))
         x, y, lk = (memoryview(row) for row in xyl)
-        batched = {
-            delta: anneal._run_deltas(xyl.reshape(-1), anneal._link_ends(ij, n, closed, two_opt)).tolist()
-            for delta, two_opt in ((_two_opt_delta, True), (_swap_delta, False))
-        }
+        batched = anneal._run_deltas(xyl.reshape(-1), anneal._link_ends(ij, n, closed)).tolist()
         for k, (i, j) in enumerate(pairs):
             reversed_ = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
-            swapped = list(order)
-            swapped[i], swapped[j] = swapped[j], swapped[i]
-            for delta, after in ((_two_opt_delta, reversed_), (_swap_delta, swapped)):
-                exact = route_length(f, Route(order=after, closed=closed)) - before
-                got = delta(i, j, x, y, lk, n, closed)
-                assert got == pytest.approx(exact, abs=1e-9), (delta.__name__, order, i, j)
-                assert batched[delta][k] == got, (delta.__name__, order, i, j)
+            exact = route_length(f, Route(order=reversed_, closed=closed)) - before
+            got = _two_opt_delta(i, j, x, y, lk, n, closed)
+            assert got == pytest.approx(exact, abs=1e-9), (order, i, j)
+            assert batched[k] == got, (order, i, j)
 
 
-@pytest.mark.parametrize("closed", [False, True])
-@pytest.mark.parametrize("two_opt", [True, False])
+# The seed and the "True-" in each case id are those of the 2-opt cases from
+# when this test also ran a position-swap move, so each case keeps its field and name.
+@pytest.mark.parametrize("closed", [False, True], ids=["True-False", "True-True"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
-def test_accepted_moves_keep_link_lengths_exact(n, two_opt, closed):
+def test_accepted_moves_keep_link_lengths_exact(n, closed):
     # after every move the route arrays are those of the new order: the
     # coordinates, and each link's length bit for bit as hop_lengths gives it
-    rng = np.random.default_rng(10 * n + 2 * two_opt + closed)
+    rng = np.random.default_rng(10 * n + 2 + closed)
     f = SensorField(coords=rng.random((n, 2)) * 1000, width=1000, height=1000)
     order = [int(v) for v in rng.permutation(n)]
     got_order, xyl = _route_arrays(f, Route(order=order, closed=closed))
@@ -150,11 +142,8 @@ def test_accepted_moves_keep_link_lengths_exact(n, two_opt, closed):
     hops = n if closed else n - 1
     for i, j in moves:
         i, j = int(i), int(j)
-        if two_opt:
-            order[i : j + 1] = order[i : j + 1][::-1]
-        else:
-            order[i], order[j] = order[j], order[i]
-        _apply_move(got_order, xyl, views, i, j, closed, two_opt)
+        order[i : j + 1] = order[i : j + 1][::-1]
+        _apply_move(got_order, xyl, views, i, j, closed)
         rx, ry, lk = xyl
         assert got_order.tolist() == order, (i, j)
         assert rx[:n].tolist() == f.coords[order, 0].tolist()
@@ -189,7 +178,6 @@ def test_degenerate_greedy_history_non_increasing():
         iters_per_temp=100,
         min_temp=1e-15,
         max_iters=3000,
-        move_kind=MOVE_TWO_OPT,
     )
     sa_route(f, initial, sched, seed=6, history=history)
     assert history
@@ -198,14 +186,13 @@ def test_degenerate_greedy_history_non_increasing():
 
 def test_elitism_never_worse_than_initial():
     rng = np.random.default_rng(31)
-    for move in (MOVE_TWO_OPT, MOVE_SWAP):
-        for _ in range(10):
-            n = int(rng.integers(5, 30))
-            seed = int(rng.integers(2**32))
-            f = generate_uniform(n, 500, 500, seed=seed)
-            initial = random_initial_route(n, seed)
-            out = sa_route(f, initial, tiny_schedule(move_kind=move), seed=seed)
-            assert route_length(f, out) <= route_length(f, initial)
+    for _ in range(10):
+        n = int(rng.integers(5, 30))
+        seed = int(rng.integers(2**32))
+        f = generate_uniform(n, 500, 500, seed=seed)
+        initial = random_initial_route(n, seed)
+        out = sa_route(f, initial, tiny_schedule(), seed=seed)
+        assert route_length(f, out) <= route_length(f, initial)
 
 
 def test_deterministic_for_fixed_seed():
@@ -217,11 +204,10 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_moves_preserve_permutation():
-    for move in (MOVE_TWO_OPT, MOVE_SWAP):
-        f = generate_uniform(15, 100, 100, seed=2)
-        initial = random_initial_route(15, 2)
-        out = sa_route(f, initial, tiny_schedule(move_kind=move), seed=2)
-        assert sorted(out.order) == list(range(15))
+    f = generate_uniform(15, 100, 100, seed=2)
+    initial = random_initial_route(15, 2)
+    out = sa_route(f, initial, tiny_schedule(), seed=2)
+    assert sorted(out.order) == list(range(15))
 
 
 def test_closed_route_annealing():
@@ -242,7 +228,6 @@ def test_finds_optimum_on_small_instance():
         iters_per_temp=base.iters_per_temp,
         min_temp=1e-9 * base.initial_temp,
         max_iters=50000,
-        move_kind=MOVE_TWO_OPT,
     )
     sa_len = route_length(f, sa_route(f, initial, sched, seed=1))
     opt_len = route_length(f, brute_force_optimal(f))
@@ -257,7 +242,6 @@ def test_default_schedule_shape():
     assert sched.initial_temp == pytest.approx(0.5 * mean_edge)
     assert sched.min_temp == pytest.approx(1e-3 * sched.initial_temp)
     assert sched.iters_per_temp == 1000
-    assert sched.move_kind == MOVE_TWO_OPT
 
 
 def test_undersized_schedule_caps_budget():
@@ -294,27 +278,6 @@ def _ref_two_opt_delta(order, i, j, xs, ys, n, closed):
     return delta
 
 
-def _ref_swap_delta(order, i, j, xs, ys, n, closed):
-    """Length change from exchanging order[i] and order[j], i < j, read through node-indexed coordinates."""
-    if j == i + 1:
-        return _ref_two_opt_delta(order, i, j, xs, ys, n, closed)
-    a = order[i]
-    b = order[j]
-    r = order[i + 1]
-    s = order[j - 1]
-    dxa = xs[b] - xs[r]
-    dya = ys[b] - ys[r]
-    dxc = xs[a] - xs[r]
-    dyc = ys[a] - ys[r]
-    dxb = xs[a] - xs[s]
-    dyb = ys[a] - ys[s]
-    dxd = xs[b] - xs[s]
-    dyd = ys[b] - ys[s]
-    inner = math.sqrt(dxa * dxa + dya * dya) - math.sqrt(dxc * dxc + dyc * dyc)
-    inner += math.sqrt(dxb * dxb + dyb * dyb) - math.sqrt(dxd * dxd + dyd * dyd)
-    return _ref_two_opt_delta(order, i, j, xs, ys, n, closed) + inner
-
-
 def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
     """``sa_route`` as a plain scalar loop: one proposal, one delta, one test.
 
@@ -332,8 +295,6 @@ def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
     cur_len = route_length(field, initial)
     best_len = cur_len
     best_order = list(order)
-    two_opt = schedule.move_kind == MOVE_TWO_OPT
-    move_delta = _ref_two_opt_delta if two_opt else _ref_swap_delta
     temp = schedule.initial_temp
     it = 0
     buf_i: list[int] = []
@@ -355,15 +316,12 @@ def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
             j += 1
         if i > j:
             i, j = j, i
-        delta = move_delta(order, i, j, xs, ys, n, closed)
+        delta = _ref_two_opt_delta(order, i, j, xs, ys, n, closed)
         accepted = delta <= 0.0 or u < math.exp(-delta / temp)
         if decisions is not None:
             decisions.append((delta, u, temp, accepted))
         if accepted:
-            if two_opt:
-                order[i : j + 1] = order[j : i - 1 if i else None : -1]
-            else:
-                order[i], order[j] = order[j], order[i]
+            order[i : j + 1] = order[j : i - 1 if i else None : -1]
             cur_len += delta
             if cur_len < best_len:
                 best_len = cur_len
@@ -379,72 +337,110 @@ def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
     return Route(order=list(initial.order), closed=closed)
 
 
-def _schedules(f, initial, move):
+def _schedules(f, initial):
     """Schedules whose levels, draws and stops fall at awkward proposal counts."""
     n = len(initial.order)
     t0 = max(route_length(f, initial) / n, 1e-12)
     default = default_schedule(f, initial)
-    cap = 30_000 if n >= 200 else default.max_iters  # keeps n=200 quick; 30000 is not a multiple of 8192
+    cap = 30_000 if n > 30 else default.max_iters  # keeps larger fields quick; 30000 is not a multiple of 8192
     return {
-        "default": dataclasses.replace(default, move_kind=move, max_iters=cap),
-        "undersized": dataclasses.replace(undersized_schedule(f, initial), move_kind=move),
+        "default": dataclasses.replace(default, max_iters=cap),
+        "undersized": undersized_schedule(f, initial),
         # dense acceptance: the numpy phase is entered and left again and again
         "hot": AnnealSchedule(initial_temp=5 * t0, cooling_factor=0.97, iters_per_temp=997,
-                              min_temp=1e-6 * t0, max_iters=20_000, move_kind=move),
+                              min_temp=1e-6 * t0, max_iters=20_000),
         # levels of 3001 proposals; min_temp stops the run after 6 levels, 1622
         # proposals into the third draw and well short of max_iters
         "min-temp-stop": AnnealSchedule(initial_temp=0.05 * t0, cooling_factor=0.25,
                                         iters_per_temp=3001, min_temp=0.05 * t0 * 0.25**5,
-                                        max_iters=50_000, move_kind=move),
+                                        max_iters=50_000),
         # accepts a few hundred proposals apart once the route settles, so runs
         # accept _STAY or more proposals in and the next run follows at once
         "sparse": AnnealSchedule(initial_temp=0.02 * t0, cooling_factor=0.9, iters_per_temp=2000,
-                                 min_temp=1e-9 * t0, max_iters=8000, move_kind=move),
+                                 min_temp=1e-9 * t0, max_iters=8000),
         # -delta/T overflows to -inf, which numpy would warn about
         "frozen": AnnealSchedule(initial_temp=1e-306, cooling_factor=0.5, iters_per_temp=500,
-                                 min_temp=1e-315, max_iters=5000, move_kind=move),
+                                 min_temp=1e-315, max_iters=5000),
     }
 
 
-@pytest.mark.parametrize("closed", [False, True])
-@pytest.mark.parametrize("move", [MOVE_TWO_OPT, MOVE_SWAP])
+def _assert_matches_reference(f, initial, sched, name):
+    """``sa_route`` against ``_sa_reference`` under one schedule: the route, the history and every counter.
+
+    Returns the proposals numpy scored, and how many of them it must have
+    scored because they came after ``_QUIET_STREAK`` rejections in a row.
+    """
+    want_history: list[float] = []
+    got_history: list[float] = []
+    decisions = []
+    stats = {}
+    want = _sa_reference(f, initial, sched, seed=7, history=want_history, decisions=decisions)
+    got = sa_route(f, initial, sched, seed=7, history=got_history, stats=stats)
+    assert got == want, name
+    assert got_history == want_history, name
+    assert stats["proposals"] == len(decisions) == stats["scalar_scored"] + stats["numpy_scored"]
+    assert stats["accepted"] == sum(d[3] for d in decisions)
+    assert stats["uphill_accepted"] == sum(d[3] and d[0] > 0.0 for d in decisions)
+    final = decisions[-1][2]  # the last proposal's T, cooled if it ended a level
+    if len(decisions) % sched.iters_per_temp == 0:
+        final *= sched.cooling_factor
+    assert stats["final_temp"] == final, name
+    assert stats["stop"] == ("min_temp" if final < sched.min_temp else "budget"), name
+    # a proposal after _QUIET_STREAK rejections in a row is always scored in
+    # numpy; any more come from runs that accepted late and stayed batched
+    quiet = streak = 0
+    for delta, u, temp, accepted in decisions:
+        quiet += streak >= anneal._QUIET_STREAK
+        streak = 0 if accepted else streak + 1
+    assert stats["numpy_scored"] >= quiet, name
+    return stats["numpy_scored"], quiet
+
+
+# Case ids name the move, as they did when a position-swap move was also checked.
+@pytest.mark.parametrize("closed", [False, True], ids=["two_opt_reverse-False", "two_opt_reverse-True"])
 @pytest.mark.parametrize("n", [2, 3, 5, 30, 200])
-def test_sa_route_matches_scalar_reference(n, move, closed):
+def test_sa_route_matches_scalar_reference(n, closed):
     f = generate_uniform(n, 1000, 1000, seed=n)
     initial = Route(order=random_initial_route(n, n).order, closed=closed)
     numpy_scored = 0
-    for name, sched in _schedules(f, initial, move).items():
-        want_history: list[float] = []
-        got_history: list[float] = []
-        decisions = []
-        stats = {}
-        want = _sa_reference(f, initial, sched, seed=7, history=want_history, decisions=decisions)
-        got = sa_route(f, initial, sched, seed=7, history=got_history, stats=stats)
-        assert got == want, name
-        assert got_history == want_history, name
-        assert stats["proposals"] == len(decisions) == stats["scalar_scored"] + stats["numpy_scored"]
-        assert stats["accepted"] == sum(d[3] for d in decisions)
-        assert stats["uphill_accepted"] == sum(d[3] and d[0] > 0.0 for d in decisions)
-        final = decisions[-1][2]  # the last proposal's T, cooled if it ended a level
-        if len(decisions) % sched.iters_per_temp == 0:
-            final *= sched.cooling_factor
-        assert stats["final_temp"] == final, name
-        assert stats["stop"] == ("min_temp" if final < sched.min_temp else "budget"), name
-        # a proposal after _QUIET_STREAK rejections in a row is always scored in
-        # numpy; any more come from runs that accepted late and stayed batched
-        quiet = streak = 0
-        for delta, u, temp, accepted in decisions:
-            quiet += streak >= anneal._QUIET_STREAK
-            streak = 0 if accepted else streak + 1
+    for name, sched in _schedules(f, initial).items():
+        scored, quiet = _assert_matches_reference(f, initial, sched, name)
         if name == "sparse" and n >= 30:
-            assert stats["numpy_scored"] > quiet, name
-        else:
-            assert stats["numpy_scored"] >= quiet, name
-        numpy_scored += stats["numpy_scored"]
+            assert scored > quiet, name
+        numpy_scored += scored
     if n >= 30:
         # smaller routes keep accepting zero-delta moves (a whole or nearly whole
         # reversal), so their quiet stretches are rare or never come
         assert numpy_scored > 50_000
+
+
+def _adversarial_fields():
+    rng = np.random.default_rng(66)
+    lattice = np.array([(10.0 * x, 10.0 * y) for y in range(8) for x in range(8)])
+    x = rng.choice(1000, 40, replace=False).astype(float)
+    centres = np.array([(100.0, 100.0), (700.0, 200.0), (400.0, 800.0)])
+    return {
+        "lattice": lattice,
+        "lattice-duplicates": np.concatenate((lattice, lattice[rng.integers(0, 64, 20)])),
+        "collinear": np.stack((x, 0.5 * x), axis=1),
+        "coincident": np.full((25, 2), 5.0),
+        "clusters": np.round(centres[np.arange(30) % 3] + rng.normal(0.0, 20.0, (30, 2))),
+    }
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("field", sorted(_adversarial_fields()))
+def test_sa_route_matches_scalar_reference_on_adversarial_fields(field, closed):
+    # exact length ties, zero-length links and zero deltas, which uniform fields never give
+    xy = _adversarial_fields()[field]
+    f = SensorField(coords=xy, width=1000, height=1000)
+    n = len(xy)
+    initial = Route(order=random_initial_route(n, n).order, closed=closed)
+    numpy_scored = 0
+    for name, sched in _schedules(f, initial).items():
+        numpy_scored += _assert_matches_reference(f, initial, sched, f"{field} {name}")[0]
+    # on coincident points every delta is 0.0 and every move accepted, so no stretch is quiet
+    assert (numpy_scored == 0) == (field == "coincident")
 
 
 # Each initial_temp puts one proposal, in a quiet stretch of the first level,
@@ -453,18 +449,23 @@ def test_sa_route_matches_scalar_reference(n, move, closed):
 # proposal that math.exp rejects. For "exp-ulp", u is the smaller of
 # math.exp(-delta/T) and np.exp(-delta/T), which differ by one ulp. The
 # temperatures were found by scaling T0 until a proposal of a scalar run
-# landed there, and are pinned.
-@pytest.mark.parametrize("kind, move, closed, seed, t0", [
-    ("margin", MOVE_TWO_OPT, False, 7, 43.21804379152389),
-    ("exp-ulp", MOVE_TWO_OPT, False, 12, 44.116645893306725),
-    ("margin", MOVE_SWAP, True, 0, 45.255731663900306),
-    ("exp-ulp", MOVE_SWAP, True, 0, 45.255731681800235),
-])
-def test_sa_route_decides_threshold_proposals_with_math_exp(kind, move, closed, seed, t0):
+# landed there, and are pinned. Case ids name the move, as they did when a
+# position-swap move was also checked.
+_THRESHOLD_CASES = [
+    ("margin", False, 7, 43.21804379152389),
+    ("exp-ulp", False, 12, 44.116645893306725),
+    ("margin", True, 0, 49.569086699185355),
+    ("exp-ulp", True, 8, 46.87137967601134),
+]
+
+
+@pytest.mark.parametrize("kind, closed, seed, t0", _THRESHOLD_CASES,
+                         ids=[f"{k}-two_opt_reverse-{c}-{s}-{t}" for k, c, s, t in _THRESHOLD_CASES])
+def test_sa_route_decides_threshold_proposals_with_math_exp(kind, closed, seed, t0):
     f = generate_uniform(30, 1000, 1000, seed=30)
     initial = Route(order=random_initial_route(30, 30).order, closed=closed)
     sched = AnnealSchedule(initial_temp=t0, cooling_factor=0.5, iters_per_temp=4000,
-                           min_temp=1e-30, max_iters=40_000, move_kind=move)
+                           min_temp=1e-30, max_iters=40_000)
     decisions = []
     want_history: list[float] = []
     want = _sa_reference(f, initial, sched, seed, history=want_history, decisions=decisions)

@@ -162,6 +162,16 @@ def test_bench_bad_seed_list_is_usage_error(seeds, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+def test_bench_repeated_seed_is_usage_error(capsys):
+    # a repeated seed would count twice in the mean rows and once in mean,SA/NN
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "5", "--seeds", "1,2,1", "--format", "csv"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeats a seed" in captured.err
+
+
 def test_bench_generous_preset_and_paper_budget_is_usage_error(capsys):
     # --paper-budget is an alias for --preset paper-budget; it may not override another preset
     with pytest.raises(SystemExit) as exc:
@@ -228,6 +238,16 @@ def test_sa_nan_initial_temp_is_runtime_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "initial_temp" in err
+
+
+@pytest.mark.parametrize("flag", ["--sa-initial-temp", "--sa-min-temp"])
+def test_sa_infinite_temperature_is_runtime_error(flag, capsys):
+    # an infinite min_temp would stop before the first proposal, an infinite
+    # initial_temp would accept every uphill move
+    code, out, err = run_cli(capsys, "sa", "--n", "5", flag, "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be finite" in err
 
 
 def test_simulate_json_report(tmp_path, capsys):

@@ -38,8 +38,6 @@ CASES = {
     # The dump's (source, weight, target) order through lattice ties.
     "knn-input-lattice": ["knn", "--input", "{lattice}", "--k", "4"],
     "nn-input-closed": ["nn", "--input", "{field}", "--start", "3", "--closed"],
-    "sa-swap": ["sa", "--n", "30", "--width", "400", "--height", "400", "--seed", "11",
-                "--sa-move", "swap", "--sa-max-iters", "3000"],
     "sa-nn-init-closed": ["sa", "--n", "30", "--seed", "2", "--sa-init", "nn", "--closed",
                           "--sa-max-iters", "3000"],
     "simulate-fixed-json": ["simulate", "--n", "30", "--width", "100", "--height", "100",
@@ -77,12 +75,13 @@ CASES = {
     "nn-input-clustered": ["nn", "--input", "{clustered}", "--start", "150"],
     # Long enough for quiet stretches, so the annealer scores proposals in numpy runs.
     "sa-paper-budget-n300": ["sa", "--n", "300", "--seed", "4", "--paper-budget"],
-    "sa-swap-closed-n200": ["sa", "--n", "200", "--seed", "3", "--sa-move", "swap", "--closed"],
+    # Closed routes long enough for numpy runs, whose links wrap around the seam.
+    "sa-closed-n200": ["sa", "--n", "200", "--seed", "3", "--closed"],
     # Accepted 2-opt moves reverse slices thousands of positions long.
     "sa-paper-budget-n10000": ["sa", "--n", "10000", "--seed", "1", "--paper-budget",
                                "--sa-max-iters", "200000"],
-    "sa-swap-closed-paper-budget-n10000": ["sa", "--n", "10000", "--seed", "2", "--sa-move", "swap",
-                                           "--closed", "--paper-budget", "--sa-max-iters", "100000"],
+    "sa-closed-paper-budget-n10000": ["sa", "--n", "10000", "--seed", "2", "--closed", "--paper-budget",
+                                      "--sa-max-iters", "100000"],
     "bench-json-knn": ["bench", "--n", "30", "--width", "500", "--height", "500",
                        "--seeds", "4,7", "--k", "5", "--preset", "generous", "--format", "json"],
 }
@@ -102,12 +101,11 @@ DIGESTS = {
     "nn-input-closed": "210a9fc0132c7c4eae6e4dc5b971d3af6ce3b201c1a0112d6c50e004e74f5ed4",
     "nn-input-clustered": "41b98c221629baab99dc90ac90b546880ba299b7bd5c0ba4d38ae660ea4c2630",
     "nn-n3000": "9553da1648f0050da23d392cef7423de254020f4396ae259f18acb4c9ef24cb2",
+    "sa-closed-n200": "8df3400e2e18d8c2abd995c9ea738c368384e28f0c859c92d7343a284e67d27c",
+    "sa-closed-paper-budget-n10000": "3302a41ac906ef62f55243511ef591b82b6888a4afc765d651ce0124c632c8bc",
     "sa-nn-init-closed": "ac3ab4af1c1e54741abce984d3248745e6bffce582c3e44abf3d08ae8083177a",
     "sa-paper-budget-n300": "3d7c823a34dfa770cb607c39e951d9e1a740a2671d178a3a549f8acc39c75c9a",
     "sa-paper-budget-n10000": "30d02ca785a928a82fea2249c33fdb2f2aa498cdc5aeeb097695d5878973821d",
-    "sa-swap-closed-paper-budget-n10000": "b2b9dd47f5c240c59a7fa3f0cb1717c268bde26b673b23b3e179c8f1da6b9360",
-    "sa-swap": "d7d8d6766ea19fd64c06615315034b24a4649f27c7049069c30b2f1899434ccc",
-    "sa-swap-closed-n200": "e39fcf4f58e72c248bb7ab4d62e5496ba538acff5f900ce643019c890d15dbd4",
     "simulate-fixed-csv": "3a27c3cc521bbe492398c87dbc137f36d46151698a4fe9798dda85a311cc71a4",
     "simulate-fixed-json": "c3904f9cbe5b6b1c79356f1e82591978dd3abbd2f67b690abc44d58c4ab3d37a",
     "simulate-rotate-csv": "1e655fa883c3ddb3b0bafa219252e54e7240f2aa4f0b94b28aae5aee0ee11c50",
