@@ -55,6 +55,7 @@ from .lifetime import (
     POLICY_FIXED,
     POLICY_ROTATE,
     DelayVerdict,
+    RouteWorkerError,
     SimReport,
     check_delay,
     path_delay,

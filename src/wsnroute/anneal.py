@@ -39,8 +39,8 @@ class AnnealSchedule:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.iters_per_temp < 1:
             raise ValueError(f"iters_per_temp must be >= 1, got {self.iters_per_temp}")
-        if not self.initial_temp >= 0.0:
-            raise ValueError(f"initial_temp must be >= 0, got {self.initial_temp}")
+        if not self.initial_temp >= self.min_temp:  # a lower start would stop before the first proposal
+            raise ValueError(f"initial_temp must be >= min_temp ({self.min_temp}), got {self.initial_temp}")
 
 
 def _mean_edge(field: SensorField, route: Route) -> float:

@@ -25,7 +25,7 @@ from .bench import (
 from .energy import DeadNodeError, EnergyConfig, parse_config
 from .field import DatasetError, SensorField, generate_uniform, parse_dataset, write_dataset
 from .knn import build_knn_graph, dump_graph
-from .lifetime import simulate_lifetime
+from .lifetime import RouteWorkerError, simulate_lifetime
 from .routes import Route, dump_route, nn_route, route_length
 
 
@@ -165,6 +165,8 @@ def build_parser() -> CliParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="report path (default: stdout)")
 
+    for p in sub.choices.values():
+        p.set_defaults(command_parser=p)  # a handler's usage errors show its subcommand's usage
     return parser
 
 
@@ -262,8 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
-    except (DatasetError, DeadNodeError, ValueError, OSError) as exc:
+        return _COMMANDS[args.command](args, args.command_parser)
+    except (DatasetError, DeadNodeError, RouteWorkerError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,27 +15,41 @@ The ``rotate-start`` policy rebuilds the greedy route from start node
 the network; ``fixed-route`` replays one route every round. Rotating rounds
 share one kNN graph of the field, whose slots settle most greedy steps; the
 graph also keeps the greedy builder's cell grid of the field for every round.
+
+A rotating round's route depends only on the field, the graph and its start
+node, so its rounds are built in two processes. Once round 0 has completed,
+a worker forked from this process builds the odd rounds' routes and sends
+each through a pipe, while this process builds the even ones and does all
+the charging, delay checks and the ledger in round order. The report is the
+same, byte for byte. The rounds stay in this process when ``os.fork`` is
+missing, when this process may use one CPU only, or when fewer than two
+rounds remain after round 0. A worker that dies raises RouteWorkerError; the
+worker is reaped however the run ends.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .energy import DelayParams, EnergyConfig, RadioParams, rx_energy, tx_energy
 from .field import SensorField, hop_lengths
-from .knn import build_knn_graph
+from .knn import KnnGraph, build_knn_graph
 from .routes import Route, nn_route, validate_route
 
 POLICY_FIXED = "fixed-route"
 POLICY_ROTATE = "rotate-start"
 _POLICIES = (POLICY_FIXED, POLICY_ROTATE)
 # Neighbours per node in the graph rotating rounds share. At n=2000, 4 slots
-# settle 88% of a route's steps and 8 settle 94%. On the lifetime-rotate
-# benchmark (2-vCPU x86-64 VM), 8 took 13% less time per op than 4, but
-# raised peak memory by 6% over the graph-free build against 3%.
-_ROTATE_K = 4
+# settle 88% of a route's steps and 8 settle 93%. On the lifetime-rotate
+# benchmark (2-vCPU x86-64 VM, with the route worker), 8 took 7% less time
+# per op than 4 in 9 of 10 pairs of runs, for 1.5% more peak memory.
+_ROTATE_K = 8
 
 
 @dataclass(frozen=True)
@@ -77,8 +91,8 @@ def check_delay(field: SensorField, route: Route, dp: DelayParams, lengths: np.n
     return DelayVerdict(feasible=False, excess_s=delay - dp.d_max_s)
 
 
-def _round_charges(field: SensorField, route: Route, rp: RadioParams, lengths: np.ndarray) -> np.ndarray:
-    """Per-node round charge for one sweep along the route, whose ``hop_lengths`` are ``lengths``.
+def _round_charges(field: SensorField, order: np.ndarray, rp: RadioParams, lengths: np.ndarray) -> np.ndarray:
+    """Per-node round charge for one sweep along the intp route ``order``, whose ``hop_lengths`` are ``lengths``.
 
     The same bits as ``tx_energy`` per sender and ``rx_energy`` per
     receiver: ``d**alpha`` stays a Python float power, numpy adds
@@ -86,7 +100,6 @@ def _round_charges(field: SensorField, route: Route, rp: RadioParams, lengths: n
     roundings, and a node sends at most once and receives at most once, so
     its charge is one sum of two terms.
     """
-    order = np.asarray(route.order, dtype=np.intp)
     lengths = lengths.tolist()
     bits = rp.packet_bits
     alpha = rp.alpha
@@ -105,6 +118,81 @@ def _round_charges(field: SensorField, route: Route, rp: RadioParams, lengths: n
     return charges
 
 
+class RouteWorkerError(RuntimeError):
+    """The process that builds a rotating run's odd rounds stopped before it sent every route."""
+
+
+def _two_cpus() -> bool:
+    """Whether a route worker may be forked: ``os.fork`` exists and this process may use two CPUs or more."""
+    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+def _write_all(fd: int, order: np.ndarray) -> None:
+    """Write the bytes of ``order`` to the pipe ``fd``, however many writes that takes."""
+    view = memoryview(order).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _reap(pid: int) -> int:
+    """Kill the worker ``pid`` if it still runs, wait for it and return its exit code."""
+    os.kill(pid, signal.SIGKILL)  # a worker that has exited is a zombie until waited for, so pid is still its own
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> Iterator[np.ndarray]:
+    """Round r's greedy route from node ``r mod n``, as one intp order, for r = 0 .. rounds - 1.
+
+    Round 0 is built here. When two or more rounds remain after it and
+    ``_two_cpus()``, a forked worker builds the odd rounds and writes each
+    order to a pipe as raw intp bytes; this process builds each even round
+    before it waits for the odd round before that one. The orders are the
+    same either way. Closing the generator kills and reaps a worker that is
+    still running, which may be rounds ahead; a worker that stops short
+    raises RouteWorkerError.
+    """
+    n = len(field)
+
+    def build(r: int) -> np.ndarray:
+        return np.array(nn_route(field, r % n, graph).order, dtype=np.intp)
+
+    yield build(0)  # a run that stops in its first round forks nothing
+    if rounds - 1 < 2 or not _two_cpus():
+        for r in range(1, rounds):
+            yield build(r)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: it inherits round 0's grid index on the graph
+        code = 1
+        try:
+            os.close(read_fd)
+            for r in range(1, rounds, 2):
+                _write_all(write_fd, build(r))
+            code = 0
+        finally:
+            os._exit(code)  # no atexit handlers, and no flush of stdio buffers the parent holds too
+    size = n * np.dtype(np.intp).itemsize
+    reaped = False
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            for r in range(1, rounds, 2):
+                own = build(r + 1) if r + 1 < rounds else None  # built before waiting on the worker
+                data = pipe.read(size)
+                if len(data) < size:
+                    code, reaped = _reap(pid), True
+                    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+                    raise RouteWorkerError(f"the route worker {how} after sending {len(data)} of the "
+                                           f"{size} bytes of round {r + 1}'s route")
+                yield np.frombuffer(data, dtype=np.intp)
+                if own is not None:
+                    yield own
+    finally:
+        if not reaped:
+            _reap(pid)
+
+
 def simulate_lifetime(
     field: SensorField,
     policy: str,
@@ -118,8 +206,9 @@ def simulate_lifetime(
     ``cfg.radio`` and checked against ``cfg.delay``. ``fixed-route`` replays
     ``route`` (defaults to the greedy route from node 0); ``rotate-start``
     regenerates the greedy route with a rotating start and takes no
-    ``route``. Deadline violations are counted for completed rounds whose
-    route misses d_max_s. Deterministic given its inputs.
+    ``route``, building its rounds in two processes when it can (see the
+    module docstring). Deadline violations are counted for completed rounds
+    whose route misses d_max_s. Deterministic given its inputs.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
@@ -132,37 +221,42 @@ def simulate_lifetime(
     if rotate and route is not None:
         raise ValueError(f"route applies to {POLICY_FIXED} only; {POLICY_ROTATE} starts round r at node r mod n")
 
-    def plan(rt: Route) -> tuple[np.ndarray, bool]:
-        lengths = hop_lengths(field.coords, rt.order, rt.closed)  # one pass serves charges and delay
-        return _round_charges(field, rt, cfg.radio, lengths), check_delay(field, rt, cfg.delay, lengths).feasible
+    def plan(order: np.ndarray, closed: bool = False) -> tuple[np.ndarray, bool]:
+        lengths = hop_lengths(field.coords, order, closed)  # one pass serves charges and delay
+        charges = _round_charges(field, order, cfg.radio, lengths)
+        return charges, check_delay(field, Route(order, closed), cfg.delay, lengths).feasible
 
-    graph = None
-    if not rotate:
+    orders = None
+    if rotate:
+        graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256) if n > 1 and max_rounds > 0 else None
+        orders = _rotate_orders(field, graph, max_rounds)
+        plans = map(plan, orders)
+    else:
         route = route if route is not None else nn_route(field, 0)
         validate_route(field, route)
-        charges, within_deadline = plan(route)
-    elif n > 1 and max_rounds > 0:
-        graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256)
+        plans = repeat(plan(np.asarray(route.order, dtype=np.intp), route.closed))
 
     residual = np.full(n, cfg.initial_battery_j)
     total = 0.0
     rounds_completed = 0
     first_death_round = None
     violations = 0
-    for round_idx in range(max_rounds):
-        if rotate:
-            charges, within_deadline = plan(nn_route(field, round_idx % n, graph))
-        dying = np.flatnonzero(charges > residual)
-        if len(dying):
-            total = _left_sum(total, residual[dying])
-            residual[dying] = 0.0
-            first_death_round = round_idx + 1
-            break
-        residual -= charges
-        total = _left_sum(total, charges)
-        rounds_completed += 1
-        if not within_deadline:
-            violations += 1
+    try:
+        for round_idx, (charges, within_deadline) in zip(range(max_rounds), plans):
+            dying = np.flatnonzero(charges > residual)
+            if len(dying):
+                total = _left_sum(total, residual[dying])
+                residual[dying] = 0.0
+                first_death_round = round_idx + 1
+                break
+            residual -= charges
+            total = _left_sum(total, charges)
+            rounds_completed += 1
+            if not within_deadline:
+                violations += 1
+    finally:
+        if orders is not None:
+            orders.close()  # reaps a route worker, however the loop ended
     return SimReport(
         rounds_completed=rounds_completed,
         first_death_round=first_death_round,

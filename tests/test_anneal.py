@@ -93,9 +93,15 @@ def test_schedule_rejects_bad_values():
         dict(initial_temp=math.nan),
         dict(initial_temp=math.inf),
         dict(min_temp=math.inf),
+        # below min_temp, a run would stop before its first proposal
+        dict(initial_temp=0.0),
+        dict(initial_temp=1e-300),
+        dict(initial_temp=0.5e-6),
+        dict(min_temp=2.0),
     ):
         with pytest.raises(ValueError):
             AnnealSchedule(**{**ok, **bad})
+    AnnealSchedule(**{**ok, "initial_temp": ok["min_temp"]})  # one level of proposals
 
 
 # --- move deltas ---

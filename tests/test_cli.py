@@ -172,6 +172,23 @@ def test_bench_repeated_seed_is_usage_error(capsys):
     assert "repeats a seed" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--n", "5", "--seeds", "1,2,1"],
+    ["bench", "--n", "5", "--seeds", "5..1"],
+    ["simulate", "--n", "6", "--rounds", "2", "--policy", "rotate-start", "--start", "3"],
+    ["simulate", "--rounds", "2"],
+    ["nn", "--input", "field.txt", "--seed", "1"],
+])
+def test_handler_usage_errors_show_the_subcommand_usage(argv, capsys):
+    # found after parsing, by the subcommand's handler
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: wsnroute {argv[0]} ")
+    assert f"\nwsnroute {argv[0]}: error: " in err
+
+
 def test_bench_generous_preset_and_paper_budget_is_usage_error(capsys):
     # --paper-budget is an alias for --preset paper-budget; it may not override another preset
     with pytest.raises(SystemExit) as exc:
@@ -248,6 +265,15 @@ def test_sa_infinite_temperature_is_runtime_error(flag, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "must be finite" in err
+
+
+@pytest.mark.parametrize("temp", ["0", "1e-300"])
+def test_sa_initial_temp_below_min_temp_is_runtime_error(temp, capsys):
+    # the run would make no proposal and print the random start as its result
+    code, out, err = run_cli(capsys, "sa", "--n", "5", "--seed", "1", "--sa-initial-temp", temp)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: initial_temp must be >= min_temp")
 
 
 def test_simulate_json_report(tmp_path, capsys):

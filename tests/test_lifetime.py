@@ -1,7 +1,12 @@
 """Delay constraint and lifetime simulation tests."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +20,13 @@ from wsnroute import (
     SensorField,
     check_delay,
     generate_uniform,
+    nn_route,
     path_delay,
     rx_energy,
     simulate_lifetime,
     tx_energy,
 )
+from wsnroute.cli import main
 from wsnroute.field import hop_lengths
 from wsnroute import lifetime
 from wsnroute.lifetime import POLICY_FIXED, POLICY_ROTATE, _round_charges
@@ -304,13 +311,13 @@ def test_round_charges_match_per_hop_radio_calls(alpha, closed):
     for n in (1, 2, 3, 200):
         f = generate_uniform(n, 1000, 1000, seed=n)
         order = [int(v) for v in np.random.default_rng(n).permutation(n)]
-        route = Route(order=order, closed=closed)
         want = [0.0] * n
         hops = zip(order, order[1:] + order[:1], hop_lengths(f.coords, order, closed).tolist())
         for a, b, d in hops:
             want[a] += tx_energy(rp, rp.packet_bits, d)
             want[b] += rx_energy(rp, rp.packet_bits)
-        assert _round_charges(f, route, rp, hop_lengths(f.coords, order, closed)).tolist() == want
+        charges = _round_charges(f, np.array(order, dtype=np.intp), rp, hop_lengths(f.coords, order, closed))
+        assert charges.tolist() == want
 
 
 def test_round_charges_overflow_to_inf_silently():
@@ -319,6 +326,173 @@ def test_round_charges_overflow_to_inf_silently():
     f = SensorField(coords=[(0.0, 0.0), (1e76, 0.0)], width=1e76, height=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        charges = _round_charges(f, Route([0, 1]), rp, hop_lengths(f.coords, [0, 1])).tolist()
+        charges = _round_charges(f, np.array([0, 1], dtype=np.intp), rp, hop_lengths(f.coords, [0, 1])).tolist()
     assert charges == [math.inf, rx_energy(rp, rp.packet_bits)]
     assert tx_energy(rp, rp.packet_bits, 1e76) == math.inf
+
+
+# --- rotate-start's route worker ---
+
+
+def battery_for_death_in_round_2(f, rp):
+    """The largest round-1 charge of rotate-start: that node is empty after round 1 and dies in round 2."""
+    order = np.array(nn_route(f, 0).order, dtype=np.intp)
+    return float(_round_charges(f, order, rp, hop_lengths(f.coords, order)).max())
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns to this process, recorded from here on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no child of this process has that pid any more
+            os.waitpid(pid, os.WNOHANG)
+
+
+def worker_case(n, side, seed, rounds, battery, delay=DelayParams(), death=None):
+    f = generate_uniform(n, side, side, seed=seed)
+    rp = RadioParams()
+    battery = battery(f, rp) if callable(battery) else battery
+    return f, EnergyConfig(radio=rp, delay=delay, initial_battery_j=battery), rounds, death
+
+
+WRAP_DELAY = DelayParams(prop_speed=1e5, d_max_s=0.3315)  # about half the routes miss it
+WORKER_CASES = {
+    "n1-rounds0": worker_case(1, 10, 1, 0, 1.0),
+    "n1-rounds2": worker_case(1, 10, 1, 2, 1.0),
+    "n1-rounds3": worker_case(1, 10, 1, 3, 1.0),
+    "n1-rounds4": worker_case(1, 10, 1, 4, 1.0),
+    # a node dies in round 5, after starts 0, 1, 0, 1
+    "n2-wraps": worker_case(2, 50, 2, 100, 1e-3, death=5),
+    "n3-rounds7": worker_case(3, 1000, 3, 7, 1.0),
+    "n3-rounds8": worker_case(3, 1000, 3, 8, 1.0),
+    "n300-rounds30": worker_case(300, 200, 7, 30, 2.0, WRAP_DELAY),
+    "n300-rounds31": worker_case(300, 200, 7, 31, 2.0, WRAP_DELAY),
+    "n300-death-round1": worker_case(300, 200, 7, 31, 1e-9, death=1),
+    "n300-death-round2": worker_case(300, 200, 7, 31, battery_for_death_in_round_2, death=2),
+    # The start wraps past n, then a node dies in round 443 of 1000. The
+    # worker runs ahead of the rounds until the pipe is full, so it is
+    # blocked in a write when this process stops.
+    "n300-wrap-death-mid-run": worker_case(300, 200, 7, 1000, 2.0, WRAP_DELAY, death=443),
+    "n2000-rounds9": worker_case(2000, 20000, 1, 9, 1e4),
+    "n2000-rounds10": worker_case(2000, 20000, 1, 10, 1e4),
+    "n2000-death-round1": worker_case(2000, 20000, 1, 10, 0.5, death=1),
+    "n2000-death-round2": worker_case(2000, 20000, 1, 10, battery_for_death_in_round_2, death=2),
+}
+
+
+@pytest.mark.parametrize("case", WORKER_CASES)
+def test_rotate_worker_changes_no_report(case, forks, monkeypatch):
+    f, cfg, rounds, death = WORKER_CASES[case]
+    monkeypatch.setattr(lifetime, "_two_cpus", lambda: False)
+    alone = simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
+    assert forks == []
+    assert alone.first_death_round == death
+    monkeypatch.setattr(lifetime, "_two_cpus", lambda: True)
+    shared = simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
+    assert shared == alone
+    # a worker is forked once round 0 has completed, and only when two rounds or more remain
+    assert len(forks) == (rounds >= 3 and death != 1)
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_rotate_worker_is_reaped_when_the_run_raises(error, forks, monkeypatch):
+    f = generate_uniform(300, 200, 200, seed=7)
+    calls = []
+    real = lifetime.check_delay
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 5:
+            raise error("stop")
+        return real(*args)
+    monkeypatch.setattr(lifetime, "_two_cpus", lambda: True)
+    monkeypatch.setattr(lifetime, "check_delay", failing)
+    with pytest.raises(error, match="stop"):
+        simulate_lifetime(f, POLICY_ROTATE, config(2.0, RadioParams()), 100)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def _in_worker(monkeypatch, action):
+    """Make rotate-start's route worker call ``action`` before it builds its first route."""
+    parent = os.getpid()
+    real = lifetime.nn_route
+
+    def route(*args):
+        if os.getpid() != parent:
+            action()
+        return real(*args)
+    monkeypatch.setattr(lifetime, "nn_route", route)
+
+
+def _short_write(fd, order):
+    os.write(fd, memoryview(order).cast("B")[:5])
+    raise OSError("the pipe broke")
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("raises", "exited with code 1 after sending 0 of the {size} bytes of round 2's route"),
+    ("killed", "was killed by signal 9 after sending 0 of the {size} bytes of round 2's route"),
+    ("short", "exited with code 1 after sending 5 of the {size} bytes of round 2's route"),
+])
+def test_rotate_worker_failure_is_runtime_error(fault, message, forks, monkeypatch, capsys, tmp_path):
+    def raises():
+        raise ValueError("no route")
+
+    if fault == "raises":
+        _in_worker(monkeypatch, raises)
+    elif fault == "killed":
+        _in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    else:
+        monkeypatch.setattr(lifetime, "_write_all", _short_write)
+    monkeypatch.setattr(lifetime, "_two_cpus", lambda: True)
+    params = tmp_path / "params.cfg"
+    params.write_text("initial_battery_j = 2\n")
+    code = main(["simulate", "--n", "300", "--width", "200", "--height", "200", "--seed", "7",
+                 "--rounds", "20", "--policy", "rotate-start", "--config", str(params)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: the route worker {message.format(size=300 * np.dtype(np.intp).itemsize)}\n"
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_rotate_worker_does_not_repeat_buffered_stdout(tmp_path):
+    # stdout is a pipe here, so text printed before the fork is still in this
+    # process's buffer, and the worker holds a copy of it that it must not flush
+    script = (
+        "import sys\n"
+        "from wsnroute import lifetime\n"
+        "from wsnroute.cli import main\n"
+        "lifetime._two_cpus = lambda: True\n"
+        "print('before the run')\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    params = tmp_path / "params.cfg"
+    params.write_text("initial_battery_j = 2\n")
+    argv = ["simulate", "--n", "30", "--width", "100", "--height", "100", "--seed", "5", "--rounds", "9",
+            "--policy", "rotate-start", "--config", str(params), "--format", "csv"]
+    src = str(Path(lifetime.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "before the run"
+    assert len(lines) == 3 and lines[1].startswith("rounds_completed,") and lines[2].startswith("9,")
