@@ -55,7 +55,6 @@ from .lifetime import (
     POLICY_FIXED,
     POLICY_ROTATE,
     DelayVerdict,
-    RouteWorkerError,
     SimReport,
     check_delay,
     path_delay,

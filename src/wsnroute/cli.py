@@ -25,7 +25,7 @@ from .bench import (
 from .energy import DeadNodeError, EnergyConfig, parse_config
 from .field import DatasetError, SensorField, generate_uniform, parse_dataset, write_dataset
 from .knn import build_knn_graph, dump_graph
-from .lifetime import RouteWorkerError, simulate_lifetime
+from .lifetime import simulate_lifetime
 from .routes import Route, dump_route, nn_route, route_length
 
 
@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, args.command_parser)
-    except (DatasetError, DeadNodeError, RouteWorkerError, ValueError, OSError) as exc:
+    except (DatasetError, DeadNodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

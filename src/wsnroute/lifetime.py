@@ -17,13 +17,18 @@ share one kNN graph of the field, whose slots settle most greedy steps; the
 graph also keeps the greedy builder's cell grid of the field for every round.
 
 A rotating round's route depends only on the field, the graph and its start
-node, so its rounds are built in two processes. Once round 0 has completed,
-a worker forked from this process builds the odd rounds' routes and sends
-each through a pipe, while this process builds the even ones and does all
-the charging, delay checks and the ledger in round order. The report is the
-same, byte for byte. The rounds stay in this process when ``os.fork`` is
-missing, when this process may use one CPU only, or when fewer than two
-rounds remain after round 0. A worker that dies raises RouteWorkerError; the
+node, so a long run builds its rounds in two processes. Once round 0 has
+completed, a worker forked from this process builds the odd rounds' routes
+and sends each through a pipe, while this process builds the even ones and
+does all the charging, delay checks and the ledger in round order. The
+report is the same, byte for byte. The rounds stay in this process when the
+rounds after round 0 hold fewer than ``_MIN_WORKER_NODE_ROUNDS`` node-rounds
+(the fork costs more than the worker saves), when ``os.fork`` is missing or
+fails, when this process may use one CPU only, when it runs another Python
+thread (a fork copies only the calling thread, so a lock another thread
+holds would stay held in the worker), or when SIGCHLD is ignored (the
+worker could not then be waited for). The worker moves itself off the CPU
+this process last ran on. A worker that dies raises ChildProcessError; the
 worker is reaped however the run ends.
 """
 
@@ -31,7 +36,9 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -50,6 +57,13 @@ _POLICIES = (POLICY_FIXED, POLICY_ROTATE)
 # benchmark (2-vCPU x86-64 VM, with the route worker), 8 took 7% less time
 # per op than 4 in 9 of 10 pairs of runs, for 1.5% more peak memory.
 _ROTATE_K = 8
+# A route worker is forked only when n times the rounds after round 0 reaches
+# this. Through the CLI on a 2-vCPU x86-64 VM, n from 30 to 2000, the worker
+# made runs of 1,170 to 6,000 node-rounds 6-49% slower in the median (the
+# fork, the reap and the pages both processes copy after it cost 3-4 ms).
+# Runs of about 10,000 took 6% less to 21% more time, of about 20,000 17%
+# less to 3% more, and of 40,000 and more 19-33% less.
+_MIN_WORKER_NODE_ROUNDS = 20_000
 
 
 @dataclass(frozen=True)
@@ -118,13 +132,24 @@ def _round_charges(field: SensorField, order: np.ndarray, rp: RadioParams, lengt
     return charges
 
 
-class RouteWorkerError(RuntimeError):
-    """The process that builds a rotating run's odd rounds stopped before it sent every route."""
+def _use_worker(n: int, rounds_left: int) -> bool:
+    """Whether to fork a route worker for the ``rounds_left`` rounds after round 0 on ``n`` nodes.
+
+    See the module docstring for when it is not.
+    """
+    return (n * rounds_left >= _MIN_WORKER_NODE_ROUNDS
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1
+            and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
 
 
-def _two_cpus() -> bool:
-    """Whether a route worker may be forked: ``os.fork`` exists and this process may use two CPUs or more."""
-    return hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+def _cpu_now() -> int | None:
+    """The CPU this process last ran on (field 39 of Linux's ``/proc/self/stat``), or None where it cannot be read."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _write_all(fd: int, order: np.ndarray) -> None:
@@ -143,13 +168,13 @@ def _reap(pid: int) -> int:
 def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> Iterator[np.ndarray]:
     """Round r's greedy route from node ``r mod n``, as one intp order, for r = 0 .. rounds - 1.
 
-    Round 0 is built here. When two or more rounds remain after it and
-    ``_two_cpus()``, a forked worker builds the odd rounds and writes each
-    order to a pipe as raw intp bytes; this process builds each even round
-    before it waits for the odd round before that one. The orders are the
-    same either way. Closing the generator kills and reaps a worker that is
-    still running, which may be rounds ahead; a worker that stops short
-    raises RouteWorkerError.
+    Round 0 is built here. When two or more rounds remain after it,
+    ``_use_worker`` allows it and the fork succeeds, a forked worker builds
+    the odd rounds and writes each order to a pipe as raw intp bytes; this
+    process builds each even round before it waits for the odd round before
+    that one. The orders are the same either way. Closing the generator
+    kills and reaps a worker that is still running, which may be rounds
+    ahead; a worker that stops short raises ChildProcessError.
     """
     n = len(field)
 
@@ -157,16 +182,30 @@ def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> I
         return np.array(nn_route(field, r % n, graph).order, dtype=np.intp)
 
     yield build(0)  # a run that stops in its first round forks nothing
-    if rounds - 1 < 2 or not _two_cpus():
+    pid = None
+    if rounds - 1 >= 2 and _use_worker(n, rounds - 1):
+        fds = ()
+        try:
+            fds = read_fd, write_fd = os.pipe()
+            parent_cpu = _cpu_now()
+            pid = os.fork()
+        except OSError:  # no pipe or process to spare (EMFILE, EAGAIN, ENOMEM): the rounds need neither
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
         for r in range(1, rounds):
             yield build(r)
         return
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
     if pid == 0:  # the worker: it inherits round 0's grid index on the graph
         code = 1
         try:
             os.close(read_fd)
+            if parent_cpu is not None:
+                # Left alone, Linux often starts the worker on this process's
+                # CPU and keeps both there for the first runs, and the worker
+                # then slows the rounds down. The worker alone is moved.
+                with suppress(OSError):
+                    os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
             for r in range(1, rounds, 2):
                 _write_all(write_fd, build(r))
             code = 0
@@ -183,8 +222,8 @@ def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> I
                 if len(data) < size:
                     code, reaped = _reap(pid), True
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                    raise RouteWorkerError(f"the route worker {how} after sending {len(data)} of the "
-                                           f"{size} bytes of round {r + 1}'s route")
+                    raise ChildProcessError(f"the route worker {how} after sending {len(data)} of the "
+                                            f"{size} bytes of round {r + 1}'s route")
                 yield np.frombuffer(data, dtype=np.intp)
                 if own is not None:
                     yield own

@@ -1,10 +1,12 @@
 """Delay constraint and lifetime simulation tests."""
 
+import errno
 import math
 import os
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -396,11 +398,11 @@ WORKER_CASES = {
 @pytest.mark.parametrize("case", WORKER_CASES)
 def test_rotate_worker_changes_no_report(case, forks, monkeypatch):
     f, cfg, rounds, death = WORKER_CASES[case]
-    monkeypatch.setattr(lifetime, "_two_cpus", lambda: False)
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: False)
     alone = simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
     assert forks == []
     assert alone.first_death_round == death
-    monkeypatch.setattr(lifetime, "_two_cpus", lambda: True)
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
     shared = simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
     assert shared == alone
     # a worker is forked once round 0 has completed, and only when two rounds or more remain
@@ -419,12 +421,74 @@ def test_rotate_worker_is_reaped_when_the_run_raises(error, forks, monkeypatch):
         if len(calls) == 5:
             raise error("stop")
         return real(*args)
-    monkeypatch.setattr(lifetime, "_two_cpus", lambda: True)
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
     monkeypatch.setattr(lifetime, "check_delay", failing)
     with pytest.raises(error, match="stop"):
         simulate_lifetime(f, POLICY_ROTATE, config(2.0, RadioParams()), 100)
     assert len(forks) == 1
     assert_reaped(forks)
+
+
+def test_rotate_run_without_a_process_to_spare_builds_every_round_here(forks, monkeypatch):
+    f, cfg, rounds, death = WORKER_CASES["n300-wrap-death-mid-run"]
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: False)
+    alone = simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
+    pipes = []
+    real_pipe = os.pipe
+
+    def recording_pipe():
+        pipes.extend(real_pipe())
+        return tuple(pipes[-2:])
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
+    assert simulate_lifetime(f, POLICY_ROTATE, cfg, rounds) == alone
+    assert len(pipes) == 2
+    for fd in pipes:  # both ends of the unused pipe are closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_use_worker_needs_enough_node_rounds_two_cpus_one_thread_and_sigchld(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert threading.active_count() == 1
+    limit = lifetime._MIN_WORKER_NODE_ROUNDS
+    assert lifetime._use_worker(2000, limit // 2000)
+    assert not lifetime._use_worker(2000, limit // 2000 - 1)
+    # the golden n=30, 40-round and n=400, 5-round runs stay in one process
+    assert not lifetime._use_worker(30, 39) and not lifetime._use_worker(400, 4)
+    assert lifetime._use_worker(300, 999)  # and the 1000-round wrap does not
+
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not lifetime._use_worker(2000, 49)
+    finally:
+        stop.set()
+        thread.join()
+    assert lifetime._use_worker(2000, 49)
+
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert not lifetime._use_worker(2000, 49)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not lifetime._use_worker(2000, 49)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert not lifetime._use_worker(2000, 49)
+
+
+def test_small_rotate_run_forks_nothing(forks):
+    f, cfg, rounds, _ = WORKER_CASES["n300-rounds31"]
+    simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
+    assert forks == []
 
 
 def _in_worker(monkeypatch, action):
@@ -437,6 +501,23 @@ def _in_worker(monkeypatch, action):
             action()
         return real(*args)
     monkeypatch.setattr(lifetime, "nn_route", route)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the worker is moved off this process's CPU only where there is another")
+def test_rotate_worker_runs_off_this_process_cpu(forks, monkeypatch, tmp_path):
+    cpus = os.sched_getaffinity(0)
+    assert lifetime._cpu_now() in cpus
+    monkeypatch.setattr(lifetime, "_cpu_now", lambda: min(cpus))
+    seen = tmp_path / "worker-cpus"
+    _in_worker(monkeypatch, lambda: seen.write_text(repr(sorted(os.sched_getaffinity(0)))))
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
+    f, cfg, rounds, _ = WORKER_CASES["n300-rounds31"]
+    simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert seen.read_text() == repr(sorted(cpus - {min(cpus)}))
+    assert os.sched_getaffinity(0) == cpus  # this process is not moved
 
 
 def _short_write(fd, order):
@@ -459,7 +540,7 @@ def test_rotate_worker_failure_is_runtime_error(fault, message, forks, monkeypat
         _in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     else:
         monkeypatch.setattr(lifetime, "_write_all", _short_write)
-    monkeypatch.setattr(lifetime, "_two_cpus", lambda: True)
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
     params = tmp_path / "params.cfg"
     params.write_text("initial_battery_j = 2\n")
     code = main(["simulate", "--n", "300", "--width", "200", "--height", "200", "--seed", "7",
@@ -479,7 +560,7 @@ def test_rotate_worker_does_not_repeat_buffered_stdout(tmp_path):
         "import sys\n"
         "from wsnroute import lifetime\n"
         "from wsnroute.cli import main\n"
-        "lifetime._two_cpus = lambda: True\n"
+        "lifetime._use_worker = lambda n, rounds_left: True\n"
         "print('before the run')\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
