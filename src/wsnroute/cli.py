@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -107,7 +108,14 @@ def _schedule_from_args(args, fld: SensorField, initial: Route) -> AnnealSchedul
     return dataclasses.replace(base, **changed)
 
 
+@functools.cache
 def build_parser() -> CliParser:
+    """The CLI's parser, built at the first call and shared by every later one.
+
+    Building it takes about 20 times as long as one ``parse_args``, and
+    parsing leaves no state on it. It is not built at import, so that a
+    process that never parses pays nothing.
+    """
     parser = CliParser(prog="wsnroute", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

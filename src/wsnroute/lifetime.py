@@ -16,28 +16,33 @@ the network; ``fixed-route`` replays one route every round. Rotating rounds
 share one kNN graph of the field, whose slots settle most greedy steps; the
 graph also keeps the greedy builder's cell grid of the field for every round.
 
-A rotating round's route depends only on the field, the graph and its start
-node, so a long run builds its rounds in two processes. Once round 0 has
-completed, a worker forked from this process builds the odd rounds' routes
-and sends each through a pipe, while this process builds the even ones and
-does all the charging, delay checks and the ledger in round order. The
-report is the same, byte for byte. The rounds stay in this process when the
-rounds after round 0 hold fewer than ``_MIN_WORKER_NODE_ROUNDS`` node-rounds
-(the fork costs more than the worker saves), when ``os.fork`` is missing or
-fails, when this process may use one CPU only, when it runs another Python
-thread (a fork copies only the calling thread, so a lock another thread
-holds would stay held in the worker), or when SIGCHLD is ignored (the
-worker could not then be waited for). The worker moves itself off the CPU
-this process last ran on. A worker that dies raises ChildProcessError; the
-worker is reaped however the run ends.
+A rotating round's route and plan (its charges and delay verdict) depend
+only on the field, the graph and its start node, so a long run builds and
+plans its rounds in two processes. Once round 0 has completed, a worker
+forked from this process builds and plans the odd rounds and sends each
+plan through a pipe, while this process builds and plans the even ones and
+keeps the ledger (the death test, the residuals and the energy total) in
+round order. The report is the same, byte for byte. A plan that raises in
+the worker (``d**alpha`` overflows, say) is planned again here at its
+turn, so it raises as it would in one process. The rounds stay in this
+process when the rounds after round 0 hold fewer than
+``_MIN_WORKER_NODE_ROUNDS`` node-rounds (the fork costs more than the
+worker saves), when ``os.fork`` is missing or fails, when this process may
+use one CPU only, when it runs another Python thread (a fork copies only
+the calling thread, so a lock another thread holds would stay held in the
+worker), or when SIGCHLD is ignored (the worker could not then be waited
+for). The worker moves itself off the CPU this process last ran on and
+runs without the cyclic garbage collector. A worker that dies raises
+ChildProcessError; the worker is reaped however the run ends.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
@@ -64,6 +69,8 @@ _ROTATE_K = 8
 # Runs of about 10,000 took 6% less to 21% more time, of about 20,000 17%
 # less to 3% more, and of 40,000 and more 19-33% less.
 _MIN_WORKER_NODE_ROUNDS = 20_000
+# A round's plan: each node's charge for the round, and whether its route meets the deadline.
+Plan = tuple[np.ndarray, bool]
 
 
 @dataclass(frozen=True)
@@ -152,9 +159,9 @@ def _cpu_now() -> int | None:
         return None
 
 
-def _write_all(fd: int, order: np.ndarray) -> None:
-    """Write the bytes of ``order`` to the pipe ``fd``, however many writes that takes."""
-    view = memoryview(order).cast("B")
+def _write_all(fd: int, data: np.ndarray) -> None:
+    """Write the bytes of ``data`` to the pipe ``fd``, however many writes that takes."""
+    view = memoryview(data).cast("B")
     while view:
         view = view[os.write(fd, view):]
 
@@ -165,23 +172,30 @@ def _reap(pid: int) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> Iterator[np.ndarray]:
-    """Round r's greedy route from node ``r mod n``, as one intp order, for r = 0 .. rounds - 1.
+def _rotate_plans(field: SensorField, graph: KnnGraph | None, rounds: int,
+                  plan: Callable[[np.ndarray], Plan]) -> Iterator[Plan]:
+    """Round r's plan, of the greedy route from node ``r mod n``, for r = 0 .. rounds - 1.
 
-    Round 0 is built here. When two or more rounds remain after it,
-    ``_use_worker`` allows it and the fork succeeds, a forked worker builds
-    the odd rounds and writes each order to a pipe as raw intp bytes; this
-    process builds each even round before it waits for the odd round before
-    that one. The orders are the same either way. Closing the generator
-    kills and reaps a worker that is still running, which may be rounds
-    ahead; a worker that stops short raises ChildProcessError.
+    ``plan`` turns a route's intp order into the round's charges and delay
+    verdict. Round 0 is built and planned here. When two or more rounds
+    remain after it, ``_use_worker`` allows it and the fork succeeds, a
+    forked worker builds and plans the odd rounds and writes each plan to a
+    pipe as n + 1 float64 values: the charges, then 1.0 or 0.0 for the
+    verdict, or NaN there when its plan raised. This process builds each
+    even round before it waits for the odd round before that one, and plans
+    each round it yields (an even one, or an odd one whose plan raised in
+    the worker) only once the rounds before it have been taken, so a plan
+    raises where it would in one process. The plans are the same either
+    way. Closing the generator kills and reaps a worker that is still
+    running, which may be rounds ahead; a worker that stops short raises
+    ChildProcessError.
     """
     n = len(field)
 
     def build(r: int) -> np.ndarray:
         return np.array(nn_route(field, r % n, graph).order, dtype=np.intp)
 
-    yield build(0)  # a run that stops in its first round forks nothing
+    yield plan(build(0))  # a run that stops in its first round forks nothing
     pid = None
     if rounds - 1 >= 2 and _use_worker(n, rounds - 1):
         fds = ()
@@ -194,9 +208,12 @@ def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> I
                 os.close(fd)
     if pid is None:
         for r in range(1, rounds):
-            yield build(r)
+            yield plan(build(r))
         return
     if pid == 0:  # the worker: it inherits round 0's grid index on the graph
+        # It makes no reference cycles, and a full collection would touch
+        # every inherited object and so copy its page.
+        gc.disable()
         code = 1
         try:
             os.close(read_fd)
@@ -207,11 +224,17 @@ def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> I
                 with suppress(OSError):
                     os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
             for r in range(1, rounds, 2):
-                _write_all(write_fd, build(r))
+                order = build(r)
+                try:
+                    charges, within_deadline = plan(order)
+                    message = np.append(charges, float(within_deadline))
+                except BaseException:  # an overflow, say: this process plans the round again at its turn
+                    message = np.full(n + 1, np.nan)
+                _write_all(write_fd, message)
             code = 0
         finally:
             os._exit(code)  # no atexit handlers, and no flush of stdio buffers the parent holds too
-    size = n * np.dtype(np.intp).itemsize
+    size = (n + 1) * np.dtype(np.float64).itemsize
     reaped = False
     try:
         os.close(write_fd)
@@ -223,10 +246,12 @@ def _rotate_orders(field: SensorField, graph: KnnGraph | None, rounds: int) -> I
                     code, reaped = _reap(pid), True
                     how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
                     raise ChildProcessError(f"the route worker {how} after sending {len(data)} of the "
-                                            f"{size} bytes of round {r + 1}'s route")
-                yield np.frombuffer(data, dtype=np.intp)
+                                            f"{size} bytes of round {r + 1}'s plan")
+                message = np.frombuffer(data)
+                # planned here again, a plan that raised in the worker raises at its round, as in one process
+                yield plan(build(r)) if np.isnan(message[n]) else (message[:n], bool(message[n]))
                 if own is not None:
-                    yield own
+                    yield plan(own)
     finally:
         if not reaped:
             _reap(pid)
@@ -245,9 +270,10 @@ def simulate_lifetime(
     ``cfg.radio`` and checked against ``cfg.delay``. ``fixed-route`` replays
     ``route`` (defaults to the greedy route from node 0); ``rotate-start``
     regenerates the greedy route with a rotating start and takes no
-    ``route``, building its rounds in two processes when it can (see the
-    module docstring). Deadline violations are counted for completed rounds
-    whose route misses d_max_s. Deterministic given its inputs.
+    ``route``, building and planning its rounds in two processes when it
+    can (see the module docstring). Deadline violations are counted for
+    completed rounds whose route misses d_max_s. Deterministic given its
+    inputs.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
@@ -260,16 +286,14 @@ def simulate_lifetime(
     if rotate and route is not None:
         raise ValueError(f"route applies to {POLICY_FIXED} only; {POLICY_ROTATE} starts round r at node r mod n")
 
-    def plan(order: np.ndarray, closed: bool = False) -> tuple[np.ndarray, bool]:
+    def plan(order: np.ndarray, closed: bool = False) -> Plan:
         lengths = hop_lengths(field.coords, order, closed)  # one pass serves charges and delay
         charges = _round_charges(field, order, cfg.radio, lengths)
         return charges, check_delay(field, Route(order, closed), cfg.delay, lengths).feasible
 
-    orders = None
     if rotate:
         graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256) if n > 1 and max_rounds > 0 else None
-        orders = _rotate_orders(field, graph, max_rounds)
-        plans = map(plan, orders)
+        plans = _rotate_plans(field, graph, max_rounds, plan)
     else:
         route = route if route is not None else nn_route(field, 0)
         validate_route(field, route)
@@ -294,8 +318,8 @@ def simulate_lifetime(
             if not within_deadline:
                 violations += 1
     finally:
-        if orders is not None:
-            orders.close()  # reaps a route worker, however the loop ended
+        if rotate:
+            plans.close()  # reaps a route worker, however the loop ended
     return SimReport(
         rounds_completed=rounds_completed,
         first_death_round=first_death_round,

@@ -349,3 +349,36 @@ def test_bench_seed_list_syntax(capsys):
     doc = json.loads(out)
     assert {r["seed"] for r in doc["runs"]} == {2, 9}
     assert "mean_ratio_sa_nn" in doc["aggregates"]
+
+
+def test_shared_parser_prints_what_a_fresh_one_does(capsys):
+    # usage errors at parse time and in a handler, then good calls to several subcommands
+    calls = [
+        ["nn", "--n", "5", "--frobnicate"],
+        ["gen", "--n", "5", "--seed", "3"],
+        ["simulate", "--rounds", "2"],
+        ["nn", "--n", "6", "--seed", "2", "--closed"],
+        ["bench", "--n", "5", "--seeds", "5..1"],
+        ["simulate", "--n", "6", "--rounds", "3", "--policy", "rotate-start", "--format", "csv"],
+        ["knn", "--n", "6", "--k", "2"],
+        ["bench", "--n", "8", "--width", "100", "--height", "100", "--seeds", "1", "--format", "json"],
+        ["sa", "--n", "6", "--sa-max-iters", "50"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        # bench reports carry wall times, which are not reproducible
+        return code, "\n".join(line for line in captured.out.splitlines() if "wall_time" not in line), captured.err
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 1, 0, 1, 0, 0, 0, 0]

@@ -8,7 +8,9 @@ reports drop their wall-time fields first, since those are not reproducible.
 
 import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from wsnroute.cli import main
@@ -86,6 +88,8 @@ CASES = {
                        "--seeds", "4,7", "--k", "5", "--preset", "generous", "--format", "json"],
 }
 
+# Where every digest below was last checked.
+CHECKED_ON = "Python 3.11.7, numpy 2.4.6, glibc 2.36, x86_64"
 DIGESTS = {
     "bench-csv": "75c88155e89085f6c20da273e585b9b94b89e2d0a7a24c55d2bec7b3bd697427",
     "bench-json-knn": "9e941e7784846924e89da81d4fa462266f2e4df8847450228db36cab569c0d2c",
@@ -113,6 +117,12 @@ DIGESTS = {
     "simulate-rotate-n400": "8c0fd73fae930b42afba75565dd3fc6a31bf622ea468e2cc2686824f436a11a9",
     "simulate-rotate-wrap-n300": "a7b597d7ea343a7b1c2aa92b4f0d665888a3f8e1afbc0025836de3765bab77bc",
 }
+
+
+def environment() -> str:
+    """This interpreter, numpy, C library and machine, as ``CHECKED_ON`` names them."""
+    libc = " ".join(platform.libc_ver()).strip() or "an unnamed C library"  # libc_ver names glibc only
+    return f"Python {platform.python_version()}, numpy {np.__version__}, {libc}, {platform.machine()}"
 
 
 def _drop_wall_times(name: str, out: str) -> str:
@@ -147,7 +157,8 @@ def test_golden_output(name, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     out = _drop_wall_times(name, capsys.readouterr().out)
-    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == DIGESTS[name], f"{name} gave {digest} on {environment()}; pinned on {CHECKED_ON}"
 
 
 def test_every_case_has_one_digest():

@@ -1,6 +1,7 @@
 """Delay constraint and lifetime simulation tests."""
 
 import errno
+import gc
 import math
 import os
 import signal
@@ -520,15 +521,67 @@ def test_rotate_worker_runs_off_this_process_cpu(forks, monkeypatch, tmp_path):
     assert os.sched_getaffinity(0) == cpus  # this process is not moved
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_rotate_worker_runs_without_the_cyclic_gc(enabled, forks, monkeypatch, tmp_path):
+    # the worker switches the collector off; this process keeps whatever state its caller chose
+    seen = tmp_path / "worker-gc"
+    _in_worker(monkeypatch, lambda: seen.write_text(repr(gc.isenabled())))
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
+    f, cfg, rounds, _ = WORKER_CASES["n300-rounds31"]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert len(forks) == 1
+    assert_reaped(forks)
+    assert seen.read_text() == "False"
+
+
+def test_rotate_worker_plan_error_is_raised_here_at_its_round(forks, monkeypatch, tmp_path, capsys):
+    # Round 0's far hop (1.15e77 m) stays below the d**4 overflow at about
+    # 1.158e77 m; round 1, an odd round the worker plans, crosses 1.16e77 m.
+    field = tmp_path / "field.txt"
+    field.write_text("P (0 0)\nP (1.15e77 0)\nP (1.16e77 0)\n")
+    params = tmp_path / "params.cfg"
+    params.write_text("alpha = 4\ninitial_battery_j = 1e305\n")
+    parent = os.getpid()
+    planned_here = []
+    real = lifetime._round_charges
+
+    def counted(*args):
+        if os.getpid() == parent:
+            planned_here.append(1)
+        return real(*args)
+    monkeypatch.setattr(lifetime, "_round_charges", counted)
+    runs = []
+    for worker in (False, True):
+        monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: worker)
+        planned_here.clear()
+        code = main(["simulate", "--input", str(field), "--rounds", "5", "--policy", "rotate-start",
+                     "--config", str(params)])
+        runs.append((code, capsys.readouterr(), len(planned_here)))
+    assert runs[0] == runs[1]
+    code, captured, planned = runs[1]
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: hop of 1.16e+77 m overflows d**alpha at alpha=4.0\n"
+    assert planned == 2  # rounds 0 and 1, where it raises; round 2 is never planned
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
 def _short_write(fd, order):
     os.write(fd, memoryview(order).cast("B")[:5])
     raise OSError("the pipe broke")
 
 
 @pytest.mark.parametrize("fault, message", [
-    ("raises", "exited with code 1 after sending 0 of the {size} bytes of round 2's route"),
-    ("killed", "was killed by signal 9 after sending 0 of the {size} bytes of round 2's route"),
-    ("short", "exited with code 1 after sending 5 of the {size} bytes of round 2's route"),
+    ("raises", "exited with code 1 after sending 0 of the {size} bytes of round 2's plan"),
+    ("killed", "was killed by signal 9 after sending 0 of the {size} bytes of round 2's plan"),
+    ("short", "exited with code 1 after sending 5 of the {size} bytes of round 2's plan"),
 ])
 def test_rotate_worker_failure_is_runtime_error(fault, message, forks, monkeypatch, capsys, tmp_path):
     def raises():
@@ -548,7 +601,7 @@ def test_rotate_worker_failure_is_runtime_error(fault, message, forks, monkeypat
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: the route worker {message.format(size=300 * np.dtype(np.intp).itemsize)}\n"
+    assert captured.err == f"error: the route worker {message.format(size=301 * np.dtype(np.float64).itemsize)}\n"
     assert len(forks) == 1
     assert_reaped(forks)
 
