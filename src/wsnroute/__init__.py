@@ -4,68 +4,43 @@ Generates flat sensing fields, builds kNN graphs over a uniform cell grid,
 constructs visit-all-nodes routes greedily or by simulated annealing, scores
 them under a radio energy / link-cost model with a delay constraint, and
 simulates round-based network lifetime.
+
+Each export is loaded from its submodule the first time it is read
+(PEP 562), so ``import wsnroute`` and ``import wsnroute.cli`` load no
+workbench module, and a process compiles only the modules its work reaches.
 """
 
-from .anneal import (
-    AnnealSchedule,
-    brute_force_optimal,
-    default_schedule,
-    sa_route,
-    undersized_schedule,
-)
-from .bench import (
-    BenchConfig,
-    BenchReport,
-    BenchRun,
-    export_report,
-    parse_report,
-    run_experiment,
-)
-from .energy import (
-    DeadNodeError,
-    DelayParams,
-    EnergyConfig,
-    LinkCostParams,
-    RadioParams,
-    link_cost,
-    parse_config,
-    per_link_error,
-    route_cost,
-    rx_energy,
-    tx_energy,
-)
-from .field import (
-    DatasetError,
-    DatasetParseError,
-    EmptyDatasetError,
-    Point,
-    SensorField,
-    distance,
-    generate_uniform,
-    parse_dataset,
-    write_dataset,
-)
-from .knn import (
-    KnnGraph,
-    brute_force_knn,
-    build_knn_graph,
-    dump_graph,
-)
-from .lifetime import (
-    POLICY_FIXED,
-    POLICY_ROTATE,
-    DelayVerdict,
-    SimReport,
-    check_delay,
-    path_delay,
-    simulate_lifetime,
-)
-from .routes import (
-    Route,
-    dump_route,
-    nn_route,
-    route_length,
-    validate_route,
-)
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Export -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("AnnealSchedule", "default_schedule", "sa_route", "undersized_schedule"), "anneal"),
+    **dict.fromkeys(("BenchConfig", "BenchReport", "BenchRun", "export_report", "parse_report",
+                     "run_experiment"), "bench"),
+    **dict.fromkeys(("DeadNodeError", "DelayParams", "EnergyConfig", "LinkCostParams", "RadioParams",
+                     "link_cost", "parse_config", "per_link_error", "route_cost", "rx_energy",
+                     "tx_energy"), "energy"),
+    **dict.fromkeys(("DatasetError", "DatasetParseError", "EmptyDatasetError", "SensorField",
+                     "generate_uniform", "parse_dataset", "write_dataset"), "field"),
+    **dict.fromkeys(("KnnGraph", "build_knn_graph", "dump_graph"), "knn"),
+    **dict.fromkeys(("POLICY_FIXED", "POLICY_ROTATE", "DelayVerdict", "SimReport", "check_delay",
+                     "path_delay", "simulate_lifetime"), "lifetime"),
+    **dict.fromkeys(("Route", "dump_route", "nn_route", "route_length", "validate_route"), "routes"),
+}
+_SUBMODULES = ("anneal", "bench", "energy", "field", "grid", "knn", "lifetime", "routes")
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later reads find it without this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -1,4 +1,4 @@
-"""Simulated-annealing route optimizer and an exact small-instance oracle.
+"""Simulated-annealing route optimizer.
 
 The annealer keeps the best route ever seen (elitism), so its output is
 never longer than the initial route. Its one move is the segment reversal
@@ -10,13 +10,12 @@ initial, schedule, seed) and safe to launch concurrently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import SensorField, distance_block, hop_lengths
+from .field import SensorField, hop_lengths
 from .routes import Route, route_length, validate_route
 
 @dataclass(frozen=True)
@@ -387,48 +386,3 @@ def sa_route(
         return best
     return Route(order=list(initial.order), closed=closed)
 
-
-_BATCH = 200_000
-
-
-def brute_force_optimal(field: SensorField, start: int | None = None) -> Route:
-    """Exhaustive minimum-length open path; verification oracle.
-
-    Enumerates permutations in lexicographic order (fixing ``start`` up front
-    when given) so exact length ties resolve to the lexicographically first
-    order. Refuses n > 10.
-    """
-    n = len(field)
-    if n > 10:
-        raise ValueError(f"exhaustive search refuses n={n} > 10")
-    if start is not None and not 0 <= start < n:
-        raise ValueError(f"start node {start} out of range for n={n}")
-    if n == 1:
-        return Route(order=[0])
-    d = distance_block(field.coords)
-    if start is None:
-        tail = list(range(n))
-        prefix = None
-    else:
-        tail = [i for i in range(n) if i != start]
-        prefix = start
-    m = len(tail)
-    best_val = np.inf
-    best_perm: np.ndarray | None = None
-    perms = itertools.permutations(tail)
-    while True:
-        batch = list(itertools.islice(perms, _BATCH))
-        if not batch:
-            break
-        arr = np.fromiter(
-            itertools.chain.from_iterable(batch), dtype=np.intp, count=len(batch) * m
-        ).reshape(-1, m)
-        if prefix is not None:
-            arr = np.hstack([np.full((arr.shape[0], 1), prefix, dtype=np.intp), arr])
-        lengths = d[arr[:, :-1], arr[:, 1:]].sum(axis=1)
-        idx = int(np.argmin(lengths))
-        if lengths[idx] < best_val:
-            best_val = float(lengths[idx])
-            best_perm = arr[idx].copy()
-    assert best_perm is not None
-    return Route(order=[int(v) for v in best_perm])

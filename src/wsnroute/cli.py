@@ -11,23 +11,50 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .anneal import AnnealSchedule, default_schedule, sa_route, undersized_schedule
-from .bench import (
-    BenchConfig,
-    export_report,
-    random_initial_route,
-    run_experiment,
-)
-from .energy import DeadNodeError, EnergyConfig, parse_config
-from .field import DatasetError, SensorField, generate_uniform, parse_dataset, write_dataset
-from .knn import build_knn_graph, dump_graph
-from .lifetime import simulate_lifetime
-from .routes import Route, dump_route, nn_route, route_length
+if TYPE_CHECKING:
+    from .anneal import AnnealSchedule
+    from .field import SensorField
+    from .routes import Route
+
+# Each workbench name the handlers call -> the module that defines it. No
+# handler's module is imported with this one: main binds the names of the
+# modules a subcommand runs into this module's globals the first time it
+# runs that subcommand, and __getattr__ binds them when read from outside.
+# A name already bound is never rebound, so a tracer's wrapper or a test's
+# monkeypatch of ``wsnroute.cli.<name>`` stays in place. The handlers must
+# call these names as globals of this module: a handler-local import would
+# go round the traced call sites.
+_SOURCES = {
+    **dict.fromkeys(("default_schedule", "sa_route", "undersized_schedule"), "anneal"),
+    **dict.fromkeys(("BenchConfig", "export_report", "random_initial_route", "run_experiment"), "bench"),
+    **dict.fromkeys(("EnergyConfig", "parse_config"), "energy"),
+    **dict.fromkeys(("generate_uniform", "parse_dataset", "write_dataset"), "field"),
+    **dict.fromkeys(("build_knn_graph", "dump_graph"), "knn"),
+    "simulate_lifetime": "lifetime",
+    **dict.fromkeys(("Route", "dump_route", "nn_route", "route_length"), "routes"),
+}
+
+
+def _bind(modules: tuple[str, ...]) -> None:
+    """Bind each name of ``modules`` in :data:`_SOURCES` that is not bound yet."""
+    names = globals()
+    for name, module in _SOURCES.items():
+        if module in modules and name not in names:
+            names[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((_SOURCES[name],))
+    return globals()[name]
 
 
 class CliParser(argparse.ArgumentParser):
@@ -258,22 +285,25 @@ def format_length(value: float) -> str:
     return repr(value) if not value.is_integer() or math.isinf(value) else str(int(value))
 
 
+# Subcommand -> (handler, the modules whose names it calls).
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "knn": _cmd_knn,
-    "nn": _cmd_nn,
-    "sa": _cmd_sa,
-    "simulate": _cmd_simulate,
-    "bench": _cmd_bench,
+    "gen": (_cmd_gen, ("field",)),
+    "knn": (_cmd_knn, ("field", "knn")),
+    "nn": (_cmd_nn, ("field", "routes")),
+    "sa": (_cmd_sa, ("field", "routes", "anneal", "bench")),
+    "simulate": (_cmd_simulate, ("field", "routes", "energy", "lifetime")),
+    "bench": (_cmd_bench, ("bench",)),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, modules = _COMMANDS[args.command]
+    _bind(modules)
     try:
-        return _COMMANDS[args.command](args, args.command_parser)
-    except (DatasetError, DeadNodeError, ValueError, OSError) as exc:
+        return handler(args, args.command_parser)
+    except (ValueError, OSError) as exc:  # a DatasetError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,9 @@
 A field is an immutable scatter of node positions on a flat rectangle, held
 once as a read-only (n, 2) float64 array, ``coords``. Node identity is the
 row index into it; there is no separate id. All distance math in the package
-funnels through :func:`distance` and the vectorized helpers below, which
-evaluate the same floating-point expression (``sqrt(dx*dx + dy*dy)``) so
-every caller sees bit-identical values. Hop lengths along a route come from
-:func:`hop_lengths` alone.
+evaluates the same floating-point expression (``sqrt(dx*dx + dy*dy)``), as
+the vectorized helpers below do, so every caller sees bit-identical values.
+Hop lengths along a route come from :func:`hop_lengths` alone.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +33,6 @@ class DatasetParseError(DatasetError):
 
 class EmptyDatasetError(DatasetError):
     """The input contained no coordinate records."""
-
-
-class Point(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +77,6 @@ class SensorField:
         same_box = (self.width, self.height, self.seed) == (other.width, other.height, other.seed)
         return same_box and np.array_equal(self.coords, other.coords)
 
-    @property
-    def points(self) -> tuple[Point, ...]:
-        """The coordinates as ``Point`` tuples, built afresh on each access."""
-        return tuple(Point(x, y) for x, y in self.coords.tolist())
-
 
 def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorField:
     """Scatter ``n`` nodes i.i.d. uniformly over [0, width] x [0, height].
@@ -106,24 +94,6 @@ def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorFi
     xy[:, 0] *= width
     xy[:, 1] *= height
     return SensorField(coords=xy, width=float(width), height=float(height), seed=seed)
-
-
-def distance(p: Point, q: Point) -> float:
-    """Euclidean distance; the scalar form of the package's canonical metric."""
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def distance_block(xy: np.ndarray) -> np.ndarray:
-    """The (n, n) matrix of distances between every pair of points.
-
-    Uses the canonical metric expression so entries match :func:`distance`
-    bit-for-bit.
-    """
-    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
-    return np.sqrt(dx * dx + dy * dy)
 
 
 def distances_from(xy: np.ndarray, i: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""k-nearest-neighbor graphs: a cell-grid build and a brute-force oracle.
+"""k-nearest-neighbor graphs: the cell-grid build and the graph dump.
 
 Every builder returns a finished :class:`KnnGraph`: two read-only (n, k)
 arrays whose row i holds node i's k nearest other nodes, ordered by
@@ -14,7 +14,8 @@ square, so the result is exact. On a uniform field the work is O(n k log k)
 rather than O(n²).
 
 Tie rule: among equal distances the lowest column index wins. Two things
-define it: :func:`brute_force_knn`, the oracle, and the stable sort inside
+define it: the brute-force oracle of the tests (``tests/oracles.py``), which
+sorts every row of the full distance matrix, and the stable sort inside
 :func:`build_knn_graph`. The two builds give the same graph.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SensorField, distance_block, format_coords
+from .field import SensorField, format_coords
 from .grid import CellGrid
 
 _INF = float("inf")
@@ -72,10 +73,6 @@ class KnnGraph:
     def k(self) -> int:
         return self.targets.shape[1]
 
-    def neighbor_set(self, row: int) -> set[tuple[int, float]]:
-        """The row's neighbors as (target, weight) pairs."""
-        return set(zip(self.targets[row].tolist(), self.weights[row].tolist()))
-
 
 def _built(field: SensorField, targets: np.ndarray, weights: np.ndarray) -> KnnGraph:
     """The finished graph of ``field``'s rows, recording the field it was measured on."""
@@ -98,7 +95,7 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     k nearest by a stable sort, so ties go to the lowest index. A row whose
     k-th weight is not strictly inside its cell's cover bound could have a
     nearer node outside the square and is searched again at r + 1. The graph
-    equals :func:`brute_force_knn`'s for every chunk_size.
+    equals the brute-force oracle's for every chunk_size.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -156,21 +153,6 @@ def _tile(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, k: int,
     # A square of k or fewer other nodes leaves +inf at the k-th slot, never inside a bound.
     done = w[:, -1] < grid.cover(qx, qy, grid.cx[q], grid.cy[q], walls)
     return done, sq[u[:, None], best], w
-
-
-def brute_force_knn(field: SensorField, k: int) -> KnnGraph:
-    """Verification oracle: per row, sort all candidates by (distance, target).
-
-    Fixes the tie rule the chunked path must match: among equal distances
-    the lower target index is kept.
-    """
-    n = len(field)
-    _check_k(n, k)
-    d = distance_block(field.coords)
-    np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")[:, :k]
-    weights = np.take_along_axis(d, order, axis=1)
-    return _built(field, order, weights)
 
 
 def dump_graph(graph: KnnGraph) -> str:

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .field import SensorField, hop_lengths
 from .grid import CellGrid
-from .knn import KnnGraph
+
+if TYPE_CHECKING:  # annotations only, so that `nn` loads no kNN code
+    from .knn import KnnGraph
 
 
 @dataclass

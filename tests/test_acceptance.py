@@ -16,14 +16,10 @@ from wsnroute import (
     BenchRun,
     DelayParams,
     EnergyConfig,
-    Point,
     RadioParams,
     Route,
     SensorField,
-    brute_force_knn,
-    brute_force_optimal,
     build_knn_graph,
-    distance,
     export_report,
     generate_uniform,
     nn_route,
@@ -39,6 +35,7 @@ from wsnroute import (
 from wsnroute.anneal import AnnealSchedule, default_schedule, sa_route
 from wsnroute.bench import random_initial_route
 from wsnroute.lifetime import POLICY_FIXED, POLICY_ROTATE
+from oracles import Point, brute_force_knn, brute_force_optimal, distance, neighbor_set, points
 
 REFERENCE_NN_COST = 730231.4981
 
@@ -63,10 +60,10 @@ def test_knn_oracle_equivalence():
                 if k > n - 1:
                     continue
                 oracle = brute_force_knn(f, k)
-                want = [oracle.neighbor_set(r) for r in range(n)]
+                want = [neighbor_set(oracle, r) for r in range(n)]
                 for cs in (1, 3, 64, n):
                     g = build_knn_graph(f, k, cs)
-                    assert all(g.neighbor_set(r) == want[r] for r in range(n))
+                    assert all(neighbor_set(g, r) == want[r] for r in range(n))
                     builds += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"kNN sweep took {elapsed:.1f}s"
@@ -83,10 +80,11 @@ def test_nn_correctness_against_exhaustive_oracle():
         r = nn_route(f, start)
         assert route_length(f, r) >= route_length(f, brute_force_optimal(f, start=start))
         remaining = set(r.order)
+        pts = points(f)
         for i in range(n - 1):
             remaining.discard(r.order[i])
-            step = distance(f.points[r.order[i]], f.points[r.order[i + 1]])
-            assert step == min(distance(f.points[r.order[i]], f.points[v]) for v in remaining)
+            step = distance(pts[r.order[i]], pts[r.order[i + 1]])
+            assert step == min(distance(pts[r.order[i]], pts[v]) for v in remaining)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"NN oracle sweep took {elapsed:.1f}s"
     ok(f"NN correctness vs exhaustive oracle (200 instances, {elapsed:.1f}s)")
@@ -235,12 +233,12 @@ def test_format_fidelity():
         n = int(rng.integers(1, 60))
         f = generate_uniform(n, 20000, 20000, seed=int(rng.integers(2**32)))
         if trial % 4 == 0:
-            pts = tuple(Point(float(int(p.x)), float(int(p.y))) for p in f.points)
+            pts = tuple(Point(float(int(p.x)), float(int(p.y))) for p in points(f))
             f = SensorField(coords=pts, width=f.width, height=f.height)
-        assert parse_dataset(write_dataset(f)).points == f.points
+        assert points(parse_dataset(write_dataset(f))) == points(f)
 
     sample = parse_dataset("P (14991 8390)\n")
-    assert sample.points == (Point(14991.0, 8390.0),)
+    assert points(sample) == (Point(14991.0, 8390.0),)
 
     report = BenchReport(
         runs=[

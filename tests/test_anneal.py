@@ -8,10 +8,8 @@ import pytest
 
 from wsnroute import (
     AnnealSchedule,
-    Point,
     Route,
     SensorField,
-    brute_force_optimal,
     generate_uniform,
     nn_route,
     route_length,
@@ -27,6 +25,7 @@ from wsnroute.anneal import (
 )
 from wsnroute.bench import random_initial_route
 from wsnroute.field import hop_lengths
+from oracles import Point, brute_force_optimal
 
 
 def tiny_schedule(max_iters=2000, initial_temp=1.0):

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from wsnroute import brute_force_knn, dump_graph, generate_uniform, nn_route, parse_dataset
+from wsnroute import dump_graph, generate_uniform, nn_route, parse_dataset
 from wsnroute import cli
 from wsnroute.cli import main
+from oracles import brute_force_knn, points
 
 
 def run_cli(capsys, *argv):
@@ -22,7 +23,7 @@ def test_gen_writes_parseable_dataset(tmp_path, capsys):
     assert code == 0
     f = parse_dataset(out.read_text())
     assert len(f) == 50
-    assert f.points == generate_uniform(50, 1000, 1000, 42).points
+    assert points(f) == points(generate_uniform(50, 1000, 1000, 42))
 
 
 def test_gen_stdout_deterministic(capsys):

@@ -10,7 +10,6 @@ from wsnroute import (
     DelayParams,
     EnergyConfig,
     LinkCostParams,
-    Point,
     RadioParams,
     Route,
     SensorField,
@@ -22,6 +21,7 @@ from wsnroute import (
     tx_energy,
 )
 from wsnroute import energy
+from oracles import Point
 
 
 def chain_field(xs):

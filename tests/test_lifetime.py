@@ -17,7 +17,6 @@ import pytest
 from wsnroute import (
     DelayParams,
     EnergyConfig,
-    Point,
     RadioParams,
     Route,
     SensorField,
@@ -33,6 +32,7 @@ from wsnroute.cli import main
 from wsnroute.field import hop_lengths
 from wsnroute import lifetime
 from wsnroute.lifetime import POLICY_FIXED, POLICY_ROTATE, _round_charges
+from oracles import Point
 
 
 def chain_field(xs):
@@ -538,6 +538,29 @@ def test_rotate_worker_runs_without_the_cyclic_gc(enabled, forks, monkeypatch, t
     assert len(forks) == 1
     assert_reaped(forks)
     assert seen.read_text() == "False"
+
+
+def test_rotate_rounds_run_here_without_the_cyclic_gc(monkeypatch):
+    # this process pauses its collector for the rounds, and the caller's setting comes back when one raises
+    f = generate_uniform(30, 200, 200, seed=7)
+    seen = []
+    real = lifetime.check_delay
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        if len(seen) == 4:
+            raise RuntimeError("stop")
+        return real(*args)
+    monkeypatch.setattr(lifetime, "check_delay", spy)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        with pytest.raises(RuntimeError, match="stop"):
+            simulate_lifetime(f, POLICY_ROTATE, config(2.0, RadioParams()), 10)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False] * 4
 
 
 def test_rotate_worker_plan_error_is_raised_here_at_its_round(forks, monkeypatch, tmp_path, capsys):

@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from wsnroute import (
     SensorField,
-    brute_force_knn,
     build_knn_graph,
     generate_uniform,
     nn_route,
@@ -29,6 +28,7 @@ from wsnroute import (
 from wsnroute import routes
 from wsnroute.field import distances_from
 from wsnroute.grid import CellGrid
+from oracles import brute_force_knn
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 

@@ -8,13 +8,9 @@ import pytest
 
 from wsnroute import (
     KnnGraph,
-    Point,
     Route,
     SensorField,
-    brute_force_knn,
-    brute_force_optimal,
     build_knn_graph,
-    distance,
     generate_uniform,
     nn_route,
     route_length,
@@ -22,6 +18,7 @@ from wsnroute import (
 from wsnroute.routes import dump_route
 
 import wsnroute.routes as routes_mod
+from oracles import Point, brute_force_knn, brute_force_optimal, distance, points
 
 
 def chain_field(xs):
@@ -86,10 +83,11 @@ def test_every_greedy_step_is_locally_optimal():
         f = generate_uniform(30, 500, 500, seed=seed)
         order = nn_route(f, 0).order
         remaining = set(order)
+        pts = points(f)
         for i in range(len(order) - 1):
             remaining.discard(order[i])
-            step = distance(f.points[order[i]], f.points[order[i + 1]])
-            best = min(distance(f.points[order[i]], f.points[v]) for v in remaining)
+            step = distance(pts[order[i]], pts[order[i + 1]])
+            best = min(distance(pts[order[i]], pts[v]) for v in remaining)
             assert step == best
 
 
