@@ -18,6 +18,10 @@ import numpy as np
 from .field import SensorField, hop_lengths
 from .routes import Route, route_length, validate_route
 
+# Decorrelates the SA initial permutation stream from the SA proposal stream.
+_INIT_STREAM = 0xA5EED
+
+
 @dataclass(frozen=True)
 class AnnealSchedule:
     initial_temp: float
@@ -40,6 +44,12 @@ class AnnealSchedule:
             raise ValueError(f"iters_per_temp must be >= 1, got {self.iters_per_temp}")
         if not self.initial_temp >= self.min_temp:  # a lower start would stop before the first proposal
             raise ValueError(f"initial_temp must be >= min_temp ({self.min_temp}), got {self.initial_temp}")
+
+
+def random_initial_route(n: int, seed: int) -> Route:
+    """Seeded random permutation used as the SA starting point."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _INIT_STREAM])))
+    return Route(order=[int(v) for v in rng.permutation(n)])
 
 
 def _mean_edge(field: SensorField, route: Route) -> float:

@@ -13,19 +13,14 @@ import json
 import time
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from .anneal import default_schedule, sa_route, undersized_schedule
+from .anneal import default_schedule, random_initial_route, sa_route, undersized_schedule
 from .field import format_coord, generate_uniform
 from .knn import build_knn_graph
-from .routes import Route, nn_route, route_length
+from .routes import nn_route, route_length
 
 PRESET_PAPER_BUDGET = "paper-budget"
 PRESET_GENEROUS = "generous"
 _PRESETS = (PRESET_PAPER_BUDGET, PRESET_GENEROUS)
-
-# Decorrelates the SA initial permutation stream from the SA proposal stream.
-_INIT_STREAM = 0xA5EED
 
 
 @dataclass
@@ -80,12 +75,6 @@ class BenchReport:
     def mean_ratio_sa_nn(self) -> float:
         ratios = list(self.seed_ratios().values())
         return sum(ratios) / len(ratios)
-
-
-def random_initial_route(n: int, seed: int) -> Route:
-    """Seeded random permutation used as the SA starting point."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _INIT_STREAM])))
-    return Route(order=[int(v) for v in rng.permutation(n)])
 
 
 def run_experiment(cfg: BenchConfig) -> BenchReport:

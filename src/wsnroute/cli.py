@@ -32,8 +32,8 @@ if TYPE_CHECKING:
 # call these names as globals of this module: a handler-local import would
 # go round the traced call sites.
 _SOURCES = {
-    **dict.fromkeys(("default_schedule", "sa_route", "undersized_schedule"), "anneal"),
-    **dict.fromkeys(("BenchConfig", "export_report", "random_initial_route", "run_experiment"), "bench"),
+    **dict.fromkeys(("default_schedule", "random_initial_route", "sa_route", "undersized_schedule"), "anneal"),
+    **dict.fromkeys(("BenchConfig", "export_report", "run_experiment"), "bench"),
     **dict.fromkeys(("EnergyConfig", "parse_config"), "energy"),
     **dict.fromkeys(("generate_uniform", "parse_dataset", "write_dataset"), "field"),
     **dict.fromkeys(("build_knn_graph", "dump_graph"), "knn"),
@@ -290,7 +290,7 @@ _COMMANDS = {
     "gen": (_cmd_gen, ("field",)),
     "knn": (_cmd_knn, ("field", "knn")),
     "nn": (_cmd_nn, ("field", "routes")),
-    "sa": (_cmd_sa, ("field", "routes", "anneal", "bench")),
+    "sa": (_cmd_sa, ("field", "routes", "anneal")),
     "simulate": (_cmd_simulate, ("field", "routes", "energy", "lifetime")),
     "bench": (_cmd_bench, ("bench",)),
 }

@@ -7,16 +7,18 @@ arrays whose row i holds node i's k nearest other nodes, ordered by
 :func:`build_knn_graph` buckets the nodes into a uniform cell grid of about
 k nodes to a cell (:mod:`wsnroute.grid`). A tile is the next chunk_size
 pending rows in cell order, across cells, each against every node in the
-square of cells around its own cell; each row keeps its k nearest by a
-stable sort over index-ascending columns. A row whose k-th distance does not
-fall strictly inside its cell's cover bound is searched again over a wider
-square, so the result is exact. On a uniform field the work is O(n k log k)
-rather than O(n²).
+square of cells around its own cell, index-ascending; each row keeps its k
+nearest by selection, then a stable order of those k, with a stable sort of
+the whole row only where the row ties at its k-th distance. A row whose k-th
+distance does not fall strictly inside its cell's cover bound is searched
+again over a wider square, so the result is exact. On a uniform field the
+work is O(n k) plus O(n k log k) for the kept slots, rather than O(n²).
 
 Tie rule: among equal distances the lowest column index wins. Two things
 define it: the brute-force oracle of the tests (``tests/oracles.py``), which
-sorts every row of the full distance matrix, and the stable sort inside
-:func:`build_knn_graph`. The two builds give the same graph.
+stably sorts every row of the full distance matrix, and :func:`_select`
+inside :func:`build_knn_graph`, which equals that sort's first k columns.
+The two builds give the same graph.
 """
 
 from __future__ import annotations
@@ -92,10 +94,12 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     A tile is the next ``chunk_size`` pending rows in cell order, across
     cells, starting at r = 1. Each row is measured against every node in the
     square of cells within r of its own cell, index-ascending, and keeps its
-    k nearest by a stable sort, so ties go to the lowest index. A row whose
-    k-th weight is not strictly inside its cell's cover bound could have a
-    nearer node outside the square and is searched again at r + 1. The graph
-    equals the brute-force oracle's for every chunk_size.
+    k nearest by selection, then a stable order of those k; only a row tied
+    at its k-th weight takes a stable sort of the whole row. Either way ties
+    go to the lowest index. A row whose k-th weight is not strictly inside
+    its cell's cover bound could have a nearer node outside the square and
+    is searched again at r + 1. The graph equals the brute-force oracle's
+    for every chunk_size.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
@@ -148,11 +152,35 @@ def _tile(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, k: int,
     # Each row's own node, found in the sorted squares made disjoint by a row offset.
     keys = sq + (np.arange(len(sq)) * (n + 1))[:, None]
     d[np.arange(len(q)), np.searchsorted(keys.ravel(), u * (n + 1) + q) - u * sq.shape[1]] = _INF
-    best = np.argsort(d, axis=1, kind="stable")[:, :k]
+    best, _ = _select(d, k)
     w = np.take_along_axis(d, best, axis=1)
     # A square of k or fewer other nodes leaves +inf at the k-th slot, never inside a bound.
     done = w[:, -1] < grid.cover(qx, qy, grid.cx[q], grid.cy[q], walls)
     return done, sq[u[:, None], best], w
+
+
+def _select(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k smallest columns of ``d``, ordered by (weight, column).
+
+    Equals ``np.argsort(d, axis=1, kind="stable")[:, :k]`` for rows of more
+    than k columns. Selection puts each row's k smallest entries first and
+    its (k+1)-th next. A row whose k-th and (k+1)-th weights differ keeps the
+    k columns below its (k+1)-th weight, index-ascending, and orders them by
+    a stable sort of just those k weights. A row whose two are equal, tied at
+    the k-th slot or padded with +inf, takes the stable sort of the whole
+    row. Returns the columns and whether each row took the whole-row sort.
+    """
+    part = np.partition(d, k, axis=1)
+    nxt = part[:, k:k + 1].copy()
+    tied = part[:, :k].max(axis=1) == nxt[:, 0]
+    del part  # so the mask below can take its place
+    below = d < nxt
+    below[tied] = False
+    at = np.flatnonzero(below).reshape(-1, k)  # each untied row's k slots, as flat indices into d
+    best = np.empty((len(d), k), dtype=np.intp)
+    best[~tied] = np.take_along_axis(at % d.shape[1], np.argsort(d.take(at), axis=1, kind="stable"), axis=1)
+    best[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
+    return best, tied
 
 
 def dump_graph(graph: KnnGraph) -> str:

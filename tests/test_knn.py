@@ -11,6 +11,7 @@ from wsnroute import (
     build_knn_graph,
     dump_graph,
     generate_uniform,
+    knn,
 )
 from wsnroute.field import format_coord
 from wsnroute.grid import CellGrid
@@ -211,6 +212,56 @@ def test_build_matches_oracle_on_integer_lattice(k, monkeypatch):
             assert dump_graph(g) == want, f"n={len(f)} chunk_size={cs}"
             assert same_slots(g, oracle), f"n={len(f)} chunk_size={cs}"
     assert max(radii) >= 4  # the outlier's square holds no other node before r = 4
+
+
+INF = math.inf
+# (k, rows, whether each row is tied at its k-th weight and takes the whole-row sort)
+SELECT_CASES = {
+    "k=3": (3, [
+        [5, 1, 3, 3, 9, 3],  # a tie straddles the k-th slot
+        [2, 7, 2, 1, 8, 9],  # ties inside the first k
+        [INF, 4, INF, INF, 2, INF],  # fewer than k finite entries
+        [7, 7, 7, 7, 7, 7],  # all entries equal
+        [6, 5, 4, 3, 2, 1],
+        [0, INF, 0, 3, INF, 1],
+    ], [True, False, True, True, False, False]),
+    "k=1": (1, [
+        [3, 1, 2, 1],
+        [3, 0.5, 2, 1],
+        [INF, INF, INF, INF],
+        [0, 0, 0, 0],
+    ], [True, False, True, True]),
+    "k=m-1": (4, [
+        [4, 3, 2, 1, 0],
+        [1, 1, 1, 1, 2],  # k equal entries, none past them
+        [2, 1, 1, 1, 1],
+        [1, 2, 2, 1, 2],
+        [1, 2, 3, INF, INF],
+    ], [False, False, False, True, True]),
+}
+
+
+@pytest.mark.parametrize("case", list(SELECT_CASES))
+def test_select_equals_the_stable_sort_and_takes_both_paths(case):
+    k, rows, tied = SELECT_CASES[case]
+    d = np.array(rows, dtype=np.float64)
+    best, took_sort = knn._select(d.copy(), k)
+    assert np.array_equal(best, np.argsort(d, axis=1, kind="stable")[:, :k])
+    assert took_sort.tolist() == tied
+
+
+def test_select_equals_the_stable_sort_on_tie_heavy_matrices():
+    rng = np.random.default_rng(5)
+    paths = set()
+    for _ in range(200):
+        m = int(rng.integers(2, 12))
+        k = int(rng.integers(1, m))
+        d = rng.integers(0, 4, (int(rng.integers(1, 9)), m)).astype(np.float64)
+        d[rng.random(d.shape) < 0.2] = INF
+        best, took_sort = knn._select(d.copy(), k)
+        assert np.array_equal(best, np.argsort(d, axis=1, kind="stable")[:, :k]), (d, k)
+        paths.update(took_sort.tolist())
+    assert paths == {False, True}
 
 
 def test_every_builder_orders_rows_by_weight_then_target():

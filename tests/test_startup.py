@@ -30,7 +30,7 @@ CASES = {
     "gen": (["--n", "12", "--seed", "3"], {"field"}),
     "knn": (["--input", "{field}", "--k", "3"], {"field", "grid", "knn"}),
     "nn": (["--n", "12", "--seed", "3", "--closed"], ROUTES),
-    "sa": (["--input", "{field}", "--sa-init", "nn", "--sa-max-iters", "200"], ROUTES | {"knn", "anneal", "bench"}),
+    "sa": (["--input", "{field}", "--sa-init", "nn", "--sa-max-iters", "200"], ROUTES | {"anneal"}),
     "simulate": (["--n", "12", "--width", "50", "--height", "50", "--seed", "3", "--rounds", "4",
                   "--start", "2"], ROUTES | {"knn", "energy", "lifetime"}),
     "bench": (["--n", "12", "--seeds", "1..2", "--k", "3"], ROUTES | {"knn", "anneal", "bench"}),
