@@ -23,8 +23,8 @@ _EXPORTS = {
     **dict.fromkeys(("DatasetError", "DatasetParseError", "EmptyDatasetError", "SensorField",
                      "generate_uniform", "parse_dataset", "write_dataset"), "field"),
     **dict.fromkeys(("KnnGraph", "build_knn_graph", "dump_graph"), "knn"),
-    **dict.fromkeys(("POLICY_FIXED", "POLICY_ROTATE", "DelayVerdict", "SimReport", "check_delay",
-                     "path_delay", "simulate_lifetime"), "lifetime"),
+    **dict.fromkeys(("POLICY_FIXED", "POLICY_ROTATE", "SimReport", "check_delay", "path_delay",
+                     "simulate_lifetime"), "lifetime"),
     **dict.fromkeys(("Route", "dump_route", "nn_route", "route_length", "validate_route"), "routes"),
 }
 _SUBMODULES = ("anneal", "bench", "energy", "field", "grid", "knn", "lifetime", "routes")

@@ -267,7 +267,6 @@ def sa_route(
     initial: Route,
     schedule: AnnealSchedule,
     seed: int,
-    history: list[float] | None = None,
     stats: dict | None = None,
 ) -> Route:
     """Anneal the initial route; returns the best route seen.
@@ -275,9 +274,8 @@ def sa_route(
     Accepts a candidate when its length delta is <= 0, otherwise with
     probability exp(-delta/T). T is multiplied by the cooling factor every
     ``iters_per_temp`` proposals; the loop stops when T falls below
-    ``min_temp`` or the proposal budget runs out. When ``history`` is given,
-    the best-seen length is appended after every proposal. When ``stats``
-    is given, it receives the run's counters once the loop ends:
+    ``min_temp`` or the proposal budget runs out. When ``stats`` is given,
+    it receives the run's counters once the loop ends:
     ``proposals``, ``accepted``, ``uphill_accepted`` (accepted with delta
     > 0), ``scalar_scored`` and ``numpy_scored`` (the proposals decided by
     each path; they sum to ``proposals``), ``runs`` (numpy runs),
@@ -355,8 +353,6 @@ def sa_route(
                 runs += 1
                 numpy_scored += step
                 run = min(2 * run, _LONGEST_RUN)
-                if history is not None:
-                    history.extend([best_len] * (step - 1))
             pos += step
             it += step
             if accept:
@@ -376,8 +372,6 @@ def sa_route(
                 quiet += step
             if it % per_level == 0:
                 temp *= schedule.cooling_factor
-            if history is not None:
-                history.append(best_len)
     if stats is not None:
         stats.update(
             proposals=it,

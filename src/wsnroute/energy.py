@@ -211,10 +211,12 @@ _KEYS = {
 def parse_config(text: str) -> EnergyConfig:
     """Parse flat ``key=value`` lines; ``#`` starts a comment, blanks ignored.
 
-    Unknown keys are rejected so typos fail loudly. Any subset of keys may be
-    given; the rest keep their dataclass defaults.
+    Unknown keys are rejected so typos fail loudly, and so is a key given
+    twice, which would otherwise silently keep the later value. Any subset of
+    keys may be given; the rest keep their dataclass defaults.
     """
     values: dict[type, dict[str, float | int]] = {cls: {} for cls, _ in _KEYS.values()}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -226,6 +228,9 @@ def parse_config(text: str) -> EnergyConfig:
         val = val.strip()
         if key not in _KEYS:
             raise ValueError(f"config line {line_no}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"config line {line_no}: {key} is given again, first on line {first_line[key]}")
+        first_line[key] = line_no
         cls, kind = _KEYS[key]
         try:
             values[cls][key] = kind(val)

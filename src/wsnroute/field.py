@@ -1,11 +1,12 @@
 """Sensing-field generation, planar geometry, and the coordinate dataset format.
 
-A field is an immutable scatter of node positions on a flat rectangle, held
-once as a read-only (n, 2) float64 array, ``coords``. Node identity is the
-row index into it; there is no separate id. All distance math in the package
-evaluates the same floating-point expression (``sqrt(dx*dx + dy*dy)``), as
-the vectorized helpers below do, so every caller sees bit-identical values.
-Hop lengths along a route come from :func:`hop_lengths` alone.
+A field is an immutable scatter of node positions on a plane, held once as a
+read-only (n, 2) float64 array, ``coords``, and nothing else: no bounding
+rectangle and no seed. Node identity is the row index into it; there is no
+separate id. All distance math in the package evaluates the same
+floating-point expression (``sqrt(dx*dx + dy*dy)``), as the vectorized
+helpers below do, so every caller sees bit-identical values. Hop lengths
+along a route come from :func:`hop_lengths` alone.
 """
 
 from __future__ import annotations
@@ -37,20 +38,17 @@ class EmptyDatasetError(DatasetError):
 
 @dataclass(frozen=True, eq=False)
 class SensorField:
-    """Node coordinates plus the rectangle they live in.
+    """Node coordinates.
 
     ``coords`` is copied on construction into a read-only (n, 2) float64
     array, the field's only copy of its coordinates; every entry must be
     finite, and so must the squared diagonal of the points' bounding box,
-    which bounds every squared distance. ``seed`` records how a generated
-    field was produced and is None for fields parsed from a dataset file.
-    Instances are immutable and safe to share across concurrent readers.
+    which bounds every squared distance. Two fields are equal when their
+    coordinates are. Instances are immutable and safe to share across
+    concurrent readers.
     """
 
     coords: np.ndarray
-    width: float
-    height: float
-    seed: int | None = None
 
     def __post_init__(self):
         arr = np.array(self.coords, dtype=np.float64)
@@ -74,8 +72,7 @@ class SensorField:
     def __eq__(self, other):
         if not isinstance(other, SensorField):
             return NotImplemented
-        same_box = (self.width, self.height, self.seed) == (other.width, other.height, other.seed)
-        return same_box and np.array_equal(self.coords, other.coords)
+        return np.array_equal(self.coords, other.coords)
 
 
 def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorField:
@@ -83,7 +80,7 @@ def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorFi
 
     Coordinates come from numpy's PCG64 stream seeded with ``seed``, so the
     same (n, width, height, seed) reproduces the identical point sequence on
-    any platform.
+    any platform. The field keeps the points only, none of the arguments.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
@@ -93,7 +90,7 @@ def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorFi
     xy = rng.random((n, 2))
     xy[:, 0] *= width
     xy[:, 1] *= height
-    return SensorField(coords=xy, width=float(width), height=float(height), seed=seed)
+    return SensorField(xy)
 
 
 def distances_from(xy: np.ndarray, i: int) -> np.ndarray:
@@ -151,11 +148,9 @@ def format_coords(a: np.ndarray) -> list[str]:
 def parse_dataset(text: str) -> SensorField:
     """Read ``P (<x> <y>)`` records, one per non-empty line.
 
-    Width/height are those of the box spanned by the origin and every
-    point, so they are never negative. Raises :class:`DatasetParseError`
-    with the offending line number on a malformed record or a coordinate
-    that is not finite (such as ``1e400``), and :class:`EmptyDatasetError`
-    when no records exist.
+    Raises :class:`DatasetParseError` with the offending line number on a
+    malformed record or a coordinate that is not finite (such as ``1e400``),
+    and :class:`EmptyDatasetError` when no records exist.
     """
     lines = text.splitlines()
     found = _LINE.findall("\n".join(lines))
@@ -171,16 +166,14 @@ def parse_dataset(text: str) -> SensorField:
         line_no = [no for no, line in enumerate(lines, start=1) if line.strip()][first]
         reason = "non-finite coordinate in" if first < bad else "malformed record"
         raise DatasetParseError(line_no, lines[line_no - 1].strip(), reason)
-    span = np.maximum(xy.max(axis=0), 0.0) - np.minimum(xy.min(axis=0), 0.0)
-    width, height = span.tolist()
-    return SensorField(coords=xy, width=width, height=height, seed=None)
+    return SensorField(xy)
 
 
 def write_dataset(field: SensorField) -> str:
     """Serialize a field as ``P (<x> <y>)`` lines, LF-terminated.
 
-    Round-trip law: ``parse_dataset(write_dataset(f)).coords`` equals
-    ``f.coords`` element for element.
+    Round-trip law: ``parse_dataset(write_dataset(f)) == f``; the
+    coordinates come back element for element.
     """
     xs, ys = format_coords(field.coords[:, 0]), format_coords(field.coords[:, 1])
     return "\n".join([f"P ({x} {y})" for x, y in zip(xs, ys)]) + "\n"

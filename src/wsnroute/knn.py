@@ -8,11 +8,12 @@ arrays whose row i holds node i's k nearest other nodes, ordered by
 k nodes to a cell (:mod:`wsnroute.grid`). A tile is the next chunk_size
 pending rows in cell order, across cells, each against every node in the
 square of cells around its own cell, index-ascending; each row keeps its k
-nearest by selection, then a stable order of those k, with a stable sort of
-the whole row only where the row ties at its k-th distance. A row whose k-th
-distance does not fall strictly inside its cell's cover bound is searched
-again over a wider square, so the result is exact. On a uniform field the
-work is O(n k) plus O(n k log k) for the kept slots, rather than O(n²).
+nearest by selection, then a stable order of those k. A row tied at its k-th
+distance takes its tied entries in column order, by a running count, so no
+row is sorted whole. A row whose k-th distance does not fall strictly inside
+its cell's cover bound is searched again over a wider square, so the result
+is exact. On a uniform field the work is O(n k) plus O(n k log k) for the
+kept slots, rather than O(n²).
 
 Tie rule: among equal distances the lowest column index wins. Two things
 define it: the brute-force oracle of the tests (``tests/oracles.py``), which
@@ -94,8 +95,8 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
     A tile is the next ``chunk_size`` pending rows in cell order, across
     cells, starting at r = 1. Each row is measured against every node in the
     square of cells within r of its own cell, index-ascending, and keeps its
-    k nearest by selection, then a stable order of those k; only a row tied
-    at its k-th weight takes a stable sort of the whole row. Either way ties
+    k nearest by selection, then a stable order of those k; a row tied at
+    its k-th weight takes its tied entries in column order. Either way ties
     go to the lowest index. A row whose k-th weight is not strictly inside
     its cell's cover bound could have a nearer node outside the square and
     is searched again at r + 1. The graph equals the brute-force oracle's
@@ -152,35 +153,38 @@ def _tile(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, k: int,
     # Each row's own node, found in the sorted squares made disjoint by a row offset.
     keys = sq + (np.arange(len(sq)) * (n + 1))[:, None]
     d[np.arange(len(q)), np.searchsorted(keys.ravel(), u * (n + 1) + q) - u * sq.shape[1]] = _INF
-    best, _ = _select(d, k)
+    best = _select(d, k)
     w = np.take_along_axis(d, best, axis=1)
     # A square of k or fewer other nodes leaves +inf at the k-th slot, never inside a bound.
     done = w[:, -1] < grid.cover(qx, qy, grid.cx[q], grid.cy[q], walls)
     return done, sq[u[:, None], best], w
 
 
-def _select(d: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _select(d: np.ndarray, k: int) -> np.ndarray:
     """Each row's k smallest columns of ``d``, ordered by (weight, column).
 
     Equals ``np.argsort(d, axis=1, kind="stable")[:, :k]`` for rows of more
     than k columns. Selection puts each row's k smallest entries first and
-    its (k+1)-th next. A row whose k-th and (k+1)-th weights differ keeps the
-    k columns below its (k+1)-th weight, index-ascending, and orders them by
-    a stable sort of just those k weights. A row whose two are equal, tied at
-    the k-th slot or padded with +inf, takes the stable sort of the whole
-    row. Returns the columns and whether each row took the whole-row sort.
+    its (k+1)-th next. A row keeps its entries below its (k+1)-th weight:
+    exactly k of them, unless its k-th and (k+1)-th weights are equal (a tie
+    at the k-th slot, or a row padded with +inf). Such a tied row keeps its
+    entries below the k-th weight, then its first entries equal to it, in
+    column order, up to k. Every row's k columns, index-ascending, are then
+    ordered by a stable sort of just their k weights.
     """
     part = np.partition(d, k, axis=1)
+    kth = part[:, :k].max(axis=1)
     nxt = part[:, k:k + 1].copy()
-    tied = part[:, :k].max(axis=1) == nxt[:, 0]
     del part  # so the mask below can take its place
-    below = d < nxt
-    below[tied] = False
-    at = np.flatnonzero(below).reshape(-1, k)  # each untied row's k slots, as flat indices into d
-    best = np.empty((len(d), k), dtype=np.intp)
-    best[~tied] = np.take_along_axis(at % d.shape[1], np.argsort(d.take(at), axis=1, kind="stable"), axis=1)
-    best[tied] = np.argsort(d[tied], axis=1, kind="stable")[:, :k]
-    return best, tied
+    keep = d < nxt
+    tied = np.flatnonzero(kth == nxt[:, 0])
+    if len(tied):
+        eq = d[tied] == kth[tied, None]
+        short = k - np.count_nonzero(keep[tied], axis=1)
+        # an int32 count moves half the bytes of an intp one
+        keep[tied] |= eq & (np.cumsum(eq, axis=1, dtype=np.int32) <= short[:, None])
+    at = np.flatnonzero(keep).reshape(-1, k)  # each row's k slots, as flat indices into d
+    return np.take_along_axis(at % d.shape[1], np.argsort(d.take(at), axis=1, kind="stable"), axis=1)
 
 
 def dump_graph(graph: KnnGraph) -> str:

@@ -10,6 +10,11 @@ the survivors, and the simulation stops. Every node starts at the config's
 ``initial_battery_j``; the residuals are one float64 array, from the first
 round to the report.
 
+The delay constraint is a function of a route's hop lengths alone, the
+lengths a round already measures for its charges: :func:`path_delay` sums
+each hop's propagation and processing time, and :func:`check_delay` says
+whether that sum is within the deadline.
+
 The ``rotate-start`` policy rebuilds the greedy route from start node
 ``round_index mod n`` each round, spreading the start/terminal roles across
 the network; ``fixed-route`` replays one route every round. Rotating rounds
@@ -31,11 +36,11 @@ worker saves), when ``os.fork`` is missing or fails, when this process may
 use one CPU only, when it runs another Python thread (a fork copies only
 the calling thread, so a lock another thread holds would stay held in the
 worker), or when SIGCHLD is ignored (the worker could not then be waited
-for). The worker moves itself off the CPU this process last ran on. Both
-processes run the rounds without the cyclic garbage collector, and this
-process gives the caller back its setting when the rounds end. A worker
-that dies raises ChildProcessError; the worker is reaped however the run
-ends.
+for). The worker moves itself off the CPU this process last ran on. This
+process pauses the cyclic garbage collector while the rounds run and gives
+the caller back its setting when they end; the worker, forked inside the
+pause, inherits it. A worker that dies raises ChildProcessError; the worker
+is reaped however the run ends.
 """
 
 from __future__ import annotations
@@ -75,12 +80,6 @@ _MIN_WORKER_NODE_ROUNDS = 20_000
 Plan = tuple[np.ndarray, bool]
 
 
-@dataclass(frozen=True)
-class DelayVerdict:
-    feasible: bool
-    excess_s: float = 0.0
-
-
 @dataclass
 class SimReport:
     """Outcome of a lifetime run; field order is the order ``simulate`` prints."""
@@ -97,21 +96,17 @@ def _left_sum(total: float, terms: np.ndarray) -> float:
     return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
-def path_delay(field: SensorField, route: Route, dp: DelayParams, lengths: np.ndarray | None = None) -> float:
-    """End-to-end delay: per hop, propagation (d / prop_speed) plus processing, summed in hop order.
+def path_delay(lengths: np.ndarray, dp: DelayParams) -> float:
+    """End-to-end delay of a route whose hops are ``lengths`` long.
 
-    ``lengths``, when given, are the route's ``hop_lengths``, which are then not measured again.
+    Per hop, propagation (d / prop_speed) plus processing, summed in hop order.
     """
-    d = hop_lengths(field.coords, route.order, route.closed) if lengths is None else lengths
-    return _left_sum(0.0, d / dp.prop_speed + dp.per_hop_s)
+    return _left_sum(0.0, lengths / dp.prop_speed + dp.per_hop_s)
 
 
-def check_delay(field: SensorField, route: Route, dp: DelayParams, lengths: np.ndarray | None = None) -> DelayVerdict:
-    """Feasible iff the end-to-end delay is within d_max_s (boundary inclusive); ``lengths`` as for path_delay."""
-    delay = path_delay(field, route, dp, lengths)
-    if delay <= dp.d_max_s:
-        return DelayVerdict(feasible=True)
-    return DelayVerdict(feasible=False, excess_s=delay - dp.d_max_s)
+def check_delay(lengths: np.ndarray, dp: DelayParams) -> bool:
+    """Whether the end-to-end delay of hop lengths ``lengths`` is within d_max_s (boundary inclusive)."""
+    return path_delay(lengths, dp) <= dp.d_max_s
 
 
 def _round_charges(field: SensorField, order: np.ndarray, rp: RadioParams, lengths: np.ndarray) -> np.ndarray:
@@ -213,9 +208,6 @@ def _rotate_plans(field: SensorField, graph: KnnGraph | None, rounds: int,
             yield plan(build(r))
         return
     if pid == 0:  # the worker: it inherits round 0's grid index on the graph
-        # It makes no reference cycles, and a full collection would touch
-        # every inherited object and so copy its page.
-        gc.disable()
         code = 1
         try:
             os.close(read_fd)
@@ -291,7 +283,7 @@ def simulate_lifetime(
     def plan(order: np.ndarray, closed: bool = False) -> Plan:
         lengths = hop_lengths(field.coords, order, closed)  # one pass serves charges and delay
         charges = _round_charges(field, order, cfg.radio, lengths)
-        return charges, check_delay(field, Route(order, closed), cfg.delay, lengths).feasible
+        return charges, check_delay(lengths, cfg.delay)
 
     if rotate:
         graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256) if n > 1 and max_rounds > 0 else None
@@ -310,6 +302,9 @@ def simulate_lifetime(
     if rotate:
         # The rounds make no reference cycles, and at n=2000 the collector
         # ran about 30 times in 50 rounds; the caller's setting comes back.
+        # The route worker is forked inside the pause, so it runs without the
+        # collector too, which would otherwise touch, and so copy, every
+        # page it inherits.
         gc.disable()
     try:
         for round_idx, (charges, within_deadline) in zip(range(max_rounds), plans):

@@ -212,7 +212,7 @@ def test_energy_conservation_and_battery_monotonicity():
 
 def test_balancing_effect_on_square():
     f = SensorField(
-        coords=(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)), width=1, height=1
+        coords=(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
     )
     rp = RadioParams()
     initial = 20 * (tx_energy(rp, rp.packet_bits, 1.0) + rx_energy(rp, rp.packet_bits))
@@ -234,7 +234,7 @@ def test_format_fidelity():
         f = generate_uniform(n, 20000, 20000, seed=int(rng.integers(2**32)))
         if trial % 4 == 0:
             pts = tuple(Point(float(int(p.x)), float(int(p.y))) for p in points(f))
-            f = SensorField(coords=pts, width=f.width, height=f.height)
+            f = SensorField(coords=pts)
         assert points(parse_dataset(write_dataset(f))) == points(f)
 
     sample = parse_dataset("P (14991 8390)\n")

@@ -43,7 +43,7 @@ def tiny_schedule(max_iters=2000, initial_temp=1.0):
 
 def test_oracle_collinear_monotone():
     pts = tuple(Point(float(x), 0.0) for x in (0, 2, 5, 9))
-    f = SensorField(coords=pts, width=9, height=1)
+    f = SensorField(coords=pts)
     best = brute_force_optimal(f, start=0)
     assert best.order == [0, 1, 2, 3]
     assert route_length(f, best) == 9.0
@@ -115,7 +115,7 @@ def test_move_deltas_match_exact_length_change(n, closed):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ij = np.array(pairs).T
     for _ in range(20):
-        f = SensorField(coords=rng.random((n, 2)) * 1000, width=1000, height=1000)
+        f = SensorField(coords=rng.random((n, 2)) * 1000)
         order = [int(v) for v in rng.permutation(n)]
         before = route_length(f, Route(order=order, closed=closed))
         _, xyl = _route_arrays(f, Route(order=order, closed=closed))
@@ -137,7 +137,7 @@ def test_accepted_moves_keep_link_lengths_exact(n, closed):
     # after every move the route arrays are those of the new order: the
     # coordinates, and each link's length bit for bit as hop_lengths gives it
     rng = np.random.default_rng(10 * n + 2 + closed)
-    f = SensorField(coords=rng.random((n, 2)) * 1000, width=1000, height=1000)
+    f = SensorField(coords=rng.random((n, 2)) * 1000)
     order = [int(v) for v in rng.permutation(n)]
     got_order, xyl = _route_arrays(f, Route(order=order, closed=closed))
     views = tuple(memoryview(row) for row in xyl)
@@ -172,11 +172,11 @@ def test_zero_budget_returns_initial_unchanged():
                          runs=0, final_temp=1.0, stop="budget")
 
 
-def test_degenerate_greedy_history_non_increasing():
+def test_degenerate_greedy_accepts_no_uphill_move():
     # near-zero temperature: only improving moves are ever accepted
     f = generate_uniform(20, 100, 100, seed=6)
     initial = random_initial_route(20, 6)
-    history: list[float] = []
+    stats = {}
     sched = AnnealSchedule(
         initial_temp=1e-12,
         cooling_factor=0.95,
@@ -184,9 +184,10 @@ def test_degenerate_greedy_history_non_increasing():
         min_temp=1e-15,
         max_iters=3000,
     )
-    sa_route(f, initial, sched, seed=6, history=history)
-    assert history
-    assert all(b <= a for a, b in zip(history, history[1:]))
+    out = sa_route(f, initial, sched, seed=6, stats=stats)
+    assert stats["proposals"] == 3000 and stats["accepted"] > 0
+    assert stats["uphill_accepted"] == 0
+    assert route_length(f, out) < route_length(f, initial)
 
 
 def test_elitism_never_worse_than_initial():
@@ -283,7 +284,7 @@ def _ref_two_opt_delta(order, i, j, xs, ys, n, closed):
     return delta
 
 
-def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
+def _sa_reference(field, initial, schedule, seed, decisions=None):
     """``sa_route`` as a plain scalar loop: one proposal, one delta, one test.
 
     ``decisions``, when given, receives ``(delta, u, temp, accepted)`` for
@@ -334,8 +335,6 @@ def _sa_reference(field, initial, schedule, seed, history=None, decisions=None):
         it += 1
         if it % schedule.iters_per_temp == 0:
             temp *= schedule.cooling_factor
-        if history is not None:
-            history.append(best_len)
     best = Route(order=best_order, closed=closed)
     if route_length(field, best) <= route_length(field, initial):
         return best
@@ -370,19 +369,16 @@ def _schedules(f, initial):
 
 
 def _assert_matches_reference(f, initial, sched, name):
-    """``sa_route`` against ``_sa_reference`` under one schedule: the route, the history and every counter.
+    """``sa_route`` against ``_sa_reference`` under one schedule: the route and every counter.
 
     Returns the proposals numpy scored, and how many of them it must have
     scored because they came after ``_QUIET_STREAK`` rejections in a row.
     """
-    want_history: list[float] = []
-    got_history: list[float] = []
     decisions = []
     stats = {}
-    want = _sa_reference(f, initial, sched, seed=7, history=want_history, decisions=decisions)
-    got = sa_route(f, initial, sched, seed=7, history=got_history, stats=stats)
+    want = _sa_reference(f, initial, sched, seed=7, decisions=decisions)
+    got = sa_route(f, initial, sched, seed=7, stats=stats)
     assert got == want, name
-    assert got_history == want_history, name
     assert stats["proposals"] == len(decisions) == stats["scalar_scored"] + stats["numpy_scored"]
     assert stats["accepted"] == sum(d[3] for d in decisions)
     assert stats["uphill_accepted"] == sum(d[3] and d[0] > 0.0 for d in decisions)
@@ -438,7 +434,7 @@ def _adversarial_fields():
 def test_sa_route_matches_scalar_reference_on_adversarial_fields(field, closed):
     # exact length ties, zero-length links and zero deltas, which uniform fields never give
     xy = _adversarial_fields()[field]
-    f = SensorField(coords=xy, width=1000, height=1000)
+    f = SensorField(coords=xy)
     n = len(xy)
     initial = Route(order=random_initial_route(n, n).order, closed=closed)
     numpy_scored = 0
@@ -472,8 +468,7 @@ def test_sa_route_decides_threshold_proposals_with_math_exp(kind, closed, seed, 
     sched = AnnealSchedule(initial_temp=t0, cooling_factor=0.5, iters_per_temp=4000,
                            min_temp=1e-30, max_iters=40_000)
     decisions = []
-    want_history: list[float] = []
-    want = _sa_reference(f, initial, sched, seed, history=want_history, decisions=decisions)
+    want = _sa_reference(f, initial, sched, seed, decisions=decisions)
     hits = streak = 0
     for delta, u, temp, accepted in decisions:
         x = -delta / temp
@@ -483,10 +478,8 @@ def test_sa_route_decides_threshold_proposals_with_math_exp(kind, closed, seed, 
             else:
                 hits += (u < math.exp(x)) != (u < np.exp(x))
         streak = 0 if accepted else streak + 1
-    got_history: list[float] = []
-    got = sa_route(f, initial, sched, seed, history=got_history)
+    got = sa_route(f, initial, sched, seed)
     assert got == want
-    assert got_history == want_history
     if kind == "exp-ulp" and not hits:
         pytest.skip("np.exp agrees with math.exp at the pinned proposal on this platform")
     assert hits == 1

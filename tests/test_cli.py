@@ -333,6 +333,16 @@ def test_simulate_nan_or_infinite_config_is_runtime_error(tmp_path, capsys, line
     assert err.startswith("error:") and line.split()[0] in err
 
 
+def test_simulate_config_with_a_repeated_key_is_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("alpha = 2\nalpha = 4\n")
+    code, out, err = run_cli(capsys, "simulate", "--n", "20", "--width", "100", "--height", "100",
+                             "--seed", "1", "--rounds", "5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "alpha is given again, first on line 1" in err and "line 2" in err
+
+
 def test_bench_csv_row_count(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n", "40", "--width", "500", "--height", "500",
                            "--seeds", "1..3", "--format", "csv")

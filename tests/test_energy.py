@@ -26,7 +26,7 @@ from oracles import Point
 
 def chain_field(xs):
     pts = tuple(Point(float(x), 0.0) for x in xs)
-    return SensorField(coords=pts, width=max(max(xs), 1.0), height=1.0)
+    return SensorField(coords=pts)
 
 
 def test_tx_energy_zero_distance_is_electronics_only():
@@ -221,6 +221,14 @@ def test_parse_config_rejects_unknown_key_and_bad_value():
         parse_config("alpha = fast")
     with pytest.raises(ValueError, match="key=value"):
         parse_config("just some words")
+
+
+def test_parse_config_rejects_a_key_given_twice():
+    # the later value would silently win; the error names the key and both lines
+    with pytest.raises(ValueError, match=r"config line 4: alpha is given again, first on line 2"):
+        parse_config("# radio\nalpha = 2\neps_amp = 1e-12\nalpha=4\n")
+    with pytest.raises(ValueError, match="line 2: d_max_s is given again, first on line 1"):
+        parse_config("d_max_s = 1\nd_max_s = 1  # the same value twice is still twice\n")
 
 
 # Every float key parse_config accepts; int keys (packet_bits) refuse "nan" as a bad value.

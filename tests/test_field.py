@@ -71,20 +71,20 @@ def test_generate_rejects_bad_args():
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_field_rejects_non_finite_coordinates(bad):
     with pytest.raises(ValueError, match="finite"):
-        SensorField(coords=[(bad, 0.0), (1.0, 2.0)], width=10, height=10)
+        SensorField(coords=[(bad, 0.0), (1.0, 2.0)])
     with pytest.raises(ValueError, match="finite"):
-        SensorField(coords=[(1.0, 2.0), (0.0, bad)], width=10, height=10)
+        SensorField(coords=[(1.0, 2.0), (0.0, bad)])
 
 
 def test_field_rejects_span_whose_squared_distances_overflow():
     # (1e200)^2 overflows float64; 1e150 squared is 1e300 and still finite.
     with pytest.raises(ValueError, match="overflow"):
-        SensorField(coords=[(0.0, 0.0), (1e200, 0.0)], width=1e200, height=1.0)
+        SensorField(coords=[(0.0, 0.0), (1e200, 0.0)])
     with pytest.raises(ValueError, match="overflow"):
-        SensorField(coords=[(0.0, -1e160), (0.0, 1e160)], width=1.0, height=2e160)
+        SensorField(coords=[(0.0, -1e160), (0.0, 1e160)])
     # both extremes of the float range: the span itself overflows
     with pytest.raises(ValueError, match="overflow"):
-        SensorField(coords=[(-1.7e308, 0.0), (1.7e308, 0.0)], width=1.0, height=1.0)
+        SensorField(coords=[(-1.7e308, 0.0), (1.7e308, 0.0)])
     f = generate_uniform(3, 1e150, 1e150, seed=1)
     assert math.isfinite(distance_block(f.coords).max())
 
@@ -92,8 +92,6 @@ def test_field_rejects_span_whose_squared_distances_overflow():
 def test_parse_sample_record():
     f = parse_dataset("P (14991 8390)\n")
     assert points(f) == (Point(14991.0, 8390.0),)
-    assert f.width == 14991.0 and f.height == 8390.0
-    assert f.seed is None
 
 
 def test_parse_two_points_345():
@@ -121,13 +119,6 @@ def test_parse_rejects_non_finite_coordinate(record):
     assert "non-finite" in str(exc.value)
 
 
-def test_parse_extent_spans_origin_and_negative_points():
-    f = parse_dataset("P (-5 -3)\nP (-1 -2)\n")
-    assert (f.width, f.height) == (5.0, 3.0)
-    f = parse_dataset("P (-5 7)\nP (2 -1)\n")
-    assert (f.width, f.height) == (7.0, 8.0)
-
-
 def test_parse_empty_input():
     with pytest.raises(EmptyDatasetError):
         parse_dataset("")
@@ -136,7 +127,7 @@ def test_parse_empty_input():
 
 
 def test_write_integral_coords_match_record_format():
-    f = SensorField(coords=(Point(14991.0, 8390.0),), width=14991.0, height=8390.0)
+    f = SensorField(coords=(Point(14991.0, 8390.0),))
     assert "P (14991 8390)" in write_dataset(f)
 
 
@@ -156,8 +147,16 @@ def test_roundtrip_random_fields():
         if trial % 3 == 0:
             # integral coordinates exercise the dot-free format
             pts = tuple(Point(float(int(p.x)), float(int(p.y))) for p in points(f))
-            f = SensorField(coords=pts, width=f.width, height=f.height)
+            f = SensorField(coords=pts)
         assert points(parse_dataset(write_dataset(f))) == points(f)
+
+
+def test_parse_of_write_equals_the_generated_field():
+    # a field is its coordinates: nothing of how it was generated is kept to tell the two apart
+    for args in ((50, 1000, 700, 5), (1, 10, 10, 7), (500, 123.0, 77.0, 3), (2000, 20000, 20000, 42)):
+        f = generate_uniform(*args)
+        assert parse_dataset(write_dataset(f)) == f
+    assert generate_uniform(50, 1000, 700, 5) != generate_uniform(50, 1000, 700, 6)
 
 
 @pytest.mark.parametrize("coords", [
@@ -167,7 +166,7 @@ def test_roundtrip_random_fields():
     [(9999999999999998.0, -9999999999999998.0), (1e16, -1e16)],
 ])
 def test_roundtrip_keeps_extreme_values_and_the_sign_of_zero(coords):
-    f = SensorField(coords=coords, width=1.0, height=1.0)
+    f = SensorField(coords=coords)
     text = write_dataset(f)
     back = parse_dataset(text)
     assert np.array_equal(back.coords, f.coords)
@@ -208,13 +207,12 @@ def reference_write(field):
 @given(coords=st.lists(st.tuples(coordinates.filter(lambda v: abs(v) < 1e150),
                                  coordinates.filter(lambda v: abs(v) < 1e150)), min_size=1, max_size=20))
 def test_write_matches_the_per_line_writer(coords):
-    f = SensorField(coords=coords, width=1.0, height=1.0)
+    f = SensorField(coords=coords)
     assert write_dataset(f) == reference_write(f)
 
 
 def test_write_matches_the_per_line_writer_on_generated_fields():
-    for f in (generate_uniform(500, 20000, 20000, seed=4), SensorField(coords=[(-0.0, 3.0), (4.0, -0.0)],
-                                                                       width=4.0, height=3.0)):
+    for f in (generate_uniform(500, 20000, 20000, seed=4), SensorField(coords=[(-0.0, 3.0), (4.0, -0.0)])):
         assert write_dataset(f) == reference_write(f)
 
 
@@ -238,10 +236,7 @@ def reference_parse(text):
         rows.append((x, y))
     if not rows:
         raise EmptyDatasetError("dataset contains no records")
-    xy = np.array(rows, dtype=np.float64)
-    span = np.maximum(xy.max(axis=0), 0.0) - np.minimum(xy.min(axis=0), 0.0)
-    width, height = span.tolist()
-    return SensorField(coords=xy, width=width, height=height, seed=None)
+    return SensorField(coords=rows)
 
 
 def parse_outcome(parse, text):
@@ -249,7 +244,7 @@ def parse_outcome(parse, text):
         f = parse(text)
     except DatasetError as e:
         return type(e), str(e), getattr(e, "line_no", None), getattr(e, "line", None)
-    return f.coords.tobytes(), f.width, f.height, f.seed
+    return f.coords.tobytes()
 
 
 # Line boundaries for str.splitlines, and spaces that are not.

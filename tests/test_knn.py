@@ -20,9 +20,7 @@ from oracles import Point, brute_force_knn, neighbor_set
 
 def field_of(coords):
     pts = tuple(Point(float(x), float(y)) for x, y in coords)
-    w = max(p.x for p in pts)
-    h = max(p.y for p in pts)
-    return SensorField(coords=pts, width=max(w, 1.0), height=max(h, 1.0))
+    return SensorField(coords=pts)
 
 
 def same_slots(a, b):
@@ -123,7 +121,7 @@ def test_kernel_hand_traced_collinear():
 def test_kernel_no_improvement_leaves_state_unchanged():
     # Node 1 sits between nodes 0 and 2, both 1 away. Node 2 ties node 0 and
     # does not displace it, whether the rows fall in one tile or in several.
-    f = SensorField(coords=[(-1, 0), (0, 0), (1, 0)], width=1.0, height=1.0)
+    f = SensorField(coords=[(-1, 0), (0, 0), (1, 0)])
     for build in BUILDERS:
         for cs in (1, 2, 3):
             assert neighbor_set(build(f, 1, cs), 1) == {(0, 1.0)}
@@ -215,7 +213,7 @@ def test_build_matches_oracle_on_integer_lattice(k, monkeypatch):
 
 
 INF = math.inf
-# (k, rows, whether each row is tied at its k-th weight and takes the whole-row sort)
+# (k, rows); each case holds rows tied at their k-th weight and rows that are not
 SELECT_CASES = {
     "k=3": (3, [
         [5, 1, 3, 3, 9, 3],  # a tie straddles the k-th slot
@@ -224,30 +222,36 @@ SELECT_CASES = {
         [7, 7, 7, 7, 7, 7],  # all entries equal
         [6, 5, 4, 3, 2, 1],
         [0, INF, 0, 3, INF, 1],
-    ], [True, False, True, True, False, False]),
+    ]),
     "k=1": (1, [
         [3, 1, 2, 1],
         [3, 0.5, 2, 1],
         [INF, INF, INF, INF],
         [0, 0, 0, 0],
-    ], [True, False, True, True]),
+    ]),
     "k=m-1": (4, [
         [4, 3, 2, 1, 0],
         [1, 1, 1, 1, 2],  # k equal entries, none past them
         [2, 1, 1, 1, 1],
         [1, 2, 2, 1, 2],
         [1, 2, 3, INF, INF],
-    ], [False, False, False, True, True]),
+    ]),
 }
+
+
+def tied_rows(d, k):
+    """Whether each row's k-th and (k+1)-th smallest weights are equal."""
+    s = np.sort(d, axis=1)
+    return s[:, k - 1] == s[:, k]
 
 
 @pytest.mark.parametrize("case", list(SELECT_CASES))
 def test_select_equals_the_stable_sort_and_takes_both_paths(case):
-    k, rows, tied = SELECT_CASES[case]
+    k, rows = SELECT_CASES[case]
     d = np.array(rows, dtype=np.float64)
-    best, took_sort = knn._select(d.copy(), k)
+    best = knn._select(d.copy(), k)
     assert np.array_equal(best, np.argsort(d, axis=1, kind="stable")[:, :k])
-    assert took_sort.tolist() == tied
+    assert set(tied_rows(d, k).tolist()) == {False, True}
 
 
 def test_select_equals_the_stable_sort_on_tie_heavy_matrices():
@@ -258,9 +262,9 @@ def test_select_equals_the_stable_sort_on_tie_heavy_matrices():
         k = int(rng.integers(1, m))
         d = rng.integers(0, 4, (int(rng.integers(1, 9)), m)).astype(np.float64)
         d[rng.random(d.shape) < 0.2] = INF
-        best, took_sort = knn._select(d.copy(), k)
+        best = knn._select(d.copy(), k)
         assert np.array_equal(best, np.argsort(d, axis=1, kind="stable")[:, :k]), (d, k)
-        paths.update(took_sort.tolist())
+        paths.update(tied_rows(d, k).tolist())
     assert paths == {False, True}
 
 

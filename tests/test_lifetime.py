@@ -37,7 +37,7 @@ from oracles import Point
 
 def chain_field(xs):
     pts = tuple(Point(float(x), 0.0) for x in xs)
-    return SensorField(coords=pts, width=max(max(xs), 1.0), height=1.0)
+    return SensorField(coords=pts)
 
 
 # Binary-exact radio constants: every charge is an integer multiple of 2^-18,
@@ -51,14 +51,14 @@ def config(battery, radio=EXACT_RADIO, delay=DelayParams()):
 
 def test_path_delay_single_node():
     f = chain_field([0])
-    assert path_delay(f, Route([0]), DelayParams()) == 0.0
+    assert path_delay(hop_lengths(f.coords, [0]), DelayParams()) == 0.0
 
 
 def test_path_delay_two_nodes_worked_example():
     # 300 m at 3e8 m/s plus one 1 ms hop: 1e-6 + 1e-3
     f = chain_field([0, 300])
     dp = DelayParams(per_hop_s=1e-3, prop_speed=3e8)
-    assert path_delay(f, Route([0, 1]), dp) == pytest.approx(1.001e-3, rel=1e-12)
+    assert path_delay(hop_lengths(f.coords, [0, 1]), dp) == pytest.approx(1.001e-3, rel=1e-12)
 
 
 def test_path_delay_reversal_symmetric():
@@ -68,8 +68,8 @@ def test_path_delay_reversal_symmetric():
         n = int(rng.integers(2, 10))
         f = generate_uniform(n, 1000, 1000, seed=int(rng.integers(2**32)))
         perm = [int(v) for v in rng.permutation(n)]
-        fwd = path_delay(f, Route(order=perm), dp)
-        rev = path_delay(f, Route(order=perm[::-1]), dp)
+        fwd = path_delay(hop_lengths(f.coords, perm), dp)
+        rev = path_delay(hop_lengths(f.coords, perm[::-1]), dp)
         assert fwd == pytest.approx(rev, rel=1e-12)
 
 
@@ -84,31 +84,25 @@ def test_path_delay_is_the_left_to_right_hop_sum():
             lengths = hop_lengths(f.coords, order, closed)
             for d in lengths.tolist():
                 want += d / dp.prop_speed + dp.per_hop_s
-            assert path_delay(f, Route(order=order, closed=closed), dp) == want
-            assert path_delay(f, Route(order=order, closed=closed), dp, lengths) == want
+            assert path_delay(lengths, dp) == want
 
 
 def test_check_delay_boundary_inclusive():
-    f = chain_field([0, 300])
-    dp = DelayParams(per_hop_s=1e-3, prop_speed=3e8)
-    exact = path_delay(f, Route([0, 1]), dp)
-    at_limit = check_delay(f, Route([0, 1]), DelayParams(per_hop_s=1e-3, prop_speed=3e8, d_max_s=exact))
-    assert at_limit.feasible
-    assert at_limit.excess_s == 0.0
+    lengths = hop_lengths(chain_field([0, 300]).coords, [0, 1])
+    exact = path_delay(lengths, DelayParams(per_hop_s=1e-3, prop_speed=3e8))
+    assert check_delay(lengths, DelayParams(per_hop_s=1e-3, prop_speed=3e8, d_max_s=exact)) is True
+    below = math.nextafter(exact, 0.0)
+    assert check_delay(lengths, DelayParams(per_hop_s=1e-3, prop_speed=3e8, d_max_s=below)) is False
 
 
-def test_check_delay_violation_carries_excess():
-    f = chain_field([0, 300])
-    dp = DelayParams(per_hop_s=1e-3, prop_speed=3e8, d_max_s=1e-6)
-    verdict = check_delay(f, Route([0, 1]), dp)
-    assert not verdict.feasible
-    assert verdict.excess_s == pytest.approx(1.001e-3 - 1e-6, rel=1e-9)
+def test_check_delay_violation_is_false():
+    lengths = hop_lengths(chain_field([0, 300]).coords, [0, 1])
+    assert check_delay(lengths, DelayParams(per_hop_s=1e-3, prop_speed=3e8, d_max_s=1e-6)) is False
 
 
 def test_check_delay_infinite_deadline_always_feasible():
     f = generate_uniform(30, 1000, 1000, seed=5)
-    route = Route(order=list(range(30)))
-    assert check_delay(f, route, DelayParams(d_max_s=math.inf)).feasible
+    assert check_delay(hop_lengths(f.coords, range(30)), DelayParams(d_max_s=math.inf)) is True
 
 
 def test_delay_params_validation():
@@ -188,7 +182,7 @@ def test_simulate_rotation_outlives_fixed_on_square():
     # symmetric 4-node unit square: rotating the start spreads the heavy
     # interior roles around, so the first death comes strictly later
     f = SensorField(
-        coords=(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)), width=1, height=1
+        coords=(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
     )
     rp = RadioParams()
     tx1 = tx_energy(rp, rp.packet_bits, 1.0)
@@ -278,7 +272,7 @@ def test_simulate_rejects_bad_args():
 @pytest.mark.parametrize("policy", [POLICY_FIXED, POLICY_ROTATE])
 def test_simulate_rejects_an_empty_field(policy):
     # rotate-start would divide by zero in round_idx % n; fixed-route has no node 0 to start from
-    f = SensorField(coords=np.empty((0, 2)), width=1.0, height=1.0)
+    f = SensorField(coords=np.empty((0, 2)))
     for rounds in (0, 3):
         with pytest.raises(ValueError, match="no nodes"):
             simulate_lifetime(f, policy, config(1.0), rounds)
@@ -326,7 +320,7 @@ def test_round_charges_match_per_hop_radio_calls(alpha, closed):
 def test_round_charges_overflow_to_inf_silently():
     # (eps_amp*bits) * d**4 overflows, and is inf as the Python float product was
     rp = RadioParams(eps_amp=1.0, packet_bits=10**6, alpha=4.0)
-    f = SensorField(coords=[(0.0, 0.0), (1e76, 0.0)], width=1e76, height=1.0)
+    f = SensorField(coords=[(0.0, 0.0), (1e76, 0.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         charges = _round_charges(f, np.array([0, 1], dtype=np.intp), rp, hop_lengths(f.coords, [0, 1])).tolist()
@@ -523,7 +517,7 @@ def test_rotate_worker_runs_off_this_process_cpu(forks, monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_rotate_worker_runs_without_the_cyclic_gc(enabled, forks, monkeypatch, tmp_path):
-    # the worker switches the collector off; this process keeps whatever state its caller chose
+    # the worker inherits this process's paused collector; the caller's state comes back here
     seen = tmp_path / "worker-gc"
     _in_worker(monkeypatch, lambda: seen.write_text(repr(gc.isenabled())))
     monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)

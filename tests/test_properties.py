@@ -38,7 +38,7 @@ lattice_points = st.lists(
 
 
 def as_field(points) -> SensorField:
-    return SensorField(coords=[(float(x), float(y)) for x, y in points], width=6.0, height=6.0)
+    return SensorField(coords=[(float(x), float(y)) for x, y in points])
 
 
 @st.composite
@@ -49,8 +49,7 @@ def clustered_fields(draw) -> SensorField:
         st.tuples(st.sampled_from(centres), st.integers(-4, 4), st.integers(-4, 4)),
         min_size=2, max_size=40,
     ))
-    return SensorField(coords=[(cx + dx / 4, cy + dy / 4) for (cx, cy), dx, dy in members],
-                       width=2000.0, height=2000.0)
+    return SensorField(coords=[(cx + dx / 4, cy + dy / 4) for (cx, cy), dx, dy in members])
 
 
 # Lattices with a step that is not a power of two, or offset by 1e9: cell
@@ -59,7 +58,7 @@ def clustered_fields(draw) -> SensorField:
 # its slack, the grid's cover bound fails on such fields.
 scaled_lattices = st.builds(
     lambda points, step, offset: SensorField(
-        coords=[(offset + step * x, offset + step * y) for x, y in points], width=6.0, height=6.0),
+        coords=[(offset + step * x, offset + step * y) for x, y in points]),
     lattice_points, st.sampled_from([1.0, 0.1, 1 / 3, 1e-170]), st.sampled_from([0.0, 1e9, -1e9]),
 )
 
@@ -73,19 +72,19 @@ def thin_fields(draw) -> SensorField:
                                                 max_size=58))
     if draw(st.booleans()):
         points = [(y, x) for x, y in points]
-    return SensorField(coords=[(float(x), float(y)) for x, y in points], width=300.0, height=300.0)
+    return SensorField(coords=[(float(x), float(y)) for x, y in points])
 
 
 # Every node at one of a few places.
 duplicate_fields = st.builds(
-    lambda places, picks: SensorField(coords=[places[i % len(places)] for i in picks], width=1.0, height=1.0),
+    lambda places, picks: SensorField(coords=[places[i % len(places)] for i in picks]),
     st.lists(st.tuples(st.integers(-5, 5).map(float), st.integers(-5, 5).map(float)), min_size=1, max_size=3),
     st.lists(st.integers(0, 2), min_size=2, max_size=40),
 )
 
 # Points on one line, axis-parallel, diagonal or at a slope that rounds.
 collinear_fields = st.builds(
-    lambda ts, step: SensorField(coords=[(step[0] * t, step[1] * t) for t in ts], width=1.0, height=1.0),
+    lambda ts, step: SensorField(coords=[(step[0] * t, step[1] * t) for t in ts]),
     st.lists(st.integers(-30, 30), min_size=2, max_size=40),
     st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0), (0.1, 0.3)]),
 )
@@ -97,7 +96,7 @@ def outlier_fields(draw) -> SensorField:
     # and its row is searched again at r >= 2.
     points = draw(lattice_points)
     far = draw(st.sampled_from([(1e3, 0.0), (-700.0, 2e3), (5e5, 5e5)]))
-    return SensorField(coords=[(float(x), float(y)) for x, y in points] + [far], width=1.0, height=1.0)
+    return SensorField(coords=[(float(x), float(y)) for x, y in points] + [far])
 
 
 knn_fields = st.one_of(fields, thin_fields(), duplicate_fields, collinear_fields, outlier_fields())
@@ -151,7 +150,7 @@ def many_cell_fields(draw) -> SensorField:
     elif kind == "thin":
         xy[:, 0] %= 3
         xy[:, 1] *= 10
-    return SensorField(coords=xy, width=1.0, height=1.0)
+    return SensorField(coords=xy)
 
 
 @settings(SETTINGS, max_examples=100)
@@ -175,7 +174,7 @@ def test_nn_route_matches_scan_oracle(f, data):
 
 # With five points to a cell, node 2 lies on a wall of node 1's cell, 0.2
 # away, and that wall's rounded position is 0.20000000000000004 away.
-ON_A_WALL = SensorField(coords=[(3 * 0.1, -1 * 0.1), (0.0, 0.0), (0.0, 2 * 0.1)], width=1.0, height=1.0)
+ON_A_WALL = SensorField(coords=[(3 * 0.1, -1 * 0.1), (0.0, 0.0), (0.0, 2 * 0.1)])
 
 
 @example(f=ON_A_WALL)
@@ -209,11 +208,10 @@ def nn_test_field(kind: str) -> SensorField:
     if kind == "uniform":
         return generate_uniform(600, 1000, 1000, seed=3)
     if kind == "duplicates":  # every cell that holds a node holds 200
-        return SensorField(coords=[(0, 0), (7, 7), (7, 0)] * 200, width=7, height=7)
+        return SensorField(coords=[(0, 0), (7, 7), (7, 0)] * 200)
     rng = np.random.default_rng(8)
     centres = rng.random((3, 2)) * 10000
-    return SensorField(coords=centres[rng.integers(0, 3, 600)] + rng.normal(0, 5, (600, 2)),
-                       width=10000, height=10000)
+    return SensorField(coords=centres[rng.integers(0, 3, 600)] + rng.normal(0, 5, (600, 2)))
 
 
 @pytest.mark.parametrize("kind, lo, hi", [("uniform", 0, 30), ("duplicates", 300, 599),
@@ -306,7 +304,7 @@ def test_nn_routes_alternating_over_fields_and_graphs_match_scan_oracle():
     # alternate between fields, graphs and no graph must not mix them up.
     fields = [generate_uniform(300, 1000, 1000, seed=s) for s in (21, 22)]
     graphs = [build_knn_graph(f, 4, 64) for f in fields]
-    twin = SensorField(coords=fields[0].coords, width=1000.0, height=1000.0, seed=21)
+    twin = SensorField(coords=fields[0].coords)
     calls = [(0, 0), (1, 1), (0, None), (0, 0), (1, None), (1, 1), (0, 0)]
     for step, (i, g) in enumerate(calls):
         start = 37 * step % 300

@@ -23,7 +23,7 @@ from oracles import Point, brute_force_knn, brute_force_optimal, distance, point
 
 def chain_field(xs):
     pts = tuple(Point(float(x), 0.0) for x in xs)
-    return SensorField(coords=pts, width=max(xs) or 1.0, height=1.0)
+    return SensorField(coords=pts)
 
 
 def test_nn_collinear_monotone_chain():
@@ -50,7 +50,7 @@ def test_nn_start_out_of_range():
 
 
 def test_nn_tie_breaks_to_lowest_index():
-    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(-1, 0)), width=1, height=1)
+    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(-1, 0)))
     assert nn_route(f, 0).order == [0, 1, 2]
 
 
@@ -128,7 +128,7 @@ def test_accelerated_equals_plain_small_k():
 
 
 def test_accelerated_three_nodes_k1():
-    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(3, 0)), width=3, height=1)
+    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(3, 0)))
     graph = build_knn_graph(f, 1, 3)
     assert nn_route(f, 0, graph).order == nn_route(f, 0).order == [0, 1, 2]
 
@@ -157,7 +157,7 @@ def test_nn_rejects_graph_of_another_field_of_the_same_size():
 def test_nn_rejects_a_hand_built_graph():
     # True distances to the wrong neighbours: node 0's row names node 2, so
     # the route would go 0, 2, 1 where the nearest node is 1.
-    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(5, 0)), width=5, height=1)
+    f = SensorField(coords=(Point(0, 0), Point(1, 0), Point(5, 0)))
     graph = KnnGraph([[2], [2], [1]], [[5.0], [4.0], [4.0]])
     assert graph.field is None
     with pytest.raises(ValueError, match="by hand"):
@@ -171,12 +171,12 @@ def test_every_builder_records_its_field(build):
     graph = build(f, 3, 7)
     assert graph.field is f
     # a field with the same coordinates routes through the graph; one with other coordinates does not
-    twin = SensorField(coords=f.coords.copy(), width=100, height=100)
+    twin = SensorField(coords=f.coords.copy())
     assert nn_route(twin, 4, graph).order == nn_route(f, 4).order
     xy = f.coords.copy()
     xy[0, 1] = np.nextafter(xy[0, 1], np.inf)  # one ulp of one coordinate
     with pytest.raises(ValueError, match="another field"):
-        nn_route(SensorField(coords=xy, width=100, height=100), 4, graph)
+        nn_route(SensorField(coords=xy), 4, graph)
 
 
 def test_nn_index_lives_on_the_graph_and_nowhere_else(monkeypatch):
@@ -195,7 +195,7 @@ def test_nn_index_lives_on_the_graph_and_nowhere_else(monkeypatch):
     for start in (0, 7, 299):
         nn_route(f, start, graph)
     assert len(built) == 2 and built[1]() is not None  # one index for every call on this field
-    nn_route(SensorField(coords=f.coords, width=1000, height=1000, seed=4), 0, graph)
+    nn_route(SensorField(coords=f.coords), 0, graph)
     assert len(built) == 3 and built[1]() is None  # another field object: rebuilt, the old one freed
     del graph
     gc.collect()
