@@ -1,9 +1,9 @@
 """Sensor-field routing workbench.
 
 Generates flat sensing fields, builds kNN graphs over a uniform cell grid,
-constructs visit-all-nodes routes greedily or by simulated annealing, scores
-them under a radio energy / link-cost model with a delay constraint, and
-simulates round-based network lifetime.
+constructs visit-all-nodes routes greedily or by simulated annealing, and
+simulates round-based network lifetime under a first-order radio energy
+model with an end-to-end delay constraint.
 
 Each export is loaded from its submodule the first time it is read
 (PEP 562), so ``import wsnroute`` and ``import wsnroute.cli`` load no
@@ -17,8 +17,7 @@ _EXPORTS = {
     **dict.fromkeys(("AnnealSchedule", "default_schedule", "sa_route", "undersized_schedule"), "anneal"),
     **dict.fromkeys(("BenchConfig", "BenchReport", "BenchRun", "export_report", "parse_report",
                      "run_experiment"), "bench"),
-    **dict.fromkeys(("DeadNodeError", "DelayParams", "EnergyConfig", "LinkCostParams", "RadioParams",
-                     "link_cost", "parse_config", "per_link_error", "route_cost", "rx_energy",
+    **dict.fromkeys(("DelayParams", "EnergyConfig", "RadioParams", "parse_config", "rx_energy",
                      "tx_energy"), "energy"),
     **dict.fromkeys(("DatasetError", "DatasetParseError", "EmptyDatasetError", "SensorField",
                      "generate_uniform", "parse_dataset", "write_dataset"), "field"),

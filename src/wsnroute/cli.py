@@ -164,7 +164,7 @@ def build_parser() -> CliParser:
 
     p = sub.add_parser("sa", help="anneal a route; prints its length")
     _add_field_args(p)
-    p.add_argument("--start", type=int, default=0, help="start node for --sa-init nn")
+    p.add_argument("--start", type=int, default=None, help="start node for --sa-init nn (default 0)")
     p.add_argument("--closed", action="store_true", help="close the route back to the start")
     p.add_argument("--sa-init", choices=("random", "nn"), default="random", help="initial route")
     p.add_argument("--sa-seed", type=int, default=None,
@@ -229,10 +229,12 @@ def _cmd_nn(args, parser) -> int:
 
 
 def _cmd_sa(args, parser) -> int:
+    if args.sa_init != "nn" and args.start is not None:
+        parser.error("--start applies to --sa-init nn only; a random initial route has no start node")
     fld = _resolve_field(args, parser)
     seed = args.sa_seed if args.sa_seed is not None else (args.seed if args.seed is not None else 0)
     if args.sa_init == "nn":
-        initial = nn_route(fld, args.start)
+        initial = nn_route(fld, args.start or 0)
     else:
         initial = random_initial_route(len(fld), seed)
     if args.closed:

@@ -68,14 +68,6 @@ class KnnGraph:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n(self) -> int:
-        return self.targets.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.targets.shape[1]
-
 
 def _built(field: SensorField, targets: np.ndarray, weights: np.ndarray) -> KnnGraph:
     """The finished graph of ``field``'s rows, recording the field it was measured on."""

@@ -1,6 +1,9 @@
 """End-to-end command-line tests (in-process)."""
 
 import json
+import shlex
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -179,6 +182,7 @@ def test_bench_repeated_seed_is_usage_error(capsys):
     ["simulate", "--n", "6", "--rounds", "2", "--policy", "rotate-start", "--start", "3"],
     ["simulate", "--rounds", "2"],
     ["nn", "--input", "field.txt", "--seed", "1"],
+    ["sa", "--n", "5", "--seed", "1", "--start", "99", "--sa-max-iters", "10"],
 ])
 def test_handler_usage_errors_show_the_subcommand_usage(argv, capsys):
     # found after parsing, by the subcommand's handler
@@ -320,8 +324,6 @@ def test_simulate_warns_when_round_one_is_fatal(capsys):
     "per_hop_s = nan",
     "prop_speed = nan",
     "d_max_s = nan",
-    "w_energy = nan",
-    "error_ref_distance = nan",
 ])
 def test_simulate_nan_or_infinite_config_is_runtime_error(tmp_path, capsys, line):
     cfg = tmp_path / "params.cfg"
@@ -331,6 +333,18 @@ def test_simulate_nan_or_infinite_config_is_runtime_error(tmp_path, capsys, line
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and line.split()[0] in err
+
+
+@pytest.mark.parametrize("key", ["w_energy", "w_reserve", "w_error", "error_ref_distance"])
+def test_simulate_config_with_a_removed_link_cost_key_is_runtime_error(tmp_path, capsys, key):
+    # no route reads a link-cost weight, so a config that sets one must fail rather than be ignored
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"{key} = 5\n")
+    code, out, err = run_cli(capsys, "simulate", "--n", "20", "--width", "100", "--height", "100",
+                             "--seed", "1", "--rounds", "5", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"unknown key {key!r}" in err
 
 
 def test_simulate_config_with_a_repeated_key_is_runtime_error(tmp_path, capsys):
@@ -393,3 +407,27 @@ def test_shared_parser_prints_what_a_fresh_one_does(capsys):
         fresh.append(run(argv))
     assert shared == fresh
     assert [code for code, _, _ in shared] == [1, 0, 1, 0, 1, 0, 0, 0, 0]
+
+
+def quickstart_commands():
+    """The commands of the README's command-line block, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.partition("## Command line")[2].partition("```sh\n")[2].partition("```")[0]
+    return [line for line in block.splitlines() if line and not line.startswith("#")]
+
+
+def test_readme_quickstart_runs_in_an_empty_directory(tmp_path, monkeypatch, capsys):
+    # every step reads only what an earlier step wrote; bench runs 3 of its 10 seeds to stay quick
+    monkeypatch.chdir(tmp_path)
+    commands = quickstart_commands()
+    assert sum(line.startswith("wsnroute ") for line in commands) == 6
+    for line in commands:
+        line = line.replace("--seeds 1..10", "--seeds 1..3")
+        if line.startswith("wsnroute "):
+            try:
+                code = main(shlex.split(line)[1:])
+            except SystemExit as exc:
+                code = exc.code
+        else:
+            code = subprocess.run(line, shell=True, cwd=tmp_path).returncode
+        assert (code, capsys.readouterr().err) == (0, ""), line  # simulate warns when no round completes

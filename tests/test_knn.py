@@ -68,7 +68,7 @@ def test_oracle_rejects_bad_k():
 
 def test_knn_graph_has_read_only_n_by_k_arrays():
     g = KnnGraph([[1], [0], [1]], [[1.0], [1.0], [2.0]])
-    assert (g.n, g.k) == (3, 1)
+    assert g.targets.shape == g.weights.shape == (3, 1)
     assert g.targets.dtype == np.intp and g.weights.dtype == np.float64
     with pytest.raises(ValueError):
         g.targets[0, 0] = 2
@@ -274,7 +274,7 @@ def test_every_builder_orders_rows_by_weight_then_target():
     f = field_of([(x % 4, 0) for x in range(12)])
     for build in BUILDERS:
         g = build(f, 7, 5)
-        for r in range(g.n):
+        for r in range(g.targets.shape[0]):
             row = list(zip(g.weights[r].tolist(), g.targets[r].tolist()))
             assert row == sorted(row)
 
