@@ -13,7 +13,6 @@ import dataclasses
 import functools
 import importlib
 import json
-import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -35,7 +34,7 @@ _SOURCES = {
     **dict.fromkeys(("default_schedule", "random_initial_route", "sa_route", "undersized_schedule"), "anneal"),
     **dict.fromkeys(("BenchConfig", "export_report", "run_experiment"), "bench"),
     **dict.fromkeys(("EnergyConfig", "parse_config"), "energy"),
-    **dict.fromkeys(("generate_uniform", "parse_dataset", "write_dataset"), "field"),
+    **dict.fromkeys(("format_coord", "generate_uniform", "parse_dataset", "write_dataset"), "field"),
     **dict.fromkeys(("build_knn_graph", "dump_graph"), "knn"),
     "simulate_lifetime": "lifetime",
     **dict.fromkeys(("Route", "dump_route", "nn_route", "route_length"), "routes"),
@@ -223,7 +222,7 @@ def _cmd_nn(args, parser) -> int:
     route = nn_route(fld, args.start)
     if args.closed:
         route = Route(order=route.order, closed=True)
-    print(format_length(route_length(fld, route)))
+    print(format_coord(route_length(fld, route)))
     _emit(dump_route(route), args.output)
     return 0
 
@@ -241,7 +240,7 @@ def _cmd_sa(args, parser) -> int:
         initial = Route(order=initial.order, closed=True)
     schedule = _schedule_from_args(args, fld, initial)
     route = sa_route(fld, initial, schedule, seed)
-    print(format_length(route_length(fld, route)))
+    print(format_coord(route_length(fld, route)))
     _emit(dump_route(route), args.output)
     return 0
 
@@ -280,11 +279,6 @@ def _cmd_bench(args, parser) -> int:
     report = run_experiment(cfg)
     _emit(export_report(report, args.format), args.output)
     return 0
-
-
-def format_length(value: float) -> str:
-    """Length line shown by nn/sa; plain repr keeps full precision."""
-    return repr(value) if not value.is_integer() or math.isinf(value) else str(int(value))
 
 
 # Subcommand -> (handler, the modules whose names it calls).

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SensorField, format_coords
+from .field import SensorField, format_coords, join_lines
 from .grid import CellGrid
 
 _INF = float("inf")
@@ -183,15 +183,14 @@ def dump_graph(graph: KnnGraph) -> str:
     """Text dump, one ``source target weight`` line per slot, row by row.
 
     Rows are ordered by (weight, target), so the lines are sorted by
-    (source, weight, target). Each node id and each distinct weight, told
-    apart by its bits, is formatted once; mutual neighbours share a weight.
+    (source, weight, target). Node ids and the distinct weights, told apart
+    by their bits, are each formatted once into a byte table by
+    :func:`~wsnroute.field.format_coords` (mutual neighbours share a weight),
+    and the lines are gathered from those tables a block at a time.
     """
     n, k = graph.targets.shape
     bits, slot_weight = np.unique(graph.weights.view(np.int64).ravel(), return_inverse=True)
-    ids = [f"{i} " for i in range(n)]
-    ws = [f"{w}\n" for w in format_coords(bits.view(np.float64))]
-    parts = [""] * (3 * n * k)
-    parts[0::3] = map(ids.__getitem__, np.repeat(np.arange(n), k).tolist())
-    parts[1::3] = map(ids.__getitem__, graph.targets.ravel().tolist())
-    parts[2::3] = map(ws.__getitem__, slot_weight.tolist())
-    return "".join(parts)
+    ids = format_coords(np.arange(n, dtype=np.float64))
+    ws = format_coords(bits.view(np.float64))
+    del bits  # not held through the join
+    return join_lines([(ids, k), b" ", (ids, graph.targets.ravel()), b" ", (ws, slot_weight), b"\n"], n * k)

@@ -186,15 +186,41 @@ def test_format_coord_shortest_roundtrip():
 # that format_coord writes apart from repr.
 SPECIAL_FLOATS = [-0.0, 0.0, 1.0, -3.0, 0.1, 1e-7, 1e300, -1e300, 5e-324, -2.2250738585072014e-308,
                   9999999999999998.0, -9999999999999998.0, 1e16, -1e16, 1.0000000000000002e16]
+# The vectorized formatter's range, [1, 2^53), of either sign.
+IN_RANGE = st.builds(math.copysign, st.floats(1, 2**53), st.sampled_from([1.0, -1.0]))
 coordinates = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS),
-                        st.integers(-2**60, 2**60).map(float))
+                        st.integers(-2**60, 2**60).map(float), IN_RANGE)
+
+
+def texts(table):
+    """Each row of a format_coords table as text, its NUL bytes dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in table]
 
 
 @SETTINGS
 @given(values=st.lists(coordinates, max_size=40))
 def test_format_coords_is_format_coord_of_each_entry(values):
     a = np.array(values, dtype=np.float64)
-    assert format_coords(a) == [format_coord(v) for v in a.tolist()]
+    assert texts(format_coords(a)) == [format_coord(v) for v in a.tolist()]
+
+
+def test_format_coords_matches_format_coord_across_its_range():
+    rng = np.random.default_rng(23)
+    # raw bit patterns spread over every binade of [1, 2^53), of both signs
+    lo, hi = np.array([1.0, 2.0**53]).view(np.int64)
+    bits = rng.integers(lo, hi, 200_000)
+    signed = bits.view(np.float64) * rng.choice([-1.0, 1.0], len(bits))
+    # short decimals k / 10^j, and binary fractions N + m / 2^s, whose rounding can tie
+    parts = [np.concatenate([np.arange(1, 3000), rng.integers(1, 10**15, 3000)]) / 10.0**j for j in range(1, 7)]
+    for s in range(1, 8):
+        n = np.ldexp(1.0, rng.integers(0, 53 - s, 3000)) * (1 + rng.random(3000))
+        parts.append(np.floor(np.ldexp(n, s)) / 2.0**s)
+    parts += [2.0 ** np.arange(54), 10.0 ** np.arange(17), np.array([1.0, 2.0**53])]
+    a = np.concatenate(parts)
+    # each value above and its neighbours, such as nextafter(1, 0) and nextafter(2^53, 0)
+    a = np.concatenate([signed, a, np.nextafter(a, 0), np.nextafter(a, np.inf)])
+    assert ((np.abs(a) >= 1) & (np.abs(a) < 2**53)).sum() > 250_000
+    assert texts(format_coords(a)) == [format_coord(v) for v in a.tolist()]
 
 
 def reference_write(field):
@@ -212,8 +238,16 @@ def test_write_matches_the_per_line_writer(coords):
 
 
 def test_write_matches_the_per_line_writer_on_generated_fields():
-    for f in (generate_uniform(500, 20000, 20000, seed=4), SensorField(coords=[(-0.0, 3.0), (4.0, -0.0)])):
+    # an empty field writes one newline
+    for f in (generate_uniform(500, 20000, 20000, seed=4), SensorField(coords=[(-0.0, 3.0), (4.0, -0.0)]),
+              SensorField(coords=np.empty((0, 2)))):
         assert write_dataset(f) == reference_write(f)
+
+
+def test_write_matches_the_per_line_writer_across_blocks(monkeypatch):
+    monkeypatch.setattr("wsnroute.field._BLOCK", 7)
+    f = SensorField(coords=[(x * 0.37 - 5, 2.0**53 * x - 1) for x in range(-20, 20)])
+    assert write_dataset(f) == reference_write(f)
 
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

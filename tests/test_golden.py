@@ -25,6 +25,11 @@ LONG_LIFE_CONFIG = SIM_CONFIG.replace("0.05", "1e4")
 WRAP_CONFIG = "initial_battery_j = 2\nprop_speed = 1e5\nd_max_s = 0.3315\n"
 # A 6x6 integer lattice: every row has exact distance ties at its k-th radius.
 LATTICE = "".join(f"P ({x} {y})\n" for y in range(6) for x in range(6))
+# Coordinates in each of the number formatter's ranges: zeros, below 1, in
+# [1, 2^53) and past it. The duplicate point gives a weight of 0, and the far
+# point weights past 2^53.
+MIXED = ("P (-0 1e-07)\nP (0.3 12.5)\nP (12.5 0.3)\nP (0.5 0.25)\nP (3000000000000001.5 -0)\n"
+         "P (0.3 12.5)\nP (1.2345678901234567e+19 -0.3)\n")
 # Three tight clusters and one far outlier. No other node shares the
 # outlier's square of cells before r = 6, so its row is retried that often.
 CENTRES = [(0, 0), (60, 20), (30, 70)]
@@ -70,6 +75,7 @@ CASES = {
     # Tiles of 100 rows that start and end inside cells of about 8 nodes.
     "knn-n3000-k3-chunk-100": ["knn", "--n", "3000", "--seed", "10", "--k", "3", "--chunk-size", "100"],
     "knn-input-outlier": ["knn", "--input", "{clustered}", "--k", "4"],
+    "knn-input-mixed": ["knn", "--input", "{mixed}", "--k", "4"],
     "gen-n3000": ["gen", "--n", "3000", "--seed", "12"],
     "nn-n3000": ["nn", "--n", "3000", "--seed", "9", "--start", "17"],
     # Each cluster crowds 100 nodes into one cell, so 236 of the 300 steps
@@ -99,6 +105,7 @@ DIGESTS = {
     "knn-chunk-7": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
     "knn-chunk-gt-n": "7c25eef6152dc09172d48bc4b84f058fb1d7a3176363edb714e8ff8ee710709a",
     "knn-input-outlier": "d8a9208fa3799c25f69c4c969f006bde47918939146444880fe8be0db70fae12",
+    "knn-input-mixed": "34707212c29274b6304daa2fd16ed304134269151891717f52e86c1de4857665",
     "knn-input-lattice": "7d75146b33a6699cdff15944b839a661b6bdaf02638e2b5998df86e898240083",
     "knn-n3000-k3-chunk-100": "c424a9f29f4be92acf83f3d5eecb469e49690287d18fc420a1ae6bd29737f6b0",
     "knn-n3000": "70330170f00ba4a950913a30a8760232d77921b088d590d0c4ee02bddee86008",
@@ -149,11 +156,13 @@ def test_golden_output(name, tmp_path, capsys):
     lattice_file.write_text(LATTICE)
     clustered_file = tmp_path / "clustered.txt"
     clustered_file.write_text(CLUSTERED)
+    mixed_file = tmp_path / "mixed.txt"
+    mixed_file.write_text(MIXED)
     assert main(["gen", "--n", "35", "--width", "900", "--height", "600", "--seed", "8",
                  "--output", str(field_file)]) == 0
     argv = [a.format(field=field_file, config=config_file, long_config=long_config_file,
                      wrap_config=wrap_config_file, lattice=lattice_file,
-                     clustered=clustered_file) for a in CASES[name]]
+                     clustered=clustered_file, mixed=mixed_file) for a in CASES[name]]
     capsys.readouterr()
     assert main(argv) == 0
     out = _drop_wall_times(name, capsys.readouterr().out)

@@ -321,7 +321,19 @@ def reference_dump(graph):
                  id="lattice"),
     # equal weights whose bits differ are formatted apart
     pytest.param(lambda: KnnGraph([[1], [0], [1]], [[-0.0], [0.0], [1e16]]), id="signed-zeros"),
+    # weights below 1, in [1, 2^53) with and without a fraction, and at or past 2^53
+    pytest.param(lambda: KnnGraph([[1, 2], [0, 2], [3, 0], [2, 1]],
+                                  [[0.25, 7.0], [0.5, 12345.678], [2.0**53 - 1, 2.0**53], [3e15 + 0.5, 1e300]]),
+                 id="mixed-magnitudes"),
+    # dumps nothing
+    pytest.param(lambda: KnnGraph(np.empty((4, 0), dtype=np.intp), np.empty((4, 0))), id="zero-slots"),
 ])
 def test_dump_matches_the_per_line_dump(graph):
     g = graph()
+    assert dump_graph(g) == reference_dump(g)
+
+
+def test_dump_lines_span_assembly_blocks(monkeypatch):
+    monkeypatch.setattr("wsnroute.field._BLOCK", 7)
+    g = build_knn_graph(generate_uniform(60, 100, 100, seed=8), 4, 16)
     assert dump_graph(g) == reference_dump(g)
