@@ -176,18 +176,16 @@ def _apply_move(order: np.ndarray, xyl: np.ndarray, views: tuple, i: int, j: int
         lk[p] = math.sqrt(dx * dx + dy * dy)
 
 
-# Proposals are drawn _DRAW at a time, and turned into Python lists _BLOCK at
-# a time, only where the scalar path reads them. After _QUIET_STREAK
-# rejections in a row the annealer scores proposals in numpy runs, the first
-# _FIRST_RUN long and each later one twice the last, up to _LONGEST_RUN. A
-# run whose accepted proposal lies _STAY or more into it is followed at once
-# by a new run of _FIRST_RUN; an accept sooner than that hands the loop back
-# to scalar proposals. At n=2000, runs of 4096 or more cost more per proposal
-# than runs of 1024. The streak, the first run and the stay were tuned at
-# n=2000 under --paper-budget, where a run costs about as much as ten scalar
-# proposals; they move no output, only which path scores a proposal.
+# Proposals are drawn _DRAW at a time. After _QUIET_STREAK rejections in a
+# row the annealer scores proposals in numpy runs, the first _FIRST_RUN long
+# and each later one twice the last, up to _LONGEST_RUN. A run whose accepted
+# proposal lies _STAY or more into it is followed at once by a new run of
+# _FIRST_RUN; an accept sooner than that hands the loop back to scalar
+# proposals. At n=2000, runs of 4096 or more cost more per proposal than runs
+# of 1024. The streak, the first run and the stay were tuned at n=2000 under
+# --paper-budget, where a run costs about as much as ten scalar proposals;
+# they move no output, only which path scores a proposal.
 _DRAW = 8192
-_BLOCK = 256
 _QUIET_STREAK = 16
 _FIRST_RUN = 128
 _LONGEST_RUN = 1024
@@ -290,9 +288,9 @@ def sa_route(
     runs against the unchanged route; a run never crosses a cooling level or
     the end of a draw of ``_DRAW`` proposals. An accept ``_STAY`` or more
     proposals into a run starts the next run at once; a sooner one hands the
-    loop back to scalar proposals, which read the arrays through
-    memoryviews and the proposals from lists made ``_BLOCK`` at a time. Runs
-    read the positions of every link a move relinks, found once per draw.
+    loop back to scalar proposals, which read the arrays and the proposals
+    through memoryviews. Runs read the positions of every link a move
+    relinks, found once per draw.
     The result is the scalar loop's, bit for bit: the draws are the same,
     every delta is computed with the same IEEE operations, and numpy only
     picks candidates, with a test (``-delta/T > log(u) - 1e-9``) that admits
@@ -313,7 +311,7 @@ def sa_route(
     per_level = schedule.iters_per_temp
     temp = schedule.initial_temp
     it = accepted = uphill = numpy_scored = runs = 0
-    pos = m = block_end = base = 0
+    pos = m = 0
     quiet = 0
     run = _FIRST_RUN
     # -delta / T overflows to -inf at tiny T; the candidate test wants that
@@ -322,20 +320,15 @@ def sa_route(
             if pos == m:
                 m = min(_DRAW, budget - it)
                 ij, u, log_u = _draw(rng, n, m)
+                i_view, j_view, u_view = memoryview(ij[0]), memoryview(ij[1]), memoryview(u)
                 ends = _link_ends(ij, n, closed)
-                pos = block_end = 0
+                pos = 0
             if quiet < _QUIET_STREAK:
-                if pos >= block_end:
-                    base = pos
-                    block_end = min(pos + _BLOCK, m)
-                    buf_i = ij[0, base:block_end].tolist()
-                    buf_j = ij[1, base:block_end].tolist()
-                    buf_u = u[base:block_end].tolist()
                 step = 1
-                i = buf_i[pos - base]
-                j = buf_j[pos - base]
+                i = i_view[pos]
+                j = j_view[pos]
                 delta = _two_opt_delta(i, j, x, y, lk, n, closed)
-                accept = delta <= 0.0 or buf_u[pos - base] < math.exp(-delta / temp)
+                accept = delta <= 0.0 or u_view[pos] < math.exp(-delta / temp)
             else:
                 step = min(run, m - pos, per_level - it % per_level)
                 deltas = _run_deltas(flat, ends[:, pos : pos + step])
@@ -344,11 +337,11 @@ def sa_route(
                 accept = False
                 for c in picks.tolist():
                     delta = float(deltas[c])
-                    if delta <= 0.0 or float(u[pos + c]) < math.exp(-delta / temp):
+                    if delta <= 0.0 or u_view[pos + c] < math.exp(-delta / temp):
                         accept = True
                         step = c + 1
-                        i = int(ij[0, pos + c])
-                        j = int(ij[1, pos + c])
+                        i = i_view[pos + c]
+                        j = j_view[pos + c]
                         break
                 runs += 1
                 numpy_scored += step

@@ -83,7 +83,7 @@ def run_experiment(cfg: BenchConfig) -> BenchReport:
     for seed in cfg.seeds:
         fld = generate_uniform(cfg.n, cfg.width, cfg.height, seed)
         t0 = time.perf_counter()
-        graph = None if cfg.k is None else build_knn_graph(fld, cfg.k, chunk_size=256)
+        graph = None if cfg.k is None else build_knn_graph(fld, cfg.k)
         nn = nn_route(fld, 0, graph)
         nn_time = time.perf_counter() - t0
         report.runs.append(BenchRun(seed, "NN", route_length(fld, nn), nn_time))

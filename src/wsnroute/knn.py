@@ -81,7 +81,7 @@ def _check_k(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
 
 
-def build_knn_graph(field: SensorField, k: int, chunk_size: int) -> KnnGraph:
+def build_knn_graph(field: SensorField, k: int, chunk_size: int = 256) -> KnnGraph:
     """The kNN graph from cell-grid tiles; at most ``chunk_size`` query rows per tile.
 
     A tile is the next ``chunk_size`` pending rows in cell order, across

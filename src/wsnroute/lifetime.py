@@ -70,12 +70,13 @@ _POLICIES = (POLICY_FIXED, POLICY_ROTATE)
 # per op than 4 in 9 of 10 pairs of runs, for 1.5% more peak memory.
 _ROTATE_K = 8
 # A route worker is forked only when n times the rounds after round 0 reaches
-# this. Through the CLI on a 2-vCPU x86-64 VM, n from 30 to 2000, the worker
-# made runs of 1,170 to 6,000 node-rounds 6-49% slower in the median (the
-# fork, the reap and the pages both processes copy after it cost 3-4 ms).
-# Runs of about 10,000 took 6% less to 21% more time, of about 20,000 17%
-# less to 3% more, and of 40,000 and more 19-33% less.
-_MIN_WORKER_NODE_ROUNDS = 20_000
+# this. Through cli.main on a 2-vCPU x86-64 VM, n from 150 to 2000, the
+# median time with the worker over the time without it was, in two sweeps of
+# 12 runs each: 1.16-1.25 at about 5,000 node-rounds (the fork, the reap and
+# the pages both processes copy after it cost about 3 ms), 0.93-1.03 at
+# 7,500, 0.89-0.99 at 10,000, 0.81-0.91 at 15,000, 0.73-0.81 at 20,000 and
+# 0.68-0.73 at 40,000.
+_MIN_WORKER_NODE_ROUNDS = 10_000
 # A round's plan: each node's charge for the round, and whether its route meets the deadline.
 Plan = tuple[np.ndarray, bool]
 
@@ -212,8 +213,8 @@ def _rotate_plans(field: SensorField, graph: KnnGraph | None, rounds: int,
         try:
             os.close(read_fd)
             if parent_cpu is not None:
-                # Left alone, Linux often starts the worker on this process's
-                # CPU and keeps both there for the first runs, and the worker
+                # Left alone, Linux at times keeps the worker on this
+                # process's CPU for whole stretches of runs, and the worker
                 # then slows the rounds down. The worker alone is moved.
                 with suppress(OSError):
                     os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
@@ -286,7 +287,7 @@ def simulate_lifetime(
         return charges, check_delay(lengths, cfg.delay)
 
     if rotate:
-        graph = build_knn_graph(field, min(_ROTATE_K, n - 1), 256) if n > 1 and max_rounds > 0 else None
+        graph = build_knn_graph(field, min(_ROTATE_K, n - 1)) if n > 1 and max_rounds > 0 else None
         plans = _rotate_plans(field, graph, max_rounds, plan)
     else:
         route = route if route is not None else nn_route(field, 0)

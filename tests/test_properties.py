@@ -12,8 +12,14 @@ are derandomized and no example database is kept, so every run draws the
 same cases. Greedy NN is also checked on three fixed 600-node fields, where
 it either searches its grid or hands a step over to a scan of the live
 nodes. With a kNN graph from any of the three builders it takes the first
-unvisited slot of a row first.
+unvisited slot of a row first. A failing property is reported with its
+falsifying example under this repository's warning filters.
 """
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +318,27 @@ def test_nn_routes_alternating_over_fields_and_graphs_match_scan_oracle():
         assert nn_route(fields[i], start, graph).order == scan_nn_route(fields[i], start)
     assert nn_route(twin, 5, graphs[0]).order == scan_nn_route(twin, 5)
     assert nn_route(fields[0], 6, graphs[0]).order == scan_nn_route(fields[0], 6)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(5, 5))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_reports_its_falsifying_example(tmp_path):
+    # On failure hypothesis's pytest plugin imports libcst to suggest a patch;
+    # under error::DeprecationWarning libcst's own warning would end the
+    # session in an INTERNALERROR that hides the example.
+    shutil.copy(Path(__file__).parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_fails.py"],
+                         capture_output=True, text=True, cwd=tmp_path, timeout=60)
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out
