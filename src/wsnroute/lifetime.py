@@ -64,10 +64,17 @@ from .routes import Route, nn_route, validate_route
 POLICY_FIXED = "fixed-route"
 POLICY_ROTATE = "rotate-start"
 _POLICIES = (POLICY_FIXED, POLICY_ROTATE)
-# Neighbours per node in the graph rotating rounds share. At n=2000, 4 slots
-# settle 88% of a route's steps and 8 settle 93%. On the lifetime-rotate
-# benchmark (2-vCPU x86-64 VM, with the route worker), 8 took 7% less time
-# per op than 4 in 9 of 10 pairs of runs, for 1.5% more peak memory.
+# Neighbours per node in the graph rotating rounds share; the greedy
+# builder's grid then holds about k nodes to a cell. At n=2000, 4 slots
+# settle 88% of a route's steps and 8 settle 93%. Through cli.main, 50
+# rounds on three uniform n=2000 fields with the route worker (2-vCPU x86-64
+# VM), time per run against k=8, median and quartiles of paired runs:
+#
+#     k          4          10         12         16
+#     time       1.13       1.00       0.97       1.00
+#     quartiles  1.07-1.19  0.94-1.05  0.91-1.04  0.96-1.05
+#
+# 12 does not beat 8 beyond the spread, and its graph is half as large again.
 _ROTATE_K = 8
 # A route worker is forked only when n times the rounds after round 0 reaches
 # this. Through cli.main on a 2-vCPU x86-64 VM, n from 150 to 2000, the

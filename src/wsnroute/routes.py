@@ -56,11 +56,27 @@ def _nearest_unvisited(xy: np.ndarray, cur: int, alive: np.ndarray) -> int:
     return int(alive[np.argmin(np.sqrt(dx * dx + dy * dy))])  # first occurrence: lowest index wins ties
 
 
-# Greedy NN buckets about this many nodes to a grid cell. A step's ring
-# search gives up once it would look at more than _STEP_CELLS cells or
-# _STEP_POINTS live nodes, and the step scans the live nodes instead, so a
-# clustered or duplicate-heavy field costs about what a scan per step does.
+# Greedy NN buckets about this many nodes to a grid cell without a graph,
+# and about max(k, this) with a graph of k slots (see _NnIndex). On three
+# uniform n=2000 fields (medians of paired runs, 2-vCPU x86-64 VM),
+# graph-free routes in cells of 1.5, 3 and 4 nodes took 1.00, 1.04 and 1.08
+# times as long as in cells of 2; at k=1, cells of 1 node took about 1.1
+# times as long as cells of 2. At k=8, 50 starts per field:
+#
+#     nodes per cell    2     k/2   k     1.5k  2k
+#     scans per route   22.0  11.4  7.6   9.5   18.3
+#     route time        1     0.83  0.77  0.85  0.98
 _NN_PER_CELL = 2
+# A step's ring search gives up once it would look at more than _STEP_CELLS
+# cells or _STEP_POINTS live nodes, and the step scans the live nodes
+# instead, so a clustered or duplicate-heavy field costs about what a scan
+# per step does. In cells of k=8 nodes, as above with 15 paired runs, more
+# points cut a few scans but no time beyond the runs' spread:
+#
+#     _STEP_POINTS      64    96         128
+#     scans per route   7.6   6.7        6.4
+#     route time        1     0.99       0.98
+#     quartiles               0.95-1.05  0.93-1.06
 _STEP_CELLS = 64
 _STEP_POINTS = 64
 # Empty cells on each side of the grid, 3. A search counts the (2r+1)**2
@@ -90,7 +106,11 @@ class _NnIndex:
         if graph is not None and (graph.field is None or not np.array_equal(graph.field.coords, xy)):
             raise ValueError("graph was built from another field, or by hand; build it from this field")
         self.field = field
-        grid = CellGrid(xy, _NN_PER_CELL)
+        # A graph-backed step searches the grid only once its k slots are
+        # visited, so its answer lies past the k-th neighbour: cells of about
+        # k nodes, as the kNN build sizes its own, reach it in fewer rings
+        # than cells of 2, which are mostly empty by then.
+        grid = CellGrid(xy, _NN_PER_CELL if graph is None else max(graph.targets.shape[1], _NN_PER_CELL))
         nx, ny = grid.nx, grid.ny
         w = nx + 2 * _PAD
         self.rings = [
@@ -149,7 +169,7 @@ def _nearest_live(ix: _NnIndex, live: list, cur: int) -> int:
     return -1
 
 
-def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) -> Route:
+def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None, stats: dict | None = None) -> Route:
     """Greedy construction: repeatedly hop to the nearest unvisited node.
 
     Visited nodes are deleted from a cell grid as the route reaches them.
@@ -162,6 +182,9 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     with the same coordinates: ValueError otherwise. The grid, slot
     lists, ring offsets and cover bounds are built once per (field, graph)
     and kept on the graph, so repeated calls on one field share them.
+    When ``stats`` is given, it receives how the route's n - 1 steps were
+    settled: ``slot_steps`` by a graph slot, ``ring_searches`` by the grid
+    search and ``scans`` by the scan.
     """
     n = len(field)
     if not 0 <= start < n:
@@ -176,6 +199,7 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
     keep = np.empty(n, dtype=np.bool_)  # one mask buffer; numpy caches each small array size it frees
     order = [start]
     cur = start
+    scans = 0
     for _ in range(n - 1):
         todo[cur] = 0
         nodes = live[cell[cur]]
@@ -189,10 +213,22 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None) 
         else:
             nxt = _nearest_live(ix, live, cur)
             if nxt < 0:
+                scans += 1
                 alive = alive[np.take(unvisited, alive, out=keep[:len(alive)], mode="clip")]
                 nxt = _nearest_unvisited(xy, cur, alive)
         cur = nxt
         order.append(cur)
+    if stats is not None:
+        # Step i takes a slot exactly when its node's row names a node the
+        # route reaches after step i. Counted from the finished route, the
+        # slot steps and the grid searches cost the steps nothing.
+        slot_steps = 0
+        if graph is not None:
+            at = np.empty(n, dtype=np.intp)  # each node's place in the route
+            at[order] = np.arange(n)
+            later = at[graph.targets[order[:-1]]] > np.arange(n - 1)[:, None]
+            slot_steps = int(np.count_nonzero(later.any(axis=1)))
+        stats.update(slot_steps=slot_steps, ring_searches=n - 1 - slot_steps - scans, scans=scans)
     return Route(order=order, closed=False)
 
 

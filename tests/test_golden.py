@@ -64,6 +64,11 @@ CASES = {
     "simulate-rotate-n400": ["simulate", "--n", "400", "--width", "2000", "--height", "2000",
                              "--seed", "3", "--rounds", "5", "--policy", "rotate-start",
                              "--config", "{long_config}", "--format", "json"],
+    # 5 rounds after round 0 on 2000 nodes make 10,000 node-rounds, so a
+    # route worker builds the odd rounds where more than one CPU is allowed.
+    "simulate-rotate-n2000": ["simulate", "--n", "2000", "--width", "5000", "--height", "5000",
+                              "--seed", "11", "--rounds", "6", "--policy", "rotate-start",
+                              "--config", "{long_config}", "--format", "json"],
     # 442 rounds on 300 nodes: the start wraps, then a node dies in round 443.
     "simulate-rotate-wrap-n300": ["simulate", "--n", "300", "--width", "200", "--height", "200",
                                   "--seed", "7", "--rounds", "1000", "--policy", "rotate-start",
@@ -122,6 +127,7 @@ DIGESTS = {
     "simulate-rotate-csv": "1e655fa883c3ddb3b0bafa219252e54e7240f2aa4f0b94b28aae5aee0ee11c50",
     "simulate-rotate-json": "78f1787148784b8fdbac27fd1bed1ad61e66ff9143b0d1eb98e26e04898d2b6d",
     "simulate-rotate-n400": "8c0fd73fae930b42afba75565dd3fc6a31bf622ea468e2cc2686824f436a11a9",
+    "simulate-rotate-n2000": "788dba0dca75aa6ab965edbd4c87f22f22b33bcb63305b726626a31ef4f9630f",
     "simulate-rotate-wrap-n300": "a7b597d7ea343a7b1c2aa92b4f0d665888a3f8e1afbc0025836de3765bab77bc",
 }
 

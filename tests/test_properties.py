@@ -11,7 +11,8 @@ grid's cover bound must allow for. Examples
 are derandomized and no example database is kept, so every run draws the
 same cases. Greedy NN is also checked on three fixed 600-node fields, where
 it either searches its grid or hands a step over to a scan of the live
-nodes. With a kNN graph from any of the three builders it takes the first
+nodes, in cells of 2 nodes without a graph and of max(k, 2) nodes with a
+graph of k slots. With a kNN graph from either builder it takes the first
 unvisited slot of a row first. A failing property is reported with its
 falsifying example under this repository's warning filters.
 """
@@ -202,12 +203,16 @@ def test_grid_cover_never_exceeds_an_outside_distance(f):
 @given(f=scaled_lattices)
 def test_nn_index_stores_every_nodes_grid_covers(f):
     # Greedy NN reads node i's cover for ring r at i * (_PAD + 1) + r; each
-    # must be the grid's own bound, bit for bit.
-    ix = routes._NnIndex(f, None)
-    grid = CellGrid(f.coords, routes._NN_PER_CELL)
-    for r in range(routes._PAD + 1):
-        want = grid.cover(f.coords[:, 0], f.coords[:, 1], grid.cx, grid.cy, grid.walls(r)).tolist()
-        assert [ix.covers[i * (routes._PAD + 1) + r] for i in range(len(f))] == want
+    # must be the grid's own bound, bit for bit. A graph-free index has
+    # cells of _NN_PER_CELL nodes, one with a graph of k slots cells of
+    # max(k, 2) nodes.
+    n = len(f)
+    for k in [None] + [k for k in (1, 2, 3, 5, 8, n - 1) if k < n]:
+        ix = routes._NnIndex(f, None if k is None else build_knn_graph(f, k))
+        grid = CellGrid(f.coords, routes._NN_PER_CELL if k is None else max(k, 2))
+        for r in range(routes._PAD + 1):
+            want = grid.cover(f.coords[:, 0], f.coords[:, 1], grid.cx, grid.cy, grid.walls(r)).tolist()
+            assert [ix.covers[i * (routes._PAD + 1) + r] for i in range(n)] == want, f"k={k}"
 
 
 def nn_test_field(kind: str) -> SensorField:
@@ -237,6 +242,34 @@ def test_nn_grid_search_and_full_scan_handover_match_a_scan(kind, lo, hi, monkey
     for start in (0, 299):
         assert nn_route(f, start).order == scan_nn_route(f, start)
     assert lo <= len(scans) / 2 <= hi
+
+
+@pytest.mark.parametrize("kind", ["uniform", "duplicates", "clustered"])
+def test_graph_backed_nn_in_cells_of_k_nodes_matches_a_scan(kind, monkeypatch):
+    # A graph of k slots sizes the grid's cells to max(k, 2) nodes. At k=64
+    # a cell of the duplicates field still holds 200 nodes, so a search
+    # there hands over to the scan until the cell's live nodes fit the budget.
+    # The route's counts match the calls to the grid search and the scan.
+    f = nn_test_field(kind)
+    want = {start: scan_nn_route(f, start) for start in (0, 299)}
+    calls = {"search": 0, "scan": 0}
+    for name, key in (("_nearest_live", "search"), ("_nearest_unvisited", "scan")):
+        def counted(*args, real=getattr(routes, name), key=key):
+            calls[key] += 1
+            return real(*args)
+        monkeypatch.setattr(routes, name, counted)
+    total = {"ring_searches": 0, "scans": 0}
+    for k in (1, 2, 8, 64):
+        graph = build_knn_graph(f, k)
+        for start in want:
+            stats = {}
+            calls.update(search=0, scan=0)
+            assert nn_route(f, start, graph, stats).order == want[start], f"k={k}, start={start}"
+            assert stats == {"slot_steps": len(f) - 1 - calls["search"],
+                             "ring_searches": calls["search"] - calls["scan"], "scans": calls["scan"]}
+            for key in total:
+                total[key] += stats[key]
+    assert all(total.values())  # both fallbacks decided some steps
 
 
 def test_nn_scans_over_a_shrinking_live_array_match_a_scan(monkeypatch):

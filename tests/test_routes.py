@@ -202,6 +202,20 @@ def test_nn_index_lives_on_the_graph_and_nowhere_else(monkeypatch):
     assert built[2]() is None
 
 
+def test_nn_route_counts_how_each_step_was_settled():
+    # With the k=8 graph most steps take a slot; the rest search cells of 8
+    # nodes, and a few of those hand over to the scan. The counts sum to n - 1.
+    f = generate_uniform(2000, 20000, 20000, seed=1)
+    graph = build_knn_graph(f, 8)
+    stats = {}
+    assert nn_route(f, 0, graph, stats).order == nn_route(f, 0, graph).order
+    assert stats == {"slot_steps": 1853, "ring_searches": 139, "scans": 7}
+    nn_route(f, 0, None, stats)
+    assert stats == {"slot_steps": 0, "ring_searches": 1978, "scans": 21}
+    nn_route(SensorField(coords=f.coords[:1]), 0, None, stats)
+    assert stats == {"slot_steps": 0, "ring_searches": 0, "scans": 0}
+
+
 def test_routes_are_permutations():
     for seed in range(5):
         f = generate_uniform(40, 100, 100, seed=seed)
