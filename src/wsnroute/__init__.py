@@ -26,7 +26,7 @@ _EXPORTS = {
                      "simulate_lifetime"), "lifetime"),
     **dict.fromkeys(("Route", "dump_route", "nn_route", "route_length", "validate_route"), "routes"),
 }
-_SUBMODULES = ("anneal", "bench", "energy", "field", "grid", "knn", "lifetime", "routes")
+_SUBMODULES = ("anneal", "bench", "energy", "field", "grid", "knn", "lifetime", "numtext", "routes")
 
 __all__ = sorted([*_EXPORTS, *_SUBMODULES])
 

@@ -14,8 +14,9 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .anneal import default_schedule, random_initial_route, sa_route, undersized_schedule
-from .field import format_coord, generate_uniform
+from .field import generate_uniform
 from .knn import build_knn_graph
+from .numtext import format_coord
 from .routes import nn_route, route_length
 
 PRESET_PAPER_BUDGET = "paper-budget"

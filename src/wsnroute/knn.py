@@ -28,8 +28,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import SensorField, format_coords, join_lines
+from .field import SensorField
 from .grid import CellGrid
+from .numtext import format_coords, join_lines
 
 _INF = float("inf")
 
@@ -185,7 +186,7 @@ def dump_graph(graph: KnnGraph) -> str:
     Rows are ordered by (weight, target), so the lines are sorted by
     (source, weight, target). Node ids and the distinct weights, told apart
     by their bits, are each formatted once into a byte table by
-    :func:`~wsnroute.field.format_coords` (mutual neighbours share a weight),
+    :func:`~wsnroute.numtext.format_coords` (mutual neighbours share a weight),
     and the lines are gathered from those tables a block at a time.
     """
     n, k = graph.targets.shape

@@ -1,7 +1,9 @@
 """Field generation, geometry, and dataset format tests."""
 
+import collections
 import math
 import re
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from wsnroute import (
     parse_dataset,
     write_dataset,
 )
+from wsnroute import numtext
 from wsnroute.field import distances_from, format_coord, format_coords
+from wsnroute.numtext import read_records
 from oracles import Point, distance, distance_block, points
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -204,7 +208,8 @@ def test_format_coords_is_format_coord_of_each_entry(values):
     assert texts(format_coords(a)) == [format_coord(v) for v in a.tolist()]
 
 
-def test_format_coords_matches_format_coord_across_its_range():
+def format_coords_values():
+    """The values of the exactness sweep of format_coords, in [1, 2^53) of both signs."""
     rng = np.random.default_rng(23)
     # raw bit patterns spread over every binade of [1, 2^53), of both signs
     lo, hi = np.array([1.0, 2.0**53]).view(np.int64)
@@ -218,9 +223,88 @@ def test_format_coords_matches_format_coord_across_its_range():
     parts += [2.0 ** np.arange(54), 10.0 ** np.arange(17), np.array([1.0, 2.0**53])]
     a = np.concatenate(parts)
     # each value above and its neighbours, such as nextafter(1, 0) and nextafter(2^53, 0)
-    a = np.concatenate([signed, a, np.nextafter(a, 0), np.nextafter(a, np.inf)])
+    return np.concatenate([signed, a, np.nextafter(a, 0), np.nextafter(a, np.inf)])
+
+
+def test_format_coords_matches_format_coord_across_its_range():
+    a = format_coords_values()
     assert ((np.abs(a) >= 1) & (np.abs(a) < 2**53)).sum() > 250_000
     assert texts(format_coords(a)) == [format_coord(v) for v in a.tolist()]
+
+
+# Spellings float() reads that format_coord never writes, and values at the edges of
+# the reader's conversion: subnormals, overflow, exact ties between two doubles, and
+# decimal exponents on both sides of the Eisel-Lemire table's window [-30, 30].
+ODD_NUMBERS = [
+    "0", "-0", "+0", "-0.0", "0e999", "-0.000e-400", "5e-324", "-4.9406564584124654e-324", "2.2250738585072014e-308",
+    "2.225073858507201e-308", "1e-300", "1.7e308", "1.7976931348623157e308", "1e400", "-1e309", "1e-400",
+    "+2", ".5", "-.5", "3.", "+3.", "1E-7", "1e+7", "1E+07", "007", "-000.5", "000000000000000000001",
+    "00000000000000000000000000000000000000000.25", "0.1000000000000000055511151231257827",
+    "1234567890123456789012345678901234567890", "9007199254740993", "9007199254740993.0", "9007199254740992.5",
+    "9007199254740991", "18014398509481985", "1e23", "8.98846567431158e307", "4.35e-31", "1e30", "1e31", "1e-30",
+    "1e-31", "9999999999999999999e30", "9999999999999999999e-30", "1234567890123456789e11",
+    "12345678901234567e-31", "123456789012345678e-32", "7e-34", "3e32", "1e0000000022", "1e000000000022",
+    "2.5e-000000000003", "15479.120971119266", "8777.568795041047", "19999.999999999996",
+]
+
+
+def ties_and_carries(rng):
+    """Decimals that round with a carry or a tie: just below a power of two, and half way between doubles.
+
+    A decimal within a quarter of an ulp below 2^e rounds up to it, a carry out
+    of the significand. The midpoints of [2^50, 2^53) have at most 19 digits,
+    so a correctly rounded reader must break their ties to even.
+    """
+    out = []
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for e in range(-100, 120):
+            d = 2.0 ** e
+            below = Decimal(d) - (Decimal(d) - Decimal(np.nextafter(d, 0))) / 4
+            out.append(format(below, ".18e"))
+        for s in (1, 2, 3):  # in [2^(53 - s), 2^(54 - s)) the doubles lie 2^(1 - s) apart
+            for k in rng.integers(2**52, 2**53, 300).tolist():
+                out.append(str(Decimal(k * 2.0 ** (1 - s)) + Decimal(2) ** -s))
+    return out
+
+
+def test_read_records_reads_each_number_as_float_does(monkeypatch):
+    ran = collections.Counter()
+    to_double, eisel_lemire = numtext._to_double, numtext._eisel_lemire
+
+    def counted_to_double(w, q, skip):
+        out = to_double(w, q, skip)
+        left = np.isnan(out)
+        ran["more than 19 digits, or an exponent of more than 8"] += int((left & skip).sum())
+        ran["outside the table"] += int((left & ~skip & (np.abs(q) > numtext._Q)).sum())
+        return out
+
+    def counted_eisel_lemire(w, q):
+        value, undecided = eisel_lemire(w, q)
+        ran["eisel-lemire"] += int((~undecided).sum())
+        ran["undecided"] += int(undecided.sum())
+        return value, undecided
+
+    monkeypatch.setattr(numtext, "_to_double", counted_to_double)
+    monkeypatch.setattr(numtext, "_eisel_lemire", counted_eisel_lemire)
+    a = format_coords_values()[::3]
+    rng = np.random.default_rng(29)
+    extremes = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.7e308, -1.7976931348623157e308])
+    tiny = rng.random(2000) * 10.0 ** rng.integers(-40, 40, 2000)  # 0 < |v| < 1 and |v| >= 2^53 get repr
+    a = np.concatenate([a, extremes, np.nextafter(extremes, 1), tiny, -tiny])
+    numbers = texts(format_coords(a)) + list(map(repr, a.tolist())) + ODD_NUMBERS
+    long = rng.integers(1, 10, (200, 40)).astype(np.uint8) + ord("0")  # 20 to 40 digits around a dot
+    for row, n, dot in zip(long, rng.integers(20, 41, 200), rng.integers(0, 41, 200)):
+        digits = row[:n].tobytes().decode()
+        numbers.append(f"{digits[:dot]}.{digits[dot:]}" if dot <= n else digits)
+    for e in range(-34, 35):
+        numbers += [f"1e{e}", f"4.35e{e}", f"-123456789012345678e{e}", f"0.1234567890123456789e{e}"]
+    numbers += ties_and_carries(rng)
+    numbers += ["0"] * (len(numbers) % 2)
+    xy = read_records("".join(f"P ({x} {y})\n" for x, y in zip(numbers[::2], numbers[1::2])).encode())
+    want = np.array([float(x) for x in numbers])
+    assert xy.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert min(ran.values()) > 0 and len(ran) == 4, ran
 
 
 def reference_write(field):
@@ -245,7 +329,7 @@ def test_write_matches_the_per_line_writer_on_generated_fields():
 
 
 def test_write_matches_the_per_line_writer_across_blocks(monkeypatch):
-    monkeypatch.setattr("wsnroute.field._BLOCK", 7)
+    monkeypatch.setattr("wsnroute.numtext._BLOCK", 7)
     f = SensorField(coords=[(x * 0.37 - 5, 2.0**53 * x - 1) for x in range(-20, 20)])
     assert write_dataset(f) == reference_write(f)
 
@@ -284,7 +368,7 @@ def parse_outcome(parse, text):
 # Line boundaries for str.splitlines, and spaces that are not.
 LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x85", "\u2028"]
 SPACES = st.text(alphabet=" \t\xa0\u3000", max_size=2)
-NUMBERS = st.sampled_from(["0", "-0", "7", "+2", "1.5", ".5", "3.", "-4e2", "1E-7", "1e400", "-1e309", "٣"])
+NUMBERS = st.sampled_from(["0", "-0", "7", "+2", "1.5", ".5", "3.", "-4e2", "1E-7", "1e400", "-1e309", "٣", "N"])
 
 
 @st.composite
@@ -294,7 +378,7 @@ def dataset_lines(draw):
         return draw(SPACES)
     if kind == "malformed":
         return draw(st.sampled_from(["Q (1 2)", "P (1)", "P 1 2", "P (1 2", "P (1 2) x", "P (1,2)", "p (1 2)",
-                                     "P (inf 2)", "x"]))
+                                     "P (inf 2)", "P(NN)", "x"]))
     s = [draw(SPACES) for _ in range(5)]
     x, y = draw(NUMBERS), draw(NUMBERS)
     return f"{s[0]}P{s[1]}({s[2]}{x}{draw(SPACES.filter(bool))}{y}{s[3]}){s[4]}"
@@ -308,6 +392,58 @@ def test_parse_matches_the_per_line_parser(lines, last_end):
     if lines and not last_end:
         text = text[:-len(lines[-1][1])]
     assert parse_outcome(parse_dataset, text) == parse_outcome(reference_parse, text)
+
+
+# One-line changes to a written dataset: errors, line ends and spaces the reader leaves to
+# the regular expression, and valid texts it reads itself.
+MUTATIONS = {
+    "malformed": lambda line: line.replace(")", ""),
+    "non-finite": lambda line: "P (1e400 " + line.split()[2],
+    "crlf": lambda line: line + "\r",
+    "tab": lambda line: "\t" + line.replace(" ", "\t") + "\t",
+    "nbsp": lambda line: line.replace(" ", "\xa0"),
+    "arabic-indic digit": lambda line: "P (\u0663 4)",
+    "blank line": lambda line: line + "\n \t",
+}
+
+
+def test_parse_matches_the_per_line_parser_on_a_large_text():
+    written = write_dataset(generate_uniform(5000, 20000, 20000, seed=8))
+    lines = written.splitlines()
+    boundary = written[:numtext._READ_BLOCK].count("\n")  # the first line of the second block
+    assert 1 < boundary < len(lines) - 1
+    cases = {(len(lines) - 1, "no final line end"): written[:-1]}
+    for at in (1, boundary - 1, boundary, len(lines) - 1):
+        for name, mutate in MUTATIONS.items():
+            cases[at, name] = "\n".join([*lines[:at], mutate(lines[at]), *lines[at + 1:]]) + "\n"
+    for (at, name), text in cases.items():
+        assert parse_outcome(parse_dataset, text) == parse_outcome(reference_parse, text), (at, name)
+        if name in ("tab", "blank line", "no final line end"):  # read from bytes, not by the regex
+            assert read_records(text.encode()) is not None
+
+
+def test_parse_rejects_malformed_records_as_the_per_line_parser_does():
+    numbers = ["1e5-3", "1-2", "--1", "+-1", "1..2", "1.2.3", "e5", "1e", "1e+", ".", "+", "-.", ".e1", "1e5e5",
+               "1e5.", "1E5.2", "1,5", "1/2", "0x10", "1_0", "inf", "1e5+", "5e-", "P", "(1)", "1\x1f"]
+    records = ["P (1 2) P (3 4)", "P (1 2)P (3 4)", "P P (1 2)", "P (1 2))", "P ((1 2)", "(1 2)", "P (1 2 3)",
+               "P (1)", "P 1 2", "P (1 2", "P (12)", "P (1\x0b2)", "P (1 2)\x00", "\x1fP (1 2)",
+               "P(NN)", "P (1N)", "P (N 2)", "P (1 2N)"]
+    lines = [f"P ({x} 3)" for x in numbers] + [f"P (4 {y})" for y in numbers] + records
+    for line in lines:
+        for text in (f"P (1 2)\n{line}\n", f"P (1 2)\n{line}"):
+            assert read_records(text.encode()) is None
+            assert parse_outcome(parse_dataset, text) == parse_outcome(reference_parse, text), text
+    # bytes past ASCII, which the reader's skeleton uses for span ends, are left to the caller
+    assert read_records(b"P (1 2)\nP(\x80\x80)\n") is None
+
+
+def test_read_records_across_blocks_of_any_size(monkeypatch):
+    text = write_dataset(SensorField(coords=[(x * 0.37 - 5, 2.0**53 * x - 1) for x in range(-20, 20)]))
+    text = text.replace("\n", "\n\n", 3)
+    want = read_records(text.encode())
+    for size in (1, 7, 64, 1000):
+        monkeypatch.setattr(numtext, "_READ_BLOCK", size)
+        assert read_records(text.encode()).tobytes() == want.tobytes()
 
 
 def test_distance_identity_and_pythagorean():

@@ -334,6 +334,6 @@ def test_dump_matches_the_per_line_dump(graph):
 
 
 def test_dump_lines_span_assembly_blocks(monkeypatch):
-    monkeypatch.setattr("wsnroute.field._BLOCK", 7)
+    monkeypatch.setattr("wsnroute.numtext._BLOCK", 7)
     g = build_knn_graph(generate_uniform(60, 100, 100, seed=8), 4, 16)
     assert dump_graph(g) == reference_dump(g)

@@ -178,23 +178,6 @@ def test_simulate_battery_monotonicity():
     assert deaths == sorted(deaths) and deaths[0] < deaths[2]
 
 
-def test_simulate_rotation_outlives_fixed_on_square():
-    # symmetric 4-node unit square: rotating the start spreads the heavy
-    # interior roles around, so the first death comes strictly later
-    f = SensorField(
-        coords=(Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1))
-    )
-    rp = RadioParams()
-    tx1 = tx_energy(rp, rp.packet_bits, 1.0)
-    rx = rx_energy(rp, rp.packet_bits)
-    initial = 20 * (tx1 + rx)
-    fixed = simulate_lifetime(f, POLICY_FIXED, config(initial, rp), 10000)
-    rotated = simulate_lifetime(f, POLICY_ROTATE, config(initial, rp), 10000)
-    assert fixed.first_death_round is not None
-    assert rotated.first_death_round is not None
-    assert rotated.first_death_round > fixed.first_death_round
-
-
 def test_simulate_rotate_single_node():
     f = chain_field([0])
     rep = simulate_lifetime(f, POLICY_ROTATE, config(1.0), 3)

@@ -22,13 +22,14 @@ from wsnroute import cli
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 SPANS = ROOT / "perfbench" / "spans.py"
-ROUTES = {"field", "grid", "routes"}
+FIELD = {"field", "numtext"}
+ROUTES = FIELD | {"grid", "routes"}
 
 # Subcommand -> (argv after the subcommand, the workbench modules it loads).
 # Each case is tiny; together they reach every traced wsnroute.cli site.
 CASES = {
-    "gen": (["--n", "12", "--seed", "3"], {"field"}),
-    "knn": (["--input", "{field}", "--k", "3"], {"field", "grid", "knn"}),
+    "gen": (["--n", "12", "--seed", "3"], FIELD),
+    "knn": (["--input", "{field}", "--k", "3"], FIELD | {"grid", "knn"}),
     "nn": (["--n", "12", "--seed", "3", "--closed"], ROUTES),
     "sa": (["--input", "{field}", "--sa-init", "nn", "--sa-max-iters", "200"], ROUTES | {"anneal"}),
     "simulate": (["--n", "12", "--width", "50", "--height", "50", "--seed", "3", "--rounds", "4",
