@@ -6,6 +6,10 @@ never longer than the initial route. Its one move is the segment reversal
 scored in O(1) from the two links it relinks. Each invocation owns a
 self-contained PCG64 stream, so runs are deterministic given (field,
 initial, schedule, seed) and safe to launch concurrently.
+
+The route is one position-indexed array with rows order, x, y and link
+length: a reversal is two slice copies, and numpy runs gather from it.
+Each draw of proposals is written into buffers made once per call.
 """
 
 from __future__ import annotations
@@ -102,78 +106,50 @@ def undersized_schedule(field: SensorField, initial: Route) -> AnnealSchedule:
     )
 
 
-def _route_arrays(field: SensorField, route: Route) -> tuple[np.ndarray, np.ndarray]:
-    """The annealer's route state, indexed by route position: ``order`` and ``xyl``.
+def _route_arrays(field: SensorField, route: Route) -> np.ndarray:
+    """The annealer's route state: one (4, n + 1) array indexed by route position.
 
-    ``xyl`` is a (3, n + 1) array whose rows ``rx``, ``ry`` and ``lk`` hold
-    the node coordinates in route order and, in ``lk[p]``, the length of the
-    link from position p to p + 1. On a closed route ``lk[n - 1]`` is the
-    link back to position 0; on an open one it is 0.0. Each row has a pad
-    of 0.0 at position n.
+    Its rows are the order (node ids, exact in float64), the node
+    coordinates ``x`` and ``y`` in route order, and ``lk``, whose entry p is
+    the length of the link from position p to p + 1. On a closed route
+    ``lk[n - 1]`` is the link back to position 0; on an open one it is 0.0.
+    Each row has a pad of 0.0 at position n.
     """
     n = len(route.order)
     order = np.array(route.order, dtype=np.intp)
-    xyl = np.zeros((3, n + 1))
-    xyl[:2, :n] = field.coords[order].T
+    state = np.zeros((4, n + 1))
+    state[0, :n] = order
+    state[1:3, :n] = field.coords[order].T
     hops = hop_lengths(field.coords, order, route.closed)
-    xyl[2, : len(hops)] = hops
-    return order, xyl
+    state[3, : len(hops)] = hops
+    return state
 
 
-def _two_opt_delta(i: int, j: int, x, y, lk, n: int, closed: bool) -> float:
-    """Length change from reversing route positions i..j; O(1), interior links keep length.
-
-    ``x``, ``y`` and ``lk`` are the rows ``rx``, ``ry`` and ``lk`` of
-    ``_route_arrays``'s ``xyl``, read by position (memoryviews in the
-    annealer). The link before i exists when ``i > 0 or closed``, the link
-    after j when ``j < n - 1 or closed``; a closed route wraps both. The old
-    links are read from ``lk``; only the new ones take a square root. The
-    wraps are conditionals rather than ``% n``, which CPython 3.11 does not
-    specialise for ints; this runs once per proposal.
-    """
-    if closed and (j - i + 1) >= n:
-        return 0.0
-    delta = 0.0
-    if i > 0 or closed:
-        p = i - 1 if i else n - 1
-        dxa = x[p] - x[j]
-        dya = y[p] - y[j]
-        delta += math.sqrt(dxa * dxa + dya * dya) - lk[p]
-    if j < n - 1 or closed:
-        q = j + 1 if j < n - 1 else 0
-        dxb = x[i] - x[q]
-        dyb = y[i] - y[q]
-        delta += math.sqrt(dxb * dxb + dyb * dyb) - lk[j]
-    return delta
-
-
-def _apply_move(order: np.ndarray, xyl: np.ndarray, views: tuple, i: int, j: int, closed: bool) -> None:
+def _apply_move(state: np.ndarray, views: tuple, i: int, j: int, closed: bool) -> None:
     """Reverse route positions i..j (2-opt) in place.
 
-    ``order`` and ``xyl`` are ``_route_arrays``'s, and ``views`` the
-    memoryviews of the rows of ``xyl``. The reversal reverses the links
-    inside it, ``lk[i:j]``; then each of the two links it relinks gets its
-    length again from the moved coordinates. The operands are those of
-    ``_two_opt_delta`` up to sign, so ``lk`` stays equal to ``hop_lengths``
-    of the new order, bit for bit.
+    ``state`` is ``_route_arrays``'s, and ``views`` the memoryviews of its
+    rows ``x``, ``y`` and ``lk``. The reversal reverses the order, the
+    coordinates and the links inside it, ``lk[i:j]``; then each of the two
+    links it relinks gets its length again from the moved coordinates. The
+    operands are those of the annealer's delta up to sign, so ``lk`` stays
+    equal to ``hop_lengths`` of the new order, bit for bit.
     """
     x, y, lk = views
-    n = len(order)
+    last = len(lk) - 2
     stop = i - 1 if i else None
-    order[i : j + 1] = order[j:stop:-1]
-    xyl[:2, i : j + 1] = xyl[:2, j:stop:-1]
-    xyl[2, i:j] = xyl[2, j - 1 : stop : -1]
-    for p in (i - 1, j):
-        if p < 0:
-            if not closed:
-                continue
-            p = n - 1
-        elif p == n - 1 and not closed:
-            continue
-        q = p + 1 if p < n - 1 else 0
-        dx = x[p] - x[q]
-        dy = y[p] - y[q]
+    state[:3, i : j + 1] = state[:3, j:stop:-1]
+    state[3, i:j] = state[3, j - 1 : stop : -1]
+    if i or closed:
+        p = i - 1 if i else last
+        dx = x[p] - x[i]
+        dy = y[p] - y[i]
         lk[p] = math.sqrt(dx * dx + dy * dy)
+    if j < last or closed:
+        q = j + 1 if j < last else 0
+        dx = x[j] - x[q]
+        dy = y[j] - y[q]
+        lk[j] = math.sqrt(dx * dx + dy * dy)
 
 
 # Proposals are drawn _DRAW at a time. After _QUIET_STREAK rejections in a
@@ -184,7 +160,8 @@ def _apply_move(order: np.ndarray, xyl: np.ndarray, views: tuple, i: int, j: int
 # proposals. At n=2000, runs of 4096 or more cost more per proposal than runs
 # of 1024. The streak, the first run and the stay were tuned at n=2000 under
 # --paper-budget, where a run costs about as much as ten scalar proposals;
-# they move no output, only which path scores a proposal.
+# they move no output, only which path scores a proposal. Halving or doubling
+# any of the three later moved the median time by 3-7%, inside its spread.
 _DRAW = 8192
 _QUIET_STREAK = 16
 _FIRST_RUN = 128
@@ -192,48 +169,55 @@ _LONGEST_RUN = 1024
 _STAY = 8
 
 
-def _link_ends(ij: np.ndarray, n: int, closed: bool) -> np.ndarray:
-    """Where the two links each move (i, j), i < j, of ``ij`` relinks are found in the flat ``xyl``.
+def _link_ends(ends: np.ndarray, masks: np.ndarray, ij: np.ndarray, n: int, closed: bool) -> None:
+    """Write where the links each move (i, j), i < j, of ``ij`` relinks are found in the flat state.
 
-    The links are ``_two_opt_delta``'s, in its order: the one before i and
-    the one after j. Rows 0..1 of the result index the x of each new link's
-    head, rows 2..3 its y, rows 4..7 the x and y of its tail, and rows 8..9
-    the length of the old link it replaces, all in ``_route_arrays``'s
-    ``xyl.reshape(-1)``. A closed route wraps position -1 to n - 1 and n to
-    0. A link the move lacks is at the pad, position n, in every row, so
-    that its new and old lengths are exactly 0.0: the links before an open
-    route's start and after its end, and both links of a closed route's
-    whole-cycle reversal.
+    ``ends`` is a (10, m) intp array and ``masks`` a (2, m) bool scratch
+    array. The links are the annealer's delta's, in its order: the one
+    before i and the one after j. Rows 0..1 of ``ends`` index the x of each
+    new link's head, rows 2..3 its y, rows 4..7 the x and y of its tail,
+    and rows 8..9 the length of the old link it replaces, all in
+    ``_route_arrays``'s ``state.reshape(-1)``. A closed route wraps
+    position -1 to n - 1 and n to 0. A link the move lacks is at the pad,
+    position n, in every row, so that its new and old lengths are exactly
+    0.0: the links before an open route's start and after its end, and both
+    links of a closed route's whole-cycle reversal.
     """
     i, j = ij
-    p = i - 1
-    q = j + 1
+    before, after = masks
+    np.subtract(i, 1, out=ends[0])
+    np.copyto(ends[1], i)
+    np.copyto(ends[4], j)
+    np.add(j, 1, out=ends[5])
+    np.equal(i, 0, out=before)
+    np.equal(j, n - 1, out=after)
     if closed:
-        p[p < 0] = n - 1
-        q[q == n] = 0
-        before = after = j - i + 1 >= n
-    else:
-        before = i == 0
-        after = j == n - 1
-    ends = np.array([[p, i], [j, q], [p, j]])
-    ends[:, 0, before] = n
-    ends[:, 1, after] = n
-    heads, tails, old = ends
-    w = n + 1
-    return np.concatenate((heads, heads + w, tails, tails + w, old + 2 * w))
+        np.copyto(ends[0], n - 1, where=before)
+        np.copyto(ends[5], 0, where=after)
+        before &= after
+        after = before
+    ends[8:] = ends[0:5:4]
+    # the even rows are the link before i, the odd ones the link after j
+    np.copyto(ends[0::2], n, where=before)
+    np.copyto(ends[1::2], n, where=after)
+    w = n + 1  # the state's rows x, y and lk start at w, 2w and 3w
+    pairs = ends.reshape(5, 2, -1)
+    pairs[0:4:2] += w
+    np.add(pairs[0:4:2], w, out=pairs[1:4:2])
+    pairs[4] += 3 * w
 
 
 def _run_deltas(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``_two_opt_delta`` of each column of ``ends``, from ``_link_ends``.
+    """The annealer's delta of each column of ``ends``, from ``_link_ends``.
 
-    ``flat`` is ``_route_arrays``'s ``xyl.reshape(-1)``, with 0.0 at the
-    pads. Each entry is the scalar function's value bit for bit: the same
+    ``flat`` is ``_route_arrays``'s ``state.reshape(-1)``, with 0.0 at the
+    pads. Each entry is the scalar delta's value bit for bit: the same
     differences, squares, correctly rounded square roots, old link lengths
     and additions in the same order. A pad link adds 0.0 - 0.0, and x + 0.0
     is x, because a difference of a square root and a link length is never
     -0.0.
     """
-    g = flat[ends]
+    g = flat.take(ends)
     # in place on the head rows, so a run holds few temporaries
     d = g[:4]
     d -= g[4:8]
@@ -245,19 +229,22 @@ def _run_deltas(flat: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return s[0] + s[1]
 
 
-def _draw(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next m proposals: moves (i, j), i < j, as a (2, m) array, u, and log(u) - 1e-9.
+def _draw(rng: np.random.Generator, n: int, ij: np.ndarray, u: np.ndarray, log_u: np.ndarray,
+          scratch: np.ndarray) -> None:
+    """Write the next m = len(u) proposals: moves (i, j), i < j, into the (2, m) ``ij``, u, and log(u) - 1e-9.
 
     Every proposal consumes (i, j, u), drawn in three calls per block, and
-    (i, j) is uniform over distinct pairs.
+    (i, j) is uniform over distinct pairs. ``scratch`` is an m-long bool array.
     """
-    i = rng.integers(0, n, size=m)
-    j = rng.integers(0, n - 1, size=m)
-    u = rng.random(m)
-    j += j >= i
+    i = rng.integers(0, n, size=len(u))
+    j = rng.integers(0, n - 1, size=len(u))
+    rng.random(out=u)
+    j += np.greater_equal(j, i, out=scratch)
+    np.minimum(i, j, out=ij[0])
+    np.maximum(i, j, out=ij[1])
     with np.errstate(divide="ignore"):
-        log_u = np.log(u) - 1e-9
-    return np.stack((np.minimum(i, j), np.maximum(i, j))), u, log_u
+        np.log(u, out=log_u)
+    log_u -= 1e-9
 
 
 def sa_route(
@@ -280,30 +267,51 @@ def sa_route(
     ``final_temp``, and ``stop``: ``"min_temp"`` when T fell below
     ``min_temp``, else ``"budget"``.
 
-    The route lives only in the position-indexed arrays of
-    ``_route_arrays``: the order, the coordinates in route order and the
-    link lengths, which every accept keeps up to date (``_apply_move``).
-    Most proposals are rejected, in long quiet stretches. After
+    The route lives only in ``_route_arrays``'s position-indexed state
+    array: the order, the coordinates in route order and the link lengths,
+    which every accept keeps up to date (``_apply_move``). A delta reads
+    the old links from ``lk`` and takes a square root for each new one: the
+    link before i exists when ``i > 0 or closed``, the one after j when
+    ``j < n - 1 or closed``, and a closed route wraps both. Most proposals
+    are rejected, in long quiet stretches. After
     ``_QUIET_STREAK`` rejections in a row, proposals are scored in numpy
     runs against the unchanged route; a run never crosses a cooling level or
-    the end of a draw of ``_DRAW`` proposals. An accept ``_STAY`` or more
-    proposals into a run starts the next run at once; a sooner one hands the
-    loop back to scalar proposals, which read the arrays and the proposals
-    through memoryviews. Runs read the positions of every link a move
-    relinks, found once per draw.
+    the end of a draw. An accept ``_STAY`` or more proposals into a run
+    starts the next run at once; a sooner one hands the loop back to scalar
+    proposals, which read the state and the draw through memoryviews.
     The result is the scalar loop's, bit for bit: the draws are the same,
     every delta is computed with the same IEEE operations, and numpy only
-    picks candidates, with a test (``-delta/T > log(u) - 1e-9``) that admits
-    every proposal the scalar test accepts. Each candidate is then decided
-    by that scalar test, ``math.exp`` included.
+    picks candidates, with a test (``delta <= -T * (log(u) - 1e-9)``, its
+    bound computed once per draw and level) that admits every proposal the
+    scalar test accepts. Each candidate is then decided by that scalar
+    test, ``math.exp`` included.
+
+    Proof that it does: the stored L = ``log(u) - 1e-9`` is at most -1e-9,
+    so a delta <= 0 meets the bound -T * L >= 0. An uphill accept has
+    u < exp(x), x = -delta/T rounded. If u is 0, L and the bound are
+    infinite; else u >= 2**-53, so x > -37, where the divide, exp, log and
+    the subtraction round by under 1e-13 in all. So L < -delta/T - 0.9e-9,
+    and the exact product -T * L exceeds delta; rounding is monotonic and
+    delta a float, so the rounded bound is >= delta, underflow or overflow.
     """
     validate_route(field, initial)
     n = len(initial.order)
+    last = n - 1
     closed = initial.closed
     budget = schedule.max_iters if n > 1 else 0  # one node has no move
-    order, xyl = _route_arrays(field, initial)
-    flat = xyl.reshape(-1)
-    views = x, y, lk = tuple(memoryview(row) for row in xyl)
+    state = _route_arrays(field, initial)
+    flat = state.reshape(-1)
+    order = state[0]
+    views = x, y, lk = tuple(memoryview(row) for row in state[1:])
+    size = min(_DRAW, budget)
+    ij = np.empty((2, size), dtype=np.intp)
+    u = np.empty(size)
+    log_u = np.empty(size)
+    ends = np.empty((10, size), dtype=np.intp)
+    masks = np.empty((2, size), dtype=bool)
+    thr = np.empty(size)  # the candidate test's bound on delta, from pos on at T = thr_temp
+    thr_temp = 0.0
+    i_view, j_view, u_view = memoryview(ij[0]), memoryview(ij[1]), memoryview(u)
     rng = np.random.Generator(np.random.PCG64(seed))
     cur_len = route_length(field, initial)
     best_len = cur_len
@@ -314,26 +322,41 @@ def sa_route(
     pos = m = 0
     quiet = 0
     run = _FIRST_RUN
-    # -delta / T overflows to -inf at tiny T; the candidate test wants that
+    # -T * L overflows to inf at huge T, which admits the proposal as it should
     with np.errstate(over="ignore"):
         while it < budget and temp >= schedule.min_temp:
             if pos == m:
-                m = min(_DRAW, budget - it)
-                ij, u, log_u = _draw(rng, n, m)
-                i_view, j_view, u_view = memoryview(ij[0]), memoryview(ij[1]), memoryview(u)
-                ends = _link_ends(ij, n, closed)
+                m = min(size, budget - it)
+                if m < size:  # the last draw is short
+                    ij, u, log_u, ends, masks = ij[:, :m], u[:m], log_u[:m], ends[:, :m], masks[:, :m]
+                _draw(rng, n, ij, u, log_u, masks[0])
+                _link_ends(ends, masks, ij, n, closed)
                 pos = 0
+                thr_temp = 0.0
             if quiet < _QUIET_STREAK:
                 step = 1
                 i = i_view[pos]
                 j = j_view[pos]
-                delta = _two_opt_delta(i, j, x, y, lk, n, closed)
+                delta = 0.0
+                if not closed or j - i < last:  # a closed route's whole reversal moves nothing
+                    if i or closed:
+                        p = i - 1 if i else last
+                        dx = x[p] - x[j]
+                        dy = y[p] - y[j]
+                        delta += math.sqrt(dx * dx + dy * dy) - lk[p]
+                    if j < last or closed:
+                        q = j + 1 if j < last else 0
+                        dx = x[i] - x[q]
+                        dy = y[i] - y[q]
+                        delta += math.sqrt(dx * dx + dy * dy) - lk[j]
                 accept = delta <= 0.0 or u_view[pos] < math.exp(-delta / temp)
             else:
                 step = min(run, m - pos, per_level - it % per_level)
+                if thr_temp != temp:  # a new draw or level
+                    np.multiply(log_u[pos:], -temp, out=thr[pos:m])
+                    thr_temp = temp
                 deltas = _run_deltas(flat, ends[:, pos : pos + step])
-                # deltas / -T is -delta / T bit for bit: the sign is set apart from the rounding
-                picks = (deltas / -temp > log_u[pos : pos + step]).nonzero()[0]
+                picks = (deltas <= thr[pos : pos + step]).nonzero()[0]
                 accept = False
                 for c in picks.tolist():
                     delta = float(deltas[c])
@@ -351,7 +374,7 @@ def sa_route(
             if accept:
                 if best_order is order and not cur_len + delta < best_len:
                     best_order = order.copy()
-                _apply_move(order, xyl, views, i, j, closed)
+                _apply_move(state, views, i, j, closed)
                 cur_len += delta
                 if cur_len < best_len:
                     best_len = cur_len
@@ -378,8 +401,7 @@ def sa_route(
         )
     # cur_len drifts by at most ~1 ulp per accepted move; the exact final
     # comparison keeps the non-increase guarantee unconditional.
-    best = Route(order=best_order.tolist(), closed=closed)
+    best = Route(order=best_order[:n].astype(np.intp).tolist(), closed=closed)
     if route_length(field, best) <= route_length(field, initial):
         return best
     return Route(order=list(initial.order), closed=closed)
-

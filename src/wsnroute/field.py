@@ -12,10 +12,10 @@ A dataset is ``P (<x> <y>)`` records, one per line. :func:`write_dataset`
 and :func:`parse_dataset` hold the format and its errors; the numbers are
 written and read by :mod:`wsnroute.numtext`, whose ``format_coord`` and
 ``format_coords`` are importable from here too. Parsing reads ASCII text
-of records and blank lines from its bytes there. Any other text, such as
-text with an error in it, CRLF line ends or non-ASCII digits and spaces,
-is read line by line with a regular expression, which alone words the
-errors.
+of records and blank lines, with LF or CRLF line ends, from its bytes
+there. Any other text, such as text with an error in it, a lone CR or
+non-ASCII digits and spaces, is read line by line with a regular
+expression, which alone words the errors.
 """
 
 from __future__ import annotations

@@ -49,7 +49,9 @@ class CellGrid:
 
     def __init__(self, xy: np.ndarray, per_cell: float):
         n = len(xy)
-        (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+        # One column at a time: xy.min(axis=0) on an (n, 2) array is about 10x slower.
+        xs, ys = xy[:, 0], xy[:, 1]
+        x0, y0, x1, y1 = float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
         sx, sy = x1 - x0, y1 - y0
         cells = max(n / per_cell, 1.0)
         # The second term caps the cell count of a thin box at about 3 * cells.
@@ -62,8 +64,8 @@ class CellGrid:
         self.ny = int(sy / h) + 1
         self.slack = _SLACK * (max(abs(x0), abs(x1), abs(y0), abs(y1)) + h) + _TINY
         # Rounding may put the maximum just past the last wall; clip it back in.
-        self.cx = np.minimum(((xy[:, 0] - x0) / h).astype(np.intp), self.nx - 1)
-        self.cy = np.minimum(((xy[:, 1] - y0) / h).astype(np.intp), self.ny - 1)
+        self.cx = np.minimum(((xs - x0) / h).astype(np.intp), self.nx - 1)
+        self.cy = np.minimum(((ys - y0) / h).astype(np.intp), self.ny - 1)
         self.cell = self.cy * self.nx + self.cx
         self.order = np.argsort(self.cell, kind="stable")
         self.start = np.concatenate(([0], np.cumsum(np.bincount(self.cell, minlength=self.nx * self.ny))))

@@ -342,7 +342,7 @@ def read_records(data: bytes) -> np.ndarray | None:
     """The (n, 2) coordinates of ASCII dataset text, or None if it is not ASCII or a line is neither blank nor a record.
 
     A record is ``P``, ``(``, two numbers and ``)``, with spaces or tabs
-    between the tokens and around them, and lines end at ``\\n`` only. A
+    between the tokens and around them, and lines end at ``\\n`` or ``\\r\\n``. A
     number is an optional sign, at least one digit with at most one dot
     among or around the digits, and an optional exponent (``e`` or ``E``, an
     optional sign, digits); it is read as ``float()`` reads it. The text is
@@ -368,6 +368,10 @@ def read_records(data: bytes) -> np.ndarray | None:
 
 def _read_block(padded: bytes) -> np.ndarray | None:
     """:func:`read_records` of one block of whole lines, followed by ``_PAD``."""
+    # A \r directly before \n is part of the line end; any other \r leaves the text to the caller.
+    cr = padded.count(b"\r")
+    if cr and cr != padded.count(b"\r\n"):
+        return None
     buf = np.frombuffer(padded, np.uint8)
     b = buf[:-len(_PAD)]
     # Every byte but a digit, and two virtual ones of kind 0xFF at -1 and
@@ -384,13 +388,14 @@ def _read_block(padded: bytes) -> np.ndarray | None:
     ends = np.zeros(len(at), bool)  # marks that end a span
     ends[1:] = mark[1:] & (gap | ~mark[:-1])
     # The skeleton: each mark, after the byte 0x80 if a span ends at it, with
-    # spaces, tabs and the virtual bytes dropped. ASCII text holds no 0x80, so
-    # only span ends make one. Blank lines and records, each on a line of its
-    # own, make the skeleton "\n" and "P(\x80\x80)" and nothing else.
+    # spaces, tabs, the \r of each \r\n and the virtual bytes dropped. ASCII
+    # text holds no 0x80, so only span ends make one. Blank lines and records,
+    # each on a line of its own, make the skeleton "\n" and "P(\x80\x80)" and
+    # nothing else.
     skeleton = np.empty((len(at), 2), np.uint8)
     np.subtract(0xFF, ends.view(np.uint8) * np.uint8(0x7F), out=skeleton[:, 0])
     np.bitwise_or(kind, mark.view(np.uint8) - np.uint8(1), out=skeleton[:, 1])  # 0xFF where no mark
-    text = b"\n" + skeleton.tobytes().translate(None, b"\xff \t")
+    text = b"\n" + skeleton.tobytes().translate(None, b"\xff \t\r")
     if text.replace(b"\nP(\x80\x80)", b"").strip(b"\n"):
         return None
     kend = np.flatnonzero(ends)

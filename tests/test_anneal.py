@@ -19,7 +19,6 @@ from wsnroute import anneal
 from wsnroute.anneal import (
     _apply_move,
     _route_arrays,
-    _two_opt_delta,
     default_schedule,
     undersized_schedule,
 )
@@ -109,8 +108,8 @@ def test_schedule_rejects_bad_values():
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
 def test_move_deltas_match_exact_length_change(n, closed):
-    # every i < j: adjacent positions and, when closed, the 0 / n - 1 seam;
-    # the numpy deltas of the annealer's quiet stretches equal the scalar ones bit for bit
+    # every i < j: adjacent positions and, when closed, the 0 / n - 1 seam; the numpy
+    # deltas of the annealer's quiet stretches equal the scalar loop's ones bit for bit
     rng = np.random.default_rng(100 * n + closed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ij = np.array(pairs).T
@@ -118,13 +117,15 @@ def test_move_deltas_match_exact_length_change(n, closed):
         f = SensorField(coords=rng.random((n, 2)) * 1000)
         order = [int(v) for v in rng.permutation(n)]
         before = route_length(f, Route(order=order, closed=closed))
-        _, xyl = _route_arrays(f, Route(order=order, closed=closed))
-        x, y, lk = (memoryview(row) for row in xyl)
-        batched = anneal._run_deltas(xyl.reshape(-1), anneal._link_ends(ij, n, closed)).tolist()
+        state = _route_arrays(f, Route(order=order, closed=closed))
+        ends = np.empty((10, len(pairs)), dtype=np.intp)
+        anneal._link_ends(ends, np.empty((2, len(pairs)), dtype=bool), ij, n, closed)
+        batched = anneal._run_deltas(state.reshape(-1), ends).tolist()
+        xs, ys = f.coords.T.tolist()
         for k, (i, j) in enumerate(pairs):
             reversed_ = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
             exact = route_length(f, Route(order=reversed_, closed=closed)) - before
-            got = _two_opt_delta(i, j, x, y, lk, n, closed)
+            got = _ref_two_opt_delta(order, i, j, xs, ys, n, closed)
             assert got == pytest.approx(exact, abs=1e-9), (order, i, j)
             assert batched[k] == got, (order, i, j)
 
@@ -134,13 +135,13 @@ def test_move_deltas_match_exact_length_change(n, closed):
 @pytest.mark.parametrize("closed", [False, True], ids=["True-False", "True-True"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9])
 def test_accepted_moves_keep_link_lengths_exact(n, closed):
-    # after every move the route arrays are those of the new order: the
-    # coordinates, and each link's length bit for bit as hop_lengths gives it
+    # after every move the route state is that of the new order: the order,
+    # the coordinates, and each link's length bit for bit as hop_lengths gives it
     rng = np.random.default_rng(10 * n + 2 + closed)
     f = SensorField(coords=rng.random((n, 2)) * 1000)
     order = [int(v) for v in rng.permutation(n)]
-    got_order, xyl = _route_arrays(f, Route(order=order, closed=closed))
-    views = tuple(memoryview(row) for row in xyl)
+    state = _route_arrays(f, Route(order=order, closed=closed))
+    views = tuple(memoryview(row) for row in state[1:])
     # the 0 / n - 1 seam first, then neighbours, then any pair
     moves = [(0, n - 1), (0, 1), (n - 2, n - 1)] + [tuple(sorted(rng.choice(n, 2, replace=False)))
                                                     for _ in range(200)]
@@ -148,13 +149,13 @@ def test_accepted_moves_keep_link_lengths_exact(n, closed):
     for i, j in moves:
         i, j = int(i), int(j)
         order[i : j + 1] = order[i : j + 1][::-1]
-        _apply_move(got_order, xyl, views, i, j, closed)
-        rx, ry, lk = xyl
-        assert got_order.tolist() == order, (i, j)
+        _apply_move(state, views, i, j, closed)
+        got_order, rx, ry, lk = state
+        assert got_order[:n].tolist() == order, (i, j)
         assert rx[:n].tolist() == f.coords[order, 0].tolist()
         assert ry[:n].tolist() == f.coords[order, 1].tolist()
         assert lk[:hops].tobytes() == hop_lengths(f.coords, order, closed).tobytes(), (order, i, j)
-        assert (rx[n], ry[n], lk[n]) == (0.0, 0.0, 0.0)
+        assert (got_order[n], rx[n], ry[n], lk[n]) == (0.0, 0.0, 0.0, 0.0)
         assert lk[n - 1] == 0.0 or closed
 
 
@@ -368,15 +369,19 @@ def _schedules(f, initial):
     }
 
 
-def _assert_matches_reference(f, initial, sched, name):
+def _assert_matches_reference(f, initial, sched, name, reference=None):
     """``sa_route`` against ``_sa_reference`` under one schedule: the route and every counter.
 
-    Returns the proposals numpy scored, and how many of them it must have
-    scored because they came after ``_QUIET_STREAK`` rejections in a row.
+    ``reference``, when given, is ``_sa_reference``'s route and decisions
+    for these arguments, from an earlier call. Returns the proposals numpy
+    scored, and how many of them it must have scored because they came after
+    ``_QUIET_STREAK`` rejections in a row.
     """
-    decisions = []
+    if reference is None:
+        decisions = []
+        reference = _sa_reference(f, initial, sched, seed=7, decisions=decisions), decisions
+    want, decisions = reference
     stats = {}
-    want = _sa_reference(f, initial, sched, seed=7, decisions=decisions)
     got = sa_route(f, initial, sched, seed=7, stats=stats)
     assert got == want, name
     assert stats["proposals"] == len(decisions) == stats["scalar_scored"] + stats["numpy_scored"]
@@ -413,6 +418,41 @@ def test_sa_route_matches_scalar_reference(n, closed):
         # smaller routes keep accepting zero-delta moves (a whole or nearly whole
         # reversal), so their quiet stretches are rare or never come
         assert numpy_scored > 50_000
+
+
+# Settings of the constants that choose a proposal's path, scalar or numpy,
+# and how long a numpy run is. None of them may move a route or a counter.
+# The defaults are test_sa_route_matches_scalar_reference's, on the same fields.
+_PATHS = {
+    "numpy-runs-only": dict(_QUIET_STREAK=0),
+    "scalar-only": dict(_QUIET_STREAK=10**9),
+    "runs-of-one": dict(_FIRST_RUN=1, _LONGEST_RUN=1),
+}
+
+
+@pytest.fixture(scope="module")
+def references():
+    """``_sa_reference``'s results by case, shared by the settings of one case."""
+    return {}
+
+
+@pytest.mark.parametrize("paths", sorted(_PATHS))
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("n", [5, 30, 200])
+def test_path_constants_move_no_output(n, closed, paths, monkeypatch, references):
+    # the draw buffers meet run, draw and level boundaries at other proposals under each setting
+    for name, value in _PATHS[paths].items():
+        monkeypatch.setattr(anneal, name, value)
+    f = generate_uniform(n, 1000, 1000, seed=n)
+    initial = Route(order=random_initial_route(n, n).order, closed=closed)
+    for name, sched in _schedules(f, initial).items():
+        if (n, closed, name) not in references:
+            decisions = []
+            references[n, closed, name] = _sa_reference(f, initial, sched, seed=7, decisions=decisions), decisions
+        numpy_scored, _ = _assert_matches_reference(f, initial, sched, f"{paths} {name}",
+                                                    references[n, closed, name])
+        if paths == "scalar-only":
+            assert numpy_scored == 0, name
 
 
 def _adversarial_fields():

@@ -400,6 +400,8 @@ MUTATIONS = {
     "malformed": lambda line: line.replace(")", ""),
     "non-finite": lambda line: "P (1e400 " + line.split()[2],
     "crlf": lambda line: line + "\r",
+    "cr cr lf": lambda line: line + "\r\r",
+    "lone cr": lambda line: line + "\r" + line,
     "tab": lambda line: "\t" + line.replace(" ", "\t") + "\t",
     "nbsp": lambda line: line.replace(" ", "\xa0"),
     "arabic-indic digit": lambda line: "P (\u0663 4)",
@@ -412,14 +414,18 @@ def test_parse_matches_the_per_line_parser_on_a_large_text():
     lines = written.splitlines()
     boundary = written[:numtext._READ_BLOCK].count("\n")  # the first line of the second block
     assert 1 < boundary < len(lines) - 1
-    cases = {(len(lines) - 1, "no final line end"): written[:-1]}
+    cases = {(len(lines) - 1, "no final line end"): written[:-1],
+             (len(lines) - 1, "final cr"): written[:-1] + "\r",
+             (0, "all crlf"): written.replace("\n", "\r\n")}
     for at in (1, boundary - 1, boundary, len(lines) - 1):
         for name, mutate in MUTATIONS.items():
             cases[at, name] = "\n".join([*lines[:at], mutate(lines[at]), *lines[at + 1:]]) + "\n"
     for (at, name), text in cases.items():
         assert parse_outcome(parse_dataset, text) == parse_outcome(reference_parse, text), (at, name)
-        if name in ("tab", "blank line", "no final line end"):  # read from bytes, not by the regex
-            assert read_records(text.encode()) is not None
+        if name in ("tab", "blank line", "no final line end", "crlf", "all crlf"):  # read from bytes
+            assert read_records(text.encode()) is not None, (at, name)
+        if name in ("cr cr lf", "lone cr", "final cr"):  # a \r that ends no \r\n goes to the regex
+            assert read_records(text.encode()) is None, (at, name)
 
 
 def test_parse_rejects_malformed_records_as_the_per_line_parser_does():
