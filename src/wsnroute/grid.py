@@ -1,4 +1,4 @@
-"""Uniform cell grid over a field's points, shared by the kNN build and greedy NN.
+"""Uniform cell grid over a field's points, and the exact kNN kernel on it.
 
 Square cells of side ``h`` tile the points' bounding box, sized so that a
 cell holds about ``per_cell`` points on a uniform field. Nodes are stored in
@@ -11,6 +11,15 @@ every point outside the square is at least ``cover`` away from the query,
 under the package's canonical distance expression as actually rounded. The
 walls of every square of one radius are one table, :meth:`CellGrid.walls`,
 and ``cover`` bounds whole arrays of points: a kNN tile's rows, or every node.
+
+:func:`knn_rows` is the exact kNN kernel of ``build_knn_graph`` and of the
+greedy route's own table, in cells of about k/2 nodes. A row keeps the k
+nearest nodes of the square around its cell, and is searched again over a
+wider square until its k-th distance is strictly inside the square's cover
+bound; on a uniform field that is O(n k) work plus O(n k log k) for the kept
+slots. Among equal distances the lowest index wins, as in the brute-force
+oracle of the tests (``tests/oracles.py``), which stably sorts every row of
+the full distance matrix; :func:`_select` equals that sort's first k columns.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ class CellGrid:
         self.cell = self.cy * self.nx + self.cx
         self.order = np.argsort(self.cell, kind="stable")
         self.start = np.concatenate(([0], np.cumsum(np.bincount(self.cell, minlength=self.nx * self.ny))))
+        self.sums = None  # made by the first square_counts call
 
     def walls(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The walls of the square of cells within ``r`` of each cell: ``(left, right, bottom, top)``.
@@ -119,7 +129,171 @@ class CellGrid:
         out.sort(axis=1)
         return out
 
+    def square_counts(self, cells: np.ndarray, r: int) -> np.ndarray:
+        """The number of nodes in the square of cells within ``r`` of each of ``cells``."""
+        if self.sums is None:  # sums[y, x]: the nodes in cell rows below y and columns below x
+            self.sums = np.pad(np.diff(self.start).reshape(self.ny, self.nx).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+        s, cx, cy = self.sums, cells % self.nx, cells // self.nx
+        x0, x1 = np.maximum(cx - r, 0), np.minimum(cx + r + 1, self.nx)
+        y0, y1 = np.maximum(cy - r, 0), np.minimum(cy + r + 1, self.ny)
+        return s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0]
+
     def members(self) -> list[list[int]]:
         """Each cell's nodes as a list, index-ascending, by cell id."""
         order, start = self.order.tolist(), self.start.tolist()
         return [order[start[c]:start[c + 1]] for c in range(self.nx * self.ny)]
+
+
+# Most rows times columns in one block of tiles, whose table of squares holds
+# at most that many entries; a wider tile is a block of its own. At n=5000,
+# k=4 and k=10, 2**16 to 2**18 built the rows in the same time within 5%,
+# and 2**14 about 10% slower.
+_BLOCK = 1 << 16
+
+
+def knn_rows(xy: np.ndarray, k: int, chunk_size: int, crowd: int | None = None,
+             stats: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's k nearest other nodes: ``(targets, weights, crowded)``, at most ``chunk_size`` rows a tile.
+
+    Row i of the (n, k) ``targets`` and ``weights`` is node i's k nearest,
+    ordered by (weight, target), lowest index first among ties, the same for
+    every chunk_size. With ``crowd``, a row whose square holds more than
+    ``crowd`` nodes is not measured: it is True in the (n,) bool array
+    ``crowded`` and its slots are garbage. When ``stats`` is given, it
+    receives ``settled``, a dict from each radius measured to the rows
+    settled there, ``tied``, the rows whose k-th and (k+1)-th weights are
+    equal, and, with ``crowd``, ``crowded``, the rows left out. A radius at
+    which no pending row's square holds k other nodes is not measured.
+    """
+    n = len(xy)
+    # Node n is the pad of a square's row: at +inf, so its distances are +inf
+    # and sort after every real candidate.
+    xs = np.append(xy[:, 0], _INF)
+    ys = np.append(xy[:, 1], _INF)
+    grid = CellGrid(xy, k / 2)
+    targets = np.empty((n, k), dtype=np.intp)
+    weights = np.empty((n, k))
+    crowded = np.zeros(n, dtype=np.bool_)
+    settled, tied = {}, ([0] if stats is not None else None)
+    pending = grid.order
+    r = 1
+    while len(pending):
+        cells = grid.cell[pending]
+        wide = grid.square_counts(cells, r)  # each row's square, its own node included
+        while not (wide > k).any():  # no square holds k other nodes, so no row could settle
+            r += 1
+            wide = grid.square_counts(cells, r)
+        if crowd is not None:
+            far = wide > crowd
+            crowded[pending[far]] = True
+            pending, wide = pending[~far], wide[~far]
+        walls = grid.walls(r)
+        missed = [pending[:0]]
+        for a, b, tiles in _blocks(wide, chunk_size, k + 1):
+            missed += _block(grid, xs, ys, pending[a:b], k, r, walls, tiles, targets, weights, tied)
+        settled[r] = len(pending) - sum(map(len, missed))
+        pending = np.concatenate(missed)
+        r += 1
+    if stats is not None:
+        stats.update(settled=settled, tied=tied[0])
+        if crowd is not None:
+            stats["crowded"] = int(np.count_nonzero(crowded))
+    return targets, weights, crowded
+
+
+def _blocks(wide: np.ndarray, chunk_size: int, width: int):
+    """The tiles of rows whose squares hold ``wide`` nodes, in blocks: ``(a, b, tiles)`` for rows ``a:b``.
+
+    A tile ``(lo, hi, w)`` is rows ``a + lo:a + hi`` and the ``w`` columns
+    its widest square, or ``width``, needs.
+    """
+    m = len(wide)
+    starts = np.arange(0, m, chunk_size)
+    a, most, tiles = 0, 0, []
+    for lo, w in zip(starts.tolist(), np.maximum(np.maximum.reduceat(wide, starts), width).tolist()):
+        hi = min(lo + chunk_size, m)
+        if tiles and (hi - a) * max(most, w) > _BLOCK:
+            yield a, lo, tiles
+            a, most, tiles = lo, 0, []
+        most = max(most, w)
+        tiles.append((lo - a, hi - a, w))
+    if tiles:
+        yield a, m, tiles
+
+
+def _block(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, q: np.ndarray, k: int, r: int, walls: tuple,
+           tiles: list, targets: np.ndarray, weights: np.ndarray, tied: list | None) -> list[np.ndarray]:
+    """Rows ``q``, in cell order, against one padded table of the squares within ``r`` of their cells.
+
+    Writes each row's k nearest and their weights (garbage if unsettled) and
+    returns each tile's unsettled rows; adds the settled rows tied at their
+    k-th weight to ``tied[0]``, if given.
+    """
+    n = len(xs) - 1
+    cell = grid.cell[q]
+    new = np.empty(len(q), dtype=np.bool_)
+    new[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=new[1:])
+    u = np.cumsum(new) - 1  # each row's square
+    sq = grid.squares(cell[new], r, k + 1)
+    # Each row's own node, found in the sorted squares made disjoint by a row offset.
+    keys = sq + (np.arange(len(sq)) * (n + 1))[:, None]
+    own = np.searchsorted(keys.ravel(), u * (n + 1) + q) - u * sq.shape[1]
+    del keys
+    sx, sy = xs[sq], ys[sq]
+    qx, qy = xs[q][:, None], ys[q][:, None]
+    cover = grid.cover(xs[q], ys[q], grid.cx[q], grid.cy[q], walls)
+    missed = []
+    for lo, hi, w in tiles:
+        t = u[lo:hi]
+        # In place, so a tile holds two (rows, w) float arrays at a time.
+        d = sx[t, :w]
+        np.subtract(qx[lo:hi], d, out=d)
+        d *= d
+        dy = sy[t, :w]
+        np.subtract(qy[lo:hi], dy, out=dy)
+        dy *= dy
+        d += dy
+        del dy
+        np.sqrt(d, out=d)
+        d[np.arange(hi - lo), own[lo:hi]] = _INF
+        best = _select(d, k, flat=True)
+        slots = d.take(best)
+        # A square of k or fewer other nodes leaves +inf at the k-th slot, never inside a bound.
+        done = slots[:, -1] < cover[lo:hi]
+        rows = q[lo:hi]
+        targets[rows], weights[rows] = sq[t[:, None], best % w], slots
+        missed.append(rows[~done])
+        if tied is not None:
+            kth = slots[done, -1:]
+            tied[0] += int(np.count_nonzero(np.count_nonzero(d[done] == kth, axis=1)
+                                            > np.count_nonzero(slots[done] == kth, axis=1)))
+    return missed
+
+
+def _select(d: np.ndarray, k: int, flat: bool = False) -> np.ndarray:
+    """Each row's k smallest columns of ``d``, ordered by (weight, column), or with ``flat`` their flat indices into ``d``.
+
+    Equals ``np.argsort(d, axis=1, kind="stable")[:, :k]`` for rows of more
+    than k columns. Selection puts each row's k smallest entries first and
+    its (k+1)-th next. A row keeps its entries below its (k+1)-th weight:
+    exactly k of them, unless its k-th and (k+1)-th weights are equal (a tie
+    at the k-th slot, or a row padded with +inf). Such a tied row keeps its
+    entries below the k-th weight, then its first entries equal to it, in
+    column order, up to k. Every row's k columns, index-ascending, are then
+    ordered by a stable sort of just their k weights.
+    """
+    part = np.partition(d, k, axis=1)
+    kth = part[:, :k].max(axis=1)
+    nxt = part[:, k:k + 1].copy()
+    del part  # so the mask below can take its place
+    keep = d < nxt
+    tied = np.flatnonzero(kth == nxt[:, 0])
+    if len(tied):
+        eq = d[tied] == kth[tied, None]
+        short = k - np.count_nonzero(keep[tied], axis=1)
+        # an int32 count moves half the bytes of an intp one
+        keep[tied] |= eq & (np.cumsum(eq, axis=1, dtype=np.int32) <= short[:, None])
+    at = np.flatnonzero(keep).reshape(-1, k)  # each row's k slots, as flat indices into d
+    at = at.take(np.argsort(d.take(at), axis=1, kind="stable") + np.arange(0, at.size, k)[:, None])
+    return at if flat else at % d.shape[1]

@@ -75,6 +75,8 @@ _POLICIES = (POLICY_FIXED, POLICY_ROTATE)
 #     quartiles  1.07-1.19  0.94-1.05  0.91-1.04  0.96-1.05
 #
 # 12 does not beat 8 beyond the spread, and its graph is half as large again.
+# Measured again on the kernel in cells of k/2 (12 paired rounds): 12 took
+# 1.00 (0.95-1.04) and 16 took 1.00 (0.95-1.11) of the time at k=8.
 _ROTATE_K = 8
 # A route worker is forked only when n times the rounds after round 0 reaches
 # this. Through cli.main on a 2-vCPU x86-64 VM, n from 150 to 2000, the

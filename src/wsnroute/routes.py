@@ -4,8 +4,9 @@ Routes are open Hamiltonian paths by default (``closed=False``); the closed
 flag adds the return edge to the length. The greedy builder always picks the
 nearest unvisited node, breaking exact distance ties by lowest index, which
 keeps it consistent with the kNN module's tie rule. It finds that node in
-the current node's kNN slots when a graph is given, else by a ring search
-over a cell grid from which visited nodes are deleted, else by a scan.
+the current node's kNN slots, of a given graph or else of a small table the
+route builds with the kNN kernel, else by a ring search over a cell grid
+from which visited nodes are deleted, else by a scan.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .field import SensorField, hop_lengths
-from .grid import CellGrid
+from .grid import CellGrid, knn_rows
 
 if TYPE_CHECKING:  # annotations only, so that `nn` loads no kNN code
     from .knn import KnnGraph
@@ -56,17 +57,20 @@ def _nearest_unvisited(xy: np.ndarray, cur: int, alive: np.ndarray) -> int:
     return int(alive[np.argmin(np.sqrt(dx * dx + dy * dy))])  # first occurrence: lowest index wins ties
 
 
-# Greedy NN buckets about this many nodes to a grid cell without a graph,
-# and about max(k, this) with a graph of k slots (see _NnIndex). On three
-# uniform n=2000 fields (medians of paired runs, 2-vCPU x86-64 VM),
-# graph-free routes in cells of 1.5, 3 and 4 nodes took 1.00, 1.04 and 1.08
-# times as long as in cells of 2; at k=1, cells of 1 node took about 1.1
-# times as long as cells of 2. At k=8, 50 starts per field:
+# Without a graph, a route builds its own table of each node's _OWN_K
+# nearest (fewer when n - 1 is less) with the kNN kernel, 256 rows to a tile,
+# and searches cells of about max(k, 2) nodes, as with a graph of k slots.
+# Route time, the table's build included, against k=4 (medians and quartiles
+# of paired runs, 6 uniform fields x 8 rounds, 2-vCPU x86-64 VM):
 #
-#     nodes per cell    2     k/2   k     1.5k  2k
-#     scans per route   22.0  11.4  7.6   9.5   18.3
-#     route time        1     0.83  0.77  0.85  0.98
-_NN_PER_CELL = 2
+#     k             3          5          6          8
+#     n=2000        1.02       1.02       1.03       1.08
+#     quartiles     1.00-1.06  1.00-1.04  1.01-1.06  1.04-1.14
+#     n=5000        1.04       1.01       1.03       1.08
+#     quartiles     1.03-1.06  0.98-1.02  1.00-1.04  1.05-1.11
+#
+# The k=4 route took 0.85-0.89 as long as the route in cells of 2 without a table.
+_OWN_K = 4
 # A step's ring search gives up once it would look at more than _STEP_CELLS
 # cells or _STEP_POINTS live nodes, and the step scans the live nodes
 # instead, so a clustered or duplicate-heavy field costs about what a scan
@@ -95,22 +99,34 @@ class _NnIndex:
     cell id and ``pos[i]`` its place in that list. Ring r around padded cell
     c is ``c + o`` for each ``o`` in ``rings[r]``, and a memoryview holds the
     grid's cover bound of node i's ring r at ``covers[i * (_PAD + 1) + r]``.
-    Nothing here is written after construction: a route copies ``pos`` and
-    the lists it deletes from. Construction raises ValueError unless
-    ``graph`` was built from a field with this one's coordinates.
+    ``slots[i]`` is node i's row of the graph, or without a graph of the
+    route's own table, in which a row whose square is crowded (True in
+    ``crowded``) is empty. Nothing here is written after construction: a route copies
+    ``pos`` and the lists it deletes from. Construction raises ValueError
+    unless ``graph`` was built from a field with this one's coordinates.
     """
 
-    def __init__(self, field: SensorField, graph: KnnGraph | None):
+    def __init__(self, field: SensorField, graph: KnnGraph | None, stats: dict | None = None):
         xy = field.coords
         n = len(xy)
         if graph is not None and (graph.field is None or not np.array_equal(graph.field.coords, xy)):
             raise ValueError("graph was built from another field, or by hand; build it from this field")
         self.field = field
-        # A graph-backed step searches the grid only once its k slots are
-        # visited, so its answer lies past the k-th neighbour: cells of about
-        # k nodes, as the kNN build sizes its own, reach it in fewer rings
-        # than cells of 2, which are mostly empty by then.
-        grid = CellGrid(xy, _NN_PER_CELL if graph is None else max(graph.targets.shape[1], _NN_PER_CELL))
+        self.targets, self.crowded = np.empty((n, 0), dtype=np.intp), np.zeros(n, dtype=np.bool_)
+        if graph is not None:
+            self.targets = graph.targets
+        elif n > 1:
+            # A row whose square holds more nodes than a ring search may look
+            # at gets no slots: on a crowded field, measuring such rows would
+            # cost more than the scans they save. With no slots at all, the
+            # route runs as without a table.
+            targets, _, crowded = knn_rows(xy, min(_OWN_K, n - 1), 256, _STEP_POINTS, stats)
+            if not crowded.all():
+                self.targets, self.crowded = targets, crowded
+        # A step searches the grid only once its k slots are visited, so its
+        # answer lies past the k-th neighbour: cells of about k nodes reach it
+        # in fewer rings than cells of 2, which are mostly empty by then.
+        grid = CellGrid(xy, max(self.targets.shape[1], 2))
         nx, ny = grid.nx, grid.ny
         w = nx + 2 * _PAD
         self.rings = [
@@ -130,13 +146,15 @@ class _NnIndex:
         self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
         covers = [grid.cover(xy[:, 0], xy[:, 1], grid.cx, grid.cy, grid.walls(r)) for r in range(_PAD + 1)]
         self.covers = memoryview(np.stack(covers, axis=1).ravel())
-        self.slots = graph.targets.tolist() if graph is not None else [()] * n  # each node's targets
+        self.slots = self.targets.tolist()  # each node's targets
+        for i in np.flatnonzero(self.crowded).tolist():
+            self.slots[i] = ()
 
 
-def _nn_index(field: SensorField, graph: KnnGraph | None) -> _NnIndex:
+def _nn_index(field: SensorField, graph: KnnGraph | None, stats: dict | None) -> _NnIndex:
     """The index of ``field`` and ``graph``, kept on the graph for later calls with the same field."""
     if graph is None:
-        return _NnIndex(field, None)
+        return _NnIndex(field, None, stats)
     index = getattr(graph, "_nn_index", None)
     if index is None or index.field is not field:
         index = _NnIndex(field, graph)
@@ -174,22 +192,24 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None, 
 
     Visited nodes are deleted from a cell grid as the route reaches them.
     A step takes the first unvisited target in the current node's row of
-    ``graph``, when one is given: rows are ordered by (weight, target), so
-    that target is the nearest unvisited node. Without a graph, or when
-    every slot of the row is visited, the step searches the grid ring by
-    ring, and a search that grows past a fixed budget scans the unvisited
-    nodes instead. ``graph`` must be built from this field, or from one
+    ``graph``, or without one of the route's own table of its ``_OWN_K``
+    nearest, in which a row whose square is crowded is empty: rows are
+    ordered by (weight, target), so that target is the nearest unvisited
+    node. When every slot of the row is visited, the step searches the grid
+    ring by ring, and a search that grows past a fixed budget scans the
+    unvisited nodes instead. ``graph`` must be built from this field, or from one
     with the same coordinates: ValueError otherwise. The grid, slot
     lists, ring offsets and cover bounds are built once per (field, graph)
     and kept on the graph, so repeated calls on one field share them.
     When ``stats`` is given, it receives how the route's n - 1 steps were
-    settled: ``slot_steps`` by a graph slot, ``ring_searches`` by the grid
-    search and ``scans`` by the scan.
+    settled: ``slot_steps`` by a slot, ``ring_searches`` by the grid search
+    and ``scans`` by the scan; a route that builds its own table also gets
+    the kernel's ``settled``, ``tied`` and ``crowded``.
     """
     n = len(field)
     if not 0 <= start < n:
         raise ValueError(f"start node {start} out of range for n={n}")
-    ix = _nn_index(field, graph)
+    ix = _nn_index(field, graph, stats)
     xy = field.coords
     live = [nodes[:] for nodes in ix.cells]  # a tuple's [:] is itself; only lists are copied
     cell, slots, pos = ix.cell, ix.slots, ix.pos.copy()
@@ -222,12 +242,11 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None, 
         # Step i takes a slot exactly when its node's row names a node the
         # route reaches after step i. Counted from the finished route, the
         # slot steps and the grid searches cost the steps nothing.
-        slot_steps = 0
-        if graph is not None:
-            at = np.empty(n, dtype=np.intp)  # each node's place in the route
-            at[order] = np.arange(n)
-            later = at[graph.targets[order[:-1]]] > np.arange(n - 1)[:, None]
-            slot_steps = int(np.count_nonzero(later.any(axis=1)))
+        steps = np.flatnonzero(~ix.crowded[order[:-1]])  # a crowded row takes no slot
+        at = np.empty(n, dtype=np.intp)  # each node's place in the route
+        at[order] = np.arange(n)
+        later = at[ix.targets[np.take(order, steps)]] > steps[:, None]
+        slot_steps = int(np.count_nonzero(later.any(axis=1)))
         stats.update(slot_steps=slot_steps, ring_searches=n - 1 - slot_steps - scans, scans=scans)
     return Route(order=order, closed=False)
 

@@ -11,7 +11,7 @@ from wsnroute import (
     build_knn_graph,
     dump_graph,
     generate_uniform,
-    knn,
+    grid,
 )
 from wsnroute.field import format_coord
 from wsnroute.grid import CellGrid
@@ -212,6 +212,78 @@ def test_build_matches_oracle_on_integer_lattice(k, monkeypatch):
     assert max(radii) >= 4  # the outlier's square holds no other node before r = 4
 
 
+LATTICE = [(x, y) for y in range(12) for x in range(12)]
+
+
+def kernel_field(kind):
+    rng = np.random.default_rng(9)
+    if kind == "lattice":
+        return field_of(LATTICE)
+    if kind == "duplicates":  # every node at one of three places
+        return SensorField(coords=[(0, 0), (7, 7), (7, 0)] * 30)
+    if kind == "collinear":  # a slope that rounds
+        return SensorField(coords=[(0.1 * t, 0.3 * t) for t in range(-40, 40)])
+    if kind == "clusters":
+        return SensorField(coords=rng.integers(0, 400, (4, 2))[rng.integers(0, 4, 150)]
+                           + rng.integers(-3, 4, (150, 2)))
+    return field_of(LATTICE + [(90, 70)])  # "outlier"
+
+
+@pytest.mark.parametrize("kind", ["lattice", "duplicates", "collinear", "clusters", "outlier"])
+def test_kernel_in_cells_of_half_k_matches_the_oracle(kind, monkeypatch):
+    # The kernel buckets the nodes into cells of about k/2 nodes, so more
+    # rows are searched again at wider squares; every chunk size, whether it
+    # splits a block of tiles or not, gives the oracle's rows.
+    sizes = []
+    init = CellGrid.__init__
+
+    def spy(grid, xy, per_cell):
+        sizes.append(per_cell)
+        init(grid, xy, per_cell)
+
+    monkeypatch.setattr(CellGrid, "__init__", spy)
+    f = kernel_field(kind)
+    for k in (1, 2, 3, 4, 5, 8):
+        oracle = brute_force_knn(f, k)
+        for cs in (1, 5, 13, 200, 256):
+            sizes.clear()
+            targets, weights, crowded = grid.knn_rows(f.coords, k, cs)
+            assert sizes == [k / 2]
+            assert np.array_equal(targets, oracle.targets), f"k={k} chunk_size={cs}"
+            assert np.array_equal(weights, oracle.weights), f"k={k} chunk_size={cs}"
+            assert not crowded.any()
+
+
+def test_kernel_blocks_of_one_tile_match_the_oracle(monkeypatch):
+    # With a block budget below one tile's table, every tile builds its own.
+    monkeypatch.setattr(grid, "_BLOCK", 1)
+    f = generate_uniform(300, 1000, 1000, seed=6)
+    for k, cs in ((1, 7), (4, 64), (10, 300)):
+        assert same_slots(build_knn_graph(f, k, cs), brute_force_knn(f, k)), f"k={k} chunk_size={cs}"
+
+
+def test_build_counts_the_rows_settled_at_each_radius_and_the_tied_rows():
+    # A uniform field settles nearly every row at r = 1 and has no ties.
+    stats = {}
+    f = generate_uniform(2000, 20000, 20000, 1)
+    graph = build_knn_graph(f, 10, stats=stats)
+    assert stats == {"settled": {1: 1963, 2: 37}, "tied": 0}
+    assert same_slots(build_knn_graph(f, 10, 7), graph)
+    # On the lattice nearly every row ties. The outlier's square holds no
+    # other node before r = 4; the radii in between are skipped, not measured.
+    want = {1: (144, 19), 2: (140, 13), 4: (44, 9), 5: (100, 8), 8: (8, 6)}
+    for k, (tied, far) in want.items():
+        stats = {}
+        build_knn_graph(field_of(LATTICE + [(90, 70)]), k, stats=stats)
+        assert stats["tied"] == tied
+        assert sum(stats["settled"].values()) == 145 and stats["settled"][1] == 144
+        assert max(stats["settled"]) == far >= 4 and stats["settled"][far] == 1
+        assert len(stats["settled"]) < far
+        stats = {}
+        build_knn_graph(field_of(LATTICE), k, stats=stats)
+        assert stats["tied"] == tied and sum(stats["settled"].values()) == 144
+
+
 INF = math.inf
 # (k, rows); each case holds rows tied at their k-th weight and rows that are not
 SELECT_CASES = {
@@ -249,7 +321,7 @@ def tied_rows(d, k):
 def test_select_equals_the_stable_sort_and_takes_both_paths(case):
     k, rows = SELECT_CASES[case]
     d = np.array(rows, dtype=np.float64)
-    best = knn._select(d.copy(), k)
+    best = grid._select(d.copy(), k)
     assert np.array_equal(best, np.argsort(d, axis=1, kind="stable")[:, :k])
     assert set(tied_rows(d, k).tolist()) == {False, True}
 
@@ -262,7 +334,7 @@ def test_select_equals_the_stable_sort_on_tie_heavy_matrices():
         k = int(rng.integers(1, m))
         d = rng.integers(0, 4, (int(rng.integers(1, 9)), m)).astype(np.float64)
         d[rng.random(d.shape) < 0.2] = INF
-        best = knn._select(d.copy(), k)
+        best = grid._select(d.copy(), k)
         assert np.array_equal(best, np.argsort(d, axis=1, kind="stable")[:, :k]), (d, k)
         paths.update(tied_rows(d, k).tolist())
     assert paths == {False, True}

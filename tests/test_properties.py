@@ -11,9 +11,9 @@ grid's cover bound must allow for. Examples
 are derandomized and no example database is kept, so every run draws the
 same cases. Greedy NN is also checked on three fixed 600-node fields, where
 it either searches its grid or hands a step over to a scan of the live
-nodes, in cells of 2 nodes without a graph and of max(k, 2) nodes with a
-graph of k slots. With a kNN graph from either builder it takes the first
-unvisited slot of a row first. A failing property is reported with its
+nodes, in cells of max(k, 2) nodes for k slots per node: a graph's, or
+without one the route's own table's. With a kNN graph from either builder,
+or its own table, it takes the first unvisited slot of a row first. A failing property is reported with its
 falsifying example under this repository's warning filters.
 """
 
@@ -203,13 +203,13 @@ def test_grid_cover_never_exceeds_an_outside_distance(f):
 @given(f=scaled_lattices)
 def test_nn_index_stores_every_nodes_grid_covers(f):
     # Greedy NN reads node i's cover for ring r at i * (_PAD + 1) + r; each
-    # must be the grid's own bound, bit for bit. A graph-free index has
-    # cells of _NN_PER_CELL nodes, one with a graph of k slots cells of
-    # max(k, 2) nodes.
+    # must be the grid's own bound, bit for bit. An index with k slots per
+    # node, of a graph or of a graph-free route's own table of
+    # min(_OWN_K, n - 1), has cells of max(k, 2) nodes.
     n = len(f)
     for k in [None] + [k for k in (1, 2, 3, 5, 8, n - 1) if k < n]:
         ix = routes._NnIndex(f, None if k is None else build_knn_graph(f, k))
-        grid = CellGrid(f.coords, routes._NN_PER_CELL if k is None else max(k, 2))
+        grid = CellGrid(f.coords, max(min(routes._OWN_K, n - 1) if k is None else k, 2))
         for r in range(routes._PAD + 1):
             want = grid.cover(f.coords[:, 0], f.coords[:, 1], grid.cx, grid.cy, grid.walls(r)).tolist()
             assert [ix.covers[i * (routes._PAD + 1) + r] for i in range(n)] == want, f"k={k}"
@@ -228,8 +228,10 @@ def nn_test_field(kind: str) -> SensorField:
 @pytest.mark.parametrize("kind, lo, hi", [("uniform", 0, 30), ("duplicates", 300, 599),
                                           ("clustered", 100, 599)])
 def test_nn_grid_search_and_full_scan_handover_match_a_scan(kind, lo, hi, monkeypatch):
-    # Most uniform steps end in the ring search; most duplicate steps hand
-    # over to the scan of the live nodes. Either way the route is the scan's.
+    # Most uniform steps take a slot of the route's own table, and most of
+    # the rest end in the ring search; every row of the duplicate and
+    # clustered fields is crowded, so most of their steps hand over to the
+    # scan of the live nodes. Either way the route is the scan's.
     f = nn_test_field(kind)
     scans = []
     real = routes._nearest_unvisited
@@ -240,8 +242,68 @@ def test_nn_grid_search_and_full_scan_handover_match_a_scan(kind, lo, hi, monkey
 
     monkeypatch.setattr(routes, "_nearest_unvisited", counting)
     for start in (0, 299):
-        assert nn_route(f, start).order == scan_nn_route(f, start)
+        stats = {}
+        assert nn_route(f, start, None, stats).order == scan_nn_route(f, start)
+        assert stats["ring_searches"] > 0
     assert lo <= len(scans) / 2 <= hi
+
+
+def item5_field(kind: str, n: int) -> SensorField:
+    """A skewed field: n - 1 nodes in 100² and one far outlier, or 4 Gaussian clusters of sd 50."""
+    rng = np.random.default_rng(5)
+    if kind == "outlier":
+        xy = rng.random((n, 2)) * 100
+        xy[-1] = (20000.0, 20000.0)
+    else:
+        xy = (rng.random((4, 2)) * 20000)[rng.integers(0, 4, n)] + rng.normal(0, 50, (n, 2))
+    return SensorField(coords=xy)
+
+
+OWN_TABLE_FIELDS = {
+    "uniform": lambda: nn_test_field("uniform"),
+    "duplicates": lambda: nn_test_field("duplicates"),
+    "clustered": lambda: nn_test_field("clustered"),
+    "outlier": lambda: item5_field("outlier", 300),
+    "clusters": lambda: item5_field("clusters", 300),
+    "sparse-and-dense": lambda: SensorField(coords=np.concatenate(
+        [generate_uniform(200, 1000, 1000, seed=4).coords, item5_field("clusters", 300).coords / 20])),
+}
+
+
+@pytest.mark.parametrize("kind", list(OWN_TABLE_FIELDS))
+def test_graph_free_table_is_the_graph_without_its_crowded_rows(kind):
+    # A graph-free route's own rows are build_knn_graph's at k = 4, except
+    # that a row whose square holds more than _STEP_POINTS nodes is empty.
+    f = OWN_TABLE_FIELDS[kind]()
+    n = len(f)
+    stats = {}
+    ix = routes._NnIndex(f, None, stats)
+    want = build_knn_graph(f, min(routes._OWN_K, n - 1)).targets.tolist()
+    crowded = set(np.flatnonzero(ix.crowded).tolist())
+    if stats["crowded"] == n:  # no row has slots, so the route keeps no table
+        assert not crowded and ix.targets.shape == (n, 0)
+        crowded = set(range(n))
+    assert stats["crowded"] == len(crowded)
+    assert [list(row) for row in ix.slots] == [[] if i in crowded else row for i, row in enumerate(want)]
+    if kind == "uniform":
+        assert not crowded
+    elif kind in ("duplicates", "outlier"):
+        assert len(crowded) == n  # every node's square holds the crowded cell
+    else:
+        assert 0 < len(crowded)
+
+
+@pytest.mark.parametrize("kind", ["outlier", "clusters", "sparse-and-dense"])
+def test_graph_free_routes_on_skewed_fields_match_a_scan(kind):
+    # Routes from node 0, in a crowded cell on the outlier and clusters
+    # fields, and from the last node: the outlier on the outlier field. Only
+    # the mixed field's uniform nodes take slots of the route's own table.
+    f = OWN_TABLE_FIELDS[kind]()
+    for start in (0, len(f) - 1):
+        stats = {}
+        assert nn_route(f, start, None, stats).order == scan_nn_route(f, start)
+        assert stats["crowded"] > 0 and stats["scans"] > 0
+        assert stats["slot_steps"] > 0 if kind == "sparse-and-dense" else stats["slot_steps"] == 0
 
 
 @pytest.mark.parametrize("kind", ["uniform", "duplicates", "clustered"])
@@ -325,7 +387,7 @@ def test_nn_with_few_slots_matches_scan_oracle(f, data):
 def test_nn_on_thin_grids_from_corner_starts_matches_scan_oracle(f, data):
     # Every ring of a cell on the grid's edge reaches into its empty padding,
     # so these searches hand steps over to the scan soonest.
-    grid = CellGrid(f.coords, routes._NN_PER_CELL)
+    grid = CellGrid(f.coords, max(min(routes._OWN_K, len(f) - 1), 2))
     assert min(grid.nx, grid.ny) <= 2
     s = f.coords[:, 0] + f.coords[:, 1]
     t = f.coords[:, 0] - f.coords[:, 1]

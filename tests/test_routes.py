@@ -210,8 +210,13 @@ def test_nn_route_counts_how_each_step_was_settled():
     stats = {}
     assert nn_route(f, 0, graph, stats).order == nn_route(f, 0, graph).order
     assert stats == {"slot_steps": 1853, "ring_searches": 139, "scans": 7}
+    # Without a graph the route's own table of 4 nearest settles most steps,
+    # and the stats also hold the table's build counts; no row is crowded.
+    stats = {}
     nn_route(f, 0, None, stats)
-    assert stats == {"slot_steps": 0, "ring_searches": 1978, "scans": 21}
+    assert stats == {"settled": {1: 1906, 2: 94}, "tied": 0, "crowded": 0,
+                     "slot_steps": 1741, "ring_searches": 250, "scans": 8}
+    stats = {}
     nn_route(SensorField(coords=f.coords[:1]), 0, None, stats)
     assert stats == {"slot_steps": 0, "ring_searches": 0, "scans": 0}
 
