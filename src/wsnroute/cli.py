@@ -167,7 +167,7 @@ def build_parser() -> CliParser:
     p.add_argument("--closed", action="store_true", help="close the route back to the start")
     p.add_argument("--sa-init", choices=("random", "nn"), default="random", help="initial route")
     p.add_argument("--sa-seed", type=int, default=None,
-                   help="anneal seed (defaults to --seed; needed with --input)")
+                   help="anneal seed (default: --seed, or 0 without one, as with --input)")
     p.add_argument("--paper-budget", action="store_true", help="use the undersized budget preset")
     p.add_argument("--sa-initial-temp", type=float, default=None)
     p.add_argument("--sa-cooling", type=float, default=None)

@@ -40,14 +40,6 @@ _SLACK = 2.0**-40
 _TINY = 2.0**-499
 
 
-def _walls(origin: float, h: float, count: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high walls, along one axis, of the square within ``r`` of each of ``count`` cells."""
-    c = np.arange(count)
-    low = np.where(c > r, origin + (c - r) * h, -_INF)
-    high = np.where(c + r < count - 1, origin + (c + r + 1) * h, _INF)
-    return low, high
-
-
 class CellGrid:
     """Nodes of ``xy`` bucketed into square cells, about ``per_cell`` to a cell.
 
@@ -77,8 +69,11 @@ class CellGrid:
         self.cy = np.minimum(((ys - y0) / h).astype(np.intp), self.ny - 1)
         self.cell = self.cy * self.nx + self.cx
         self.order = np.argsort(self.cell, kind="stable")
-        self.start = np.concatenate(([0], np.cumsum(np.bincount(self.cell, minlength=self.nx * self.ny))))
-        self.sums = None  # made by the first square_counts call
+        counts = np.bincount(self.cell, minlength=self.nx * self.ny)
+        self.start = np.concatenate(([0], np.cumsum(counts)))
+        # sums[y, x]: the nodes in cell rows below y and columns below x
+        self.sums = np.zeros((self.ny + 1, self.nx + 1), dtype=counts.dtype)
+        counts.reshape(self.ny, self.nx).cumsum(0).cumsum(1, out=self.sums[1:, 1:])
 
     def walls(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The walls of the square of cells within ``r`` of each cell: ``(left, right, bottom, top)``.
@@ -87,9 +82,12 @@ class CellGrid:
         by cell row. A side of the square at the grid's edge has nothing
         beyond it, and its wall is at -inf or +inf.
         """
-        left, right = _walls(self.x0, self.h, self.nx, r)
-        bottom, top = _walls(self.y0, self.h, self.ny, r)
-        return left, right, bottom, top
+        walls = []
+        for origin, count in ((self.x0, self.nx), (self.y0, self.ny)):
+            c = np.arange(count)
+            walls += [np.where(c > r, origin + (c - r) * self.h, -_INF),
+                      np.where(c + r < count - 1, origin + (c + r + 1) * self.h, _INF)]
+        return tuple(walls)
 
     def cover(self, x, y, cx, cy, walls):
         """Lower bound on the distance from (x, y), in cell (cx, cy), to any
@@ -131,17 +129,10 @@ class CellGrid:
 
     def square_counts(self, cells: np.ndarray, r: int) -> np.ndarray:
         """The number of nodes in the square of cells within ``r`` of each of ``cells``."""
-        if self.sums is None:  # sums[y, x]: the nodes in cell rows below y and columns below x
-            self.sums = np.pad(np.diff(self.start).reshape(self.ny, self.nx).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
         s, cx, cy = self.sums, cells % self.nx, cells // self.nx
         x0, x1 = np.maximum(cx - r, 0), np.minimum(cx + r + 1, self.nx)
         y0, y1 = np.maximum(cy - r, 0), np.minimum(cy + r + 1, self.ny)
         return s[y1, x1] - s[y0, x1] - s[y1, x0] + s[y0, x0]
-
-    def members(self) -> list[list[int]]:
-        """Each cell's nodes as a list, index-ascending, by cell id."""
-        order, start = self.order.tolist(), self.start.tolist()
-        return [order[start[c]:start[c + 1]] for c in range(self.nx * self.ny)]
 
 
 # Most rows times columns in one block of tiles, whose table of squares holds
@@ -152,18 +143,18 @@ _BLOCK = 1 << 16
 
 
 def knn_rows(xy: np.ndarray, k: int, chunk_size: int, crowd: int | None = None,
-             stats: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each node's k nearest other nodes: ``(targets, weights, crowded)``, at most ``chunk_size`` rows a tile.
+             stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's k nearest other nodes: ``(targets, weights)``, at most ``chunk_size`` rows a tile.
 
     Row i of the (n, k) ``targets`` and ``weights`` is node i's k nearest,
     ordered by (weight, target), lowest index first among ties, the same for
     every chunk_size. With ``crowd``, a row whose square holds more than
-    ``crowd`` nodes is not measured: it is True in the (n,) bool array
-    ``crowded`` and its slots are garbage. When ``stats`` is given, it
-    receives ``settled``, a dict from each radius measured to the rows
-    settled there, ``tied``, the rows whose k-th and (k+1)-th weights are
-    equal, and, with ``crowd``, ``crowded``, the rows left out. A radius at
-    which no pending row's square holds k other nodes is not measured.
+    ``crowd`` nodes is not measured: it names its own node, at weight 0, in
+    every slot. When ``stats`` is given, it receives ``settled``, a
+    dict from each radius measured to the rows settled there, ``tied``, the
+    rows whose k-th and (k+1)-th weights are equal, and, with ``crowd``,
+    ``crowded``, the rows left out. Radii at which no pending row's square
+    holds k other nodes are skipped, not measured.
     """
     n = len(xy)
     # Node n is the pad of a square's row: at +inf, so its distances are +inf
@@ -173,19 +164,17 @@ def knn_rows(xy: np.ndarray, k: int, chunk_size: int, crowd: int | None = None,
     grid = CellGrid(xy, k / 2)
     targets = np.empty((n, k), dtype=np.intp)
     weights = np.empty((n, k))
-    crowded = np.zeros(n, dtype=np.bool_)
-    settled, tied = {}, ([0] if stats is not None else None)
+    settled, tied, crowded = {}, ([0] if stats is not None else None), 0
     pending = grid.order
     r = 1
     while len(pending):
         cells = grid.cell[pending]
-        wide = grid.square_counts(cells, r)  # each row's square, its own node included
-        while not (wide > k).any():  # no square holds k other nodes, so no row could settle
-            r += 1
-            wide = grid.square_counts(cells, r)
+        r, wide = _first_radius(grid, cells, k, r)  # wide: each row's square, its own node included
         if crowd is not None:
             far = wide > crowd
-            crowded[pending[far]] = True
+            rows = pending[far]
+            targets[rows], weights[rows] = rows[:, None], 0.0
+            crowded += len(rows)
             pending, wide = pending[~far], wide[~far]
         walls = grid.walls(r)
         missed = [pending[:0]]
@@ -195,10 +184,26 @@ def knn_rows(xy: np.ndarray, k: int, chunk_size: int, crowd: int | None = None,
         pending = np.concatenate(missed)
         r += 1
     if stats is not None:
-        stats.update(settled=settled, tied=tied[0])
-        if crowd is not None:
-            stats["crowded"] = int(np.count_nonzero(crowded))
-    return targets, weights, crowded
+        stats.update(settled=settled, tied=tied[0], **({} if crowd is None else {"crowded": crowded}))
+    return targets, weights
+
+
+def _first_radius(grid: CellGrid, cells: np.ndarray, k: int, r: int) -> tuple[int, np.ndarray]:
+    """The least radius from ``r`` at which a square around ``cells`` holds over k nodes, and their counts there.
+
+    Counts only grow with the radius, so it is found by doubling, then
+    bisecting; a square that covers the grid holds all n > k nodes.
+    """
+    lo, hi = r - 1, r  # lo is r - 1 or too small; hi is the next radius to try
+    while (wide := grid.square_counts(cells, hi)).max() <= k:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (counts := grid.square_counts(cells, mid)).max() > k:
+            hi, wide = mid, counts
+        else:
+            lo = mid
+    return hi, wide
 
 
 def _blocks(wide: np.ndarray, chunk_size: int, width: int):

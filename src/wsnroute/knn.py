@@ -84,7 +84,7 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int = 256, stats: di
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     _check_k(len(field), k)
-    targets, weights, _ = knn_rows(field.coords, k, chunk_size, stats=stats)
+    targets, weights = knn_rows(field.coords, k, chunk_size, stats=stats)
     return _built(field, targets, weights)
 
 

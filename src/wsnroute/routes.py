@@ -71,23 +71,21 @@ def _nearest_unvisited(xy: np.ndarray, cur: int, alive: np.ndarray) -> int:
 #
 # The k=4 route took 0.85-0.89 as long as the route in cells of 2 without a table.
 _OWN_K = 4
-# A step's ring search gives up once it would look at more than _STEP_CELLS
-# cells or _STEP_POINTS live nodes, and the step scans the live nodes
-# instead, so a clustered or duplicate-heavy field costs about what a scan
-# per step does. In cells of k=8 nodes, as above with 15 paired runs, more
-# points cut a few scans but no time beyond the runs' spread:
+# A step's ring search gives up once it would look past ring _PAD or at more
+# than _STEP_POINTS live nodes, and the step scans the live nodes instead,
+# so a clustered or duplicate-heavy field costs about what a scan per step
+# does. Rings 0 to 3 are the 7x7 square of cells, the most within a budget
+# of 64 cells: ring 4 would make 81. In cells of k=8 nodes, as above with 15
+# paired runs, more points cut a few scans but no time beyond the runs' spread:
 #
 #     _STEP_POINTS      64    96         128
 #     scans per route   7.6   6.7        6.4
 #     route time        1     0.99       0.98
 #     quartiles               0.95-1.05  0.93-1.06
-_STEP_CELLS = 64
 _STEP_POINTS = 64
-# Empty cells on each side of the grid, 3. A search counts the (2r+1)**2
-# cells of its square by ring r, on the grid or not, so it reaches ring 3 at
-# most: (2*4+1)**2 > _STEP_CELLS. With this padding every ring of every cell
-# lies inside the cell array, at fixed offsets from the cell.
-_PAD = (math.isqrt(_STEP_CELLS) - 1) // 2
+# With _PAD empty cells on each side of the grid, every ring a search
+# reaches lies inside the cell array, at fixed offsets from the cell.
+_PAD = 3
 
 
 class _NnIndex:
@@ -99,11 +97,12 @@ class _NnIndex:
     cell id and ``pos[i]`` its place in that list. Ring r around padded cell
     c is ``c + o`` for each ``o`` in ``rings[r]``, and a memoryview holds the
     grid's cover bound of node i's ring r at ``covers[i * (_PAD + 1) + r]``.
-    ``slots[i]`` is node i's row of the graph, or without a graph of the
-    route's own table, in which a row whose square is crowded (True in
-    ``crowded``) is empty. Nothing here is written after construction: a route copies
-    ``pos`` and the lists it deletes from. Construction raises ValueError
-    unless ``graph`` was built from a field with this one's coordinates.
+    ``targets`` is the graph's rows, or without a graph the route's own
+    table, in which a row whose square is crowded names only its own node;
+    ``slots[i]`` is row i as a list. Nothing here is written after
+    construction: a route copies ``pos`` and the lists it deletes from.
+    Construction raises ValueError unless ``graph`` was built from a field
+    with this one's coordinates.
     """
 
     def __init__(self, field: SensorField, graph: KnnGraph | None, stats: dict | None = None):
@@ -112,43 +111,36 @@ class _NnIndex:
         if graph is not None and (graph.field is None or not np.array_equal(graph.field.coords, xy)):
             raise ValueError("graph was built from another field, or by hand; build it from this field")
         self.field = field
-        self.targets, self.crowded = np.empty((n, 0), dtype=np.intp), np.zeros(n, dtype=np.bool_)
         if graph is not None:
             self.targets = graph.targets
         elif n > 1:
             # A row whose square holds more nodes than a ring search may look
-            # at gets no slots: on a crowded field, measuring such rows would
-            # cost more than the scans they save. With no slots at all, the
-            # route runs as without a table.
-            targets, _, crowded = knn_rows(xy, min(_OWN_K, n - 1), 256, _STEP_POINTS, stats)
-            if not crowded.all():
-                self.targets, self.crowded = targets, crowded
+            # at is not measured: on a crowded field that would cost more than
+            # the scans it saves. The row names only its own node, which every
+            # step from it has visited, so its steps search and scan.
+            self.targets = knn_rows(xy, min(_OWN_K, n - 1), 256, _STEP_POINTS, stats)[0]
+        else:
+            self.targets = np.empty((n, 0), dtype=np.intp)
         # A step searches the grid only once its k slots are visited, so its
         # answer lies past the k-th neighbour: cells of about k nodes reach it
         # in fewer rings than cells of 2, which are mostly empty by then.
         grid = CellGrid(xy, max(self.targets.shape[1], 2))
-        nx, ny = grid.nx, grid.ny
-        w = nx + 2 * _PAD
-        self.rings = [
-            [dy * w + dx for dy in range(-r, r + 1) for dx in range(-r, r + 1) if max(abs(dx), abs(dy)) == r]
-            for r in range(_PAD + 1)
-        ]
-        # A cell without nodes is the shared empty tuple: no route deletes from it.
-        self.cells: list = [()] * (w * (ny + 2 * _PAD))
-        self.pos = [0] * n
-        for c, nodes in enumerate(grid.members()):
-            if nodes:
-                cy, cx = divmod(c, nx)
-                self.cells[(cy + _PAD) * w + cx + _PAD] = nodes
-                for p, i in enumerate(nodes):
-                    self.pos[i] = p
+        w = grid.nx + 2 * _PAD
+        self.rings = [[dy * w + dx for dy in range(-r, r + 1) for dx in range(-r, r + 1) if max(abs(dx), abs(dy)) == r]
+                      for r in range(_PAD + 1)]
         self.cell = ((grid.cy + _PAD) * w + grid.cx + _PAD).tolist()
+        # A cell without nodes is the shared empty tuple: no route deletes from it.
+        self.cells: list = [()] * (w * (grid.ny + 2 * _PAD))
+        order, start = grid.order.tolist(), grid.start.tolist()
+        for c in np.flatnonzero(np.diff(grid.start)).tolist():  # the cells that hold nodes
+            self.cells[self.cell[order[start[c]]]] = order[start[c]:start[c + 1]]
+        pos = np.empty(n, dtype=np.intp)
+        pos[grid.order] = np.arange(n) - grid.start[grid.cell[grid.order]]
+        self.pos = pos.tolist()
         self.xs, self.ys = xy[:, 0].tolist(), xy[:, 1].tolist()
         covers = [grid.cover(xy[:, 0], xy[:, 1], grid.cx, grid.cy, grid.walls(r)) for r in range(_PAD + 1)]
         self.covers = memoryview(np.stack(covers, axis=1).ravel())
         self.slots = self.targets.tolist()  # each node's targets
-        for i in np.flatnonzero(self.crowded).tolist():
-            self.slots[i] = ()
 
 
 def _nn_index(field: SensorField, graph: KnnGraph | None, stats: dict | None) -> _NnIndex:
@@ -193,18 +185,20 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None, 
     Visited nodes are deleted from a cell grid as the route reaches them.
     A step takes the first unvisited target in the current node's row of
     ``graph``, or without one of the route's own table of its ``_OWN_K``
-    nearest, in which a row whose square is crowded is empty: rows are
-    ordered by (weight, target), so that target is the nearest unvisited
-    node. When every slot of the row is visited, the step searches the grid
-    ring by ring, and a search that grows past a fixed budget scans the
-    unvisited nodes instead. ``graph`` must be built from this field, or from one
-    with the same coordinates: ValueError otherwise. The grid, slot
-    lists, ring offsets and cover bounds are built once per (field, graph)
-    and kept on the graph, so repeated calls on one field share them.
+    nearest: rows are ordered by (weight, target), so that target is the
+    nearest unvisited node. A row of the table whose square is crowded
+    names only its own node, already visited. When every slot of the row is
+    visited, the step searches the grid ring by ring, and a search that
+    grows past a fixed budget scans the unvisited nodes instead. ``graph``
+    must be built from this field, or from one with the same coordinates:
+    ValueError otherwise. The grid, slot lists, ring offsets and cover
+    bounds are built once per (field, graph) and kept on the graph, so
+    repeated calls on one field share them.
     When ``stats`` is given, it receives how the route's n - 1 steps were
     settled: ``slot_steps`` by a slot, ``ring_searches`` by the grid search
     and ``scans`` by the scan; a route that builds its own table also gets
-    the kernel's ``settled``, ``tied`` and ``crowded``.
+    the kernel's ``settled``, ``tied`` and ``crowded``, the rows that name
+    only their own node.
     """
     n = len(field)
     if not 0 <= start < n:
@@ -242,10 +236,9 @@ def nn_route(field: SensorField, start: int = 0, graph: KnnGraph | None = None, 
         # Step i takes a slot exactly when its node's row names a node the
         # route reaches after step i. Counted from the finished route, the
         # slot steps and the grid searches cost the steps nothing.
-        steps = np.flatnonzero(~ix.crowded[order[:-1]])  # a crowded row takes no slot
         at = np.empty(n, dtype=np.intp)  # each node's place in the route
         at[order] = np.arange(n)
-        later = at[ix.targets[np.take(order, steps)]] > steps[:, None]
+        later = at[ix.targets[order[:-1]]] > np.arange(n - 1)[:, None]
         slot_steps = int(np.count_nonzero(later.any(axis=1)))
         stats.update(slot_steps=slot_steps, ring_searches=n - 1 - slot_steps - scans, scans=scans)
     return Route(order=order, closed=False)

@@ -247,11 +247,10 @@ def test_kernel_in_cells_of_half_k_matches_the_oracle(kind, monkeypatch):
         oracle = brute_force_knn(f, k)
         for cs in (1, 5, 13, 200, 256):
             sizes.clear()
-            targets, weights, crowded = grid.knn_rows(f.coords, k, cs)
+            targets, weights = grid.knn_rows(f.coords, k, cs)
             assert sizes == [k / 2]
             assert np.array_equal(targets, oracle.targets), f"k={k} chunk_size={cs}"
             assert np.array_equal(weights, oracle.weights), f"k={k} chunk_size={cs}"
-            assert not crowded.any()
 
 
 def test_kernel_blocks_of_one_tile_match_the_oracle(monkeypatch):
@@ -282,6 +281,38 @@ def test_build_counts_the_rows_settled_at_each_radius_and_the_tied_rows():
         stats = {}
         build_knn_graph(field_of(LATTICE), k, stats=stats)
         assert stats["tied"] == tied and sum(stats["settled"].values()) == 144
+
+
+def one_radius_at_a_time(g, cells, k, r):
+    """The radius skip as a loop of one radius a step: the least r with some square of over k nodes."""
+    while (wide := g.square_counts(cells, r)).max() <= k:
+        r += 1
+    return r, wide
+
+
+def test_bisected_radius_skip_measures_the_radii_a_step_at_a_time_loop_does(monkeypatch):
+    # The kernel doubles the radius past the first square of k + 1 nodes and
+    # bisects back to it; a loop that tries one radius at a time measures
+    # the same radii, settles the same rows and builds the same graph.
+    rng = np.random.default_rng(4)
+    far = np.concatenate([rng.random((299, 2)) * 100, [(20000.0, 20000.0)]])
+    fields = [field_of(LATTICE + [(90, 70)]), field_of(far), field_of(far[::-1] * [1, 0.001])]
+    for f in fields:
+        for k in (1, 4, 8):
+            g = CellGrid(f.coords, k / 2)
+            for r in (1, 2, 3, 7, 40):
+                cells = g.cell[[len(f) - 1]]
+                got, want = grid._first_radius(g, cells, k, r), one_radius_at_a_time(g, cells, k, r)
+                assert got[0] == want[0] and np.array_equal(got[1], want[1]), f"k={k} r={r}"
+            for crowd in (None, 64):
+                bisected = {}
+                targets, weights = grid.knn_rows(f.coords, k, 256, crowd, bisected)
+                with monkeypatch.context() as m:
+                    m.setattr(grid, "_first_radius", one_radius_at_a_time)
+                    stepped = {}
+                    assert all(map(np.array_equal, grid.knn_rows(f.coords, k, 256, crowd, stepped),
+                                   (targets, weights)))
+                assert bisected == stepped and max(bisected["settled"]) >= 4, f"k={k} crowd={crowd}"
 
 
 INF = math.inf

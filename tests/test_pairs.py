@@ -1,6 +1,7 @@
 """The summary of ``tools/pairs.py`` on canned benchmark results."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,51 @@ def test_clear_bytecode_deletes_every_cache(tmp_path):
     (tmp_path / "src/pkg/m.py").write_text("")
     pairs.clear_bytecode(tmp_path)
     assert not list(tmp_path.rglob("__pycache__")) and (tmp_path / "src/pkg/m.py").exists()
+
+
+def write_benchmark(root, workloads):
+    root.mkdir()
+    spec = {"workloads": [{"name": w} for w in workloads],
+            "end_to_end": [{"name": "setup_s", "bound": 0.25}, {"name": "ops_per_s", "bound": 0.2},
+                           {"name": "op_s.p50", "bound": 0.2}, {"name": "peak_rss_mb", "bound": 0.1}]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+
+
+def test_over_bound_flags_a_median_worse_than_its_bound():
+    pairs = load_pairs()
+    bounds = {"setup_s": 0.25, "ops_per_s": 0.2, "op_s.p50": 0.2, "peak_rss_mb": 0.1}
+    # setup_s 26% slower, ops_per_s 21% fewer: both past their bounds. op_s.p50
+    # 19% slower and peak_rss_mb 50% lower are not.
+    table = pairs.summary([(pairs.values(result(0.100, 10.0, 0.100, 40.0)),
+                            pairs.values(result(0.126, 7.9, 0.119, 20.0)))])
+    assert pairs.over_bound(table, bounds) == ["setup_s", "ops_per_s"]
+    lines = pairs.format_summary(table, bounds)
+    assert lines[0].endswith("WORSE THAN ITS BOUND OF 25%") and lines[1].endswith("WORSE THAN ITS BOUND OF 20%")
+    assert lines[2].endswith("change better in 0 of 1") and lines[3].endswith("change better in 1 of 1")
+
+
+def test_main_runs_every_workload_and_prints_one_summary_each(tmp_path, monkeypatch, capsys):
+    pairs = load_pairs()
+    write_benchmark(tmp_path / "parent", ["a", "b", "c"])
+    write_benchmark(tmp_path / "change", ["a", "b", "c"])
+    runs = []
+
+    def canned(root, workload, seed, seconds):
+        runs.append((root.name, workload))
+        slow = root.name == "change" and workload == "b"  # b's op is 30% slower in the change
+        return result(0.010, 10.0, 0.130 if slow else 0.100, 40.0)
+
+    monkeypatch.setattr(pairs, "run", canned)
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "all", "--pairs", "2"]) == 1
+    # Each workload's pairs run in turn, the parent first in even pairs.
+    assert runs == [(side, w) for w in "abc" for side in ("parent", "change", "change", "parent")]
+    out = capsys.readouterr().out.splitlines()
+    heads = [i for i, line in enumerate(out) if line.startswith("== ")]
+    assert [out[i] for i in heads] == ["== a, 2 pairs", "== b, 2 pairs", "== c, 2 pairs"]
+    flagged = [line.split(":")[0] for line in out if "WORSE THAN" in line]
+    assert flagged == ["op_s.p50"] and "WORSE THAN" in out[heads[1] + 3]
+    runs.clear()
+    assert pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "c,a", "--pairs", "1"]) == 0
+    assert runs == [("parent", "c"), ("change", "c"), ("parent", "a"), ("change", "a")]
+    with pytest.raises(SystemExit):
+        pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "a,d"])

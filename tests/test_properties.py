@@ -273,18 +273,17 @@ OWN_TABLE_FIELDS = {
 @pytest.mark.parametrize("kind", list(OWN_TABLE_FIELDS))
 def test_graph_free_table_is_the_graph_without_its_crowded_rows(kind):
     # A graph-free route's own rows are build_knn_graph's at k = 4, except
-    # that a row whose square holds more than _STEP_POINTS nodes is empty.
+    # that a row whose square holds more than _STEP_POINTS nodes names only
+    # its own node, which no row of a graph does.
     f = OWN_TABLE_FIELDS[kind]()
     n = len(f)
+    k = min(routes._OWN_K, n - 1)
     stats = {}
     ix = routes._NnIndex(f, None, stats)
-    want = build_knn_graph(f, min(routes._OWN_K, n - 1)).targets.tolist()
-    crowded = set(np.flatnonzero(ix.crowded).tolist())
-    if stats["crowded"] == n:  # no row has slots, so the route keeps no table
-        assert not crowded and ix.targets.shape == (n, 0)
-        crowded = set(range(n))
-    assert stats["crowded"] == len(crowded)
-    assert [list(row) for row in ix.slots] == [[] if i in crowded else row for i, row in enumerate(want)]
+    want = build_knn_graph(f, k).targets.tolist()
+    crowded = {i for i, row in enumerate(ix.slots) if row == [i] * k}
+    assert stats["crowded"] == len(crowded) and ix.targets.shape == (n, k)
+    assert ix.slots == [[i] * k if i in crowded else row for i, row in enumerate(want)]
     if kind == "uniform":
         assert not crowded
     elif kind in ("duplicates", "outlier"):
@@ -304,6 +303,18 @@ def test_graph_free_routes_on_skewed_fields_match_a_scan(kind):
         assert nn_route(f, start, None, stats).order == scan_nn_route(f, start)
         assert stats["crowded"] > 0 and stats["scans"] > 0
         assert stats["slot_steps"] > 0 if kind == "sparse-and-dense" else stats["slot_steps"] == 0
+
+
+@pytest.mark.parametrize("kind", ["outlier", "clusters"])
+def test_graph_free_routes_on_all_crowded_fields_take_no_slot(kind):
+    # Every row of these fields is crowded, so the route's own table names
+    # each node alone; every step searches or scans, and the route is the scan's.
+    f = item5_field(kind, 2000)
+    n = len(f)
+    for start in (0, n // 2, n - 1):
+        stats = {}
+        assert nn_route(f, start, None, stats).order == scan_nn_route(f, start)
+        assert stats["crowded"] == n and stats["slot_steps"] == 0
 
 
 @pytest.mark.parametrize("kind", ["uniform", "duplicates", "clustered"])
