@@ -8,19 +8,21 @@ model with an end-to-end delay constraint.
 Each export is loaded from its submodule the first time it is read
 (PEP 562), so ``import wsnroute`` and ``import wsnroute.cli`` load no
 workbench module, and a process compiles only the modules its work reaches.
+The CLI binds the names its subcommands call from the same table.
 """
 
 import importlib
 
 # Export -> the submodule that defines it.
 _EXPORTS = {
-    **dict.fromkeys(("AnnealSchedule", "default_schedule", "sa_route", "undersized_schedule"), "anneal"),
+    **dict.fromkeys(("AnnealSchedule", "default_schedule", "random_initial_route", "sa_route",
+                     "undersized_schedule"), "anneal"),
     **dict.fromkeys(("BenchConfig", "BenchReport", "BenchRun", "export_report", "parse_report",
                      "run_experiment"), "bench"),
     **dict.fromkeys(("DelayParams", "EnergyConfig", "RadioParams", "parse_config", "rx_energy",
                      "tx_energy"), "energy"),
     **dict.fromkeys(("DatasetError", "DatasetParseError", "EmptyDatasetError", "SensorField",
-                     "generate_uniform", "parse_dataset", "write_dataset"), "field"),
+                     "format_coord", "generate_uniform", "parse_dataset", "write_dataset"), "field"),
     **dict.fromkeys(("KnnGraph", "build_knn_graph", "dump_graph"), "knn"),
     **dict.fromkeys(("POLICY_FIXED", "POLICY_ROTATE", "SimReport", "check_delay", "path_delay",
                      "simulate_lifetime"), "lifetime"),

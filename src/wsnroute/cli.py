@@ -17,42 +17,32 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import _EXPORTS
+
 if TYPE_CHECKING:
     from .anneal import AnnealSchedule
     from .field import SensorField
     from .routes import Route
 
-# Each workbench name the handlers call -> the module that defines it. No
-# handler's module is imported with this one: main binds the names of the
-# modules a subcommand runs into this module's globals the first time it
-# runs that subcommand, and __getattr__ binds them when read from outside.
-# A name already bound is never rebound, so a tracer's wrapper or a test's
-# monkeypatch of ``wsnroute.cli.<name>`` stays in place. The handlers must
-# call these names as globals of this module: a handler-local import would
-# go round the traced call sites.
-_SOURCES = {
-    **dict.fromkeys(("default_schedule", "random_initial_route", "sa_route", "undersized_schedule"), "anneal"),
-    **dict.fromkeys(("BenchConfig", "export_report", "run_experiment"), "bench"),
-    **dict.fromkeys(("EnergyConfig", "parse_config"), "energy"),
-    **dict.fromkeys(("format_coord", "generate_uniform", "parse_dataset", "write_dataset"), "field"),
-    **dict.fromkeys(("build_knn_graph", "dump_graph"), "knn"),
-    "simulate_lifetime": "lifetime",
-    **dict.fromkeys(("Route", "dump_route", "nn_route", "route_length"), "routes"),
-}
 
-
+# The handlers call the package's exports (``wsnroute._EXPORTS``) as globals
+# of this module; a handler-local import would go round the traced call sites.
+# This module imports no workbench module: main binds every export of the
+# modules a subcommand runs the first time it runs it, and __getattr__ binds
+# an export read from outside. A bound name is never rebound, so a tracer's
+# wrapper or a test's monkeypatch of ``wsnroute.cli.<name>`` stays in place.
 def _bind(modules: tuple[str, ...]) -> None:
-    """Bind each name of ``modules`` in :data:`_SOURCES` that is not bound yet."""
+    """Bind each export of ``modules`` that is not bound yet."""
     names = globals()
-    for name, module in _SOURCES.items():
+    for name, module in _EXPORTS.items():
         if module in modules and name not in names:
             names[name] = getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def __getattr__(name: str):
-    if name not in _SOURCES:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind((_SOURCES[name],))
+    _bind((_EXPORTS[name],))
     return globals()[name]
 
 
@@ -65,11 +55,22 @@ class CliParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    """A seed argument: an integer from 0 up, of any size."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_field_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="number of nodes to generate")
     p.add_argument("--width", type=float, default=None, help="field width (default 20000)")
     p.add_argument("--height", type=float, default=None, help="field height (default 20000)")
-    p.add_argument("--seed", type=int, default=None, help="generation seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=None, help="generation seed (default 0)")
     p.add_argument("--input", default=None, help="read the field from a dataset file instead")
 
 
@@ -99,8 +100,8 @@ def _emit(text: str, output: str | None) -> None:
 def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> list[int]:
     """Seed list syntax: '1..10' (inclusive range) or '1,2,5'.
 
-    Text that is neither, that names no seed (such as '5..1') or that
-    repeats one (such as '1,2,1'), is a usage error.
+    Text that is neither, that names no seed (such as '5..1'), a negative
+    one or one twice (such as '1,2,1') is a usage error.
     """
     text = text.strip()
     try:
@@ -113,6 +114,8 @@ def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> list[int]:
         seeds = []
     if not seeds:
         parser.error(f"--seeds {text!r} names no seed; expected 'A..B' with A <= B or a comma list")
+    if min(seeds) < 0:
+        parser.error(f"--seeds {text!r} names a negative seed; a seed is an integer from 0 up")
     if len(set(seeds)) < len(seeds):
         parser.error(f"--seeds {text!r} repeats a seed; each seed may run once")
     return seeds
@@ -166,7 +169,7 @@ def build_parser() -> CliParser:
     p.add_argument("--start", type=int, default=None, help="start node for --sa-init nn (default 0)")
     p.add_argument("--closed", action="store_true", help="close the route back to the start")
     p.add_argument("--sa-init", choices=("random", "nn"), default="random", help="initial route")
-    p.add_argument("--sa-seed", type=int, default=None,
+    p.add_argument("--sa-seed", type=_seed, default=None,
                    help="anneal seed (default: --seed, or 0 without one, as with --input)")
     p.add_argument("--paper-budget", action="store_true", help="use the undersized budget preset")
     p.add_argument("--sa-initial-temp", type=float, default=None)

@@ -176,6 +176,30 @@ def test_bench_repeated_seed_is_usage_error(capsys):
     assert "repeats a seed" in captured.err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["gen", "--n", "3", "--seed", "-1"], "argument --seed: "),
+    (["knn", "--n", "5", "--k", "2", "--seed", "-3"], "argument --seed: "),
+    (["nn", "--n", "5", "--seed", "-3"], "argument --seed: "),
+    (["simulate", "--n", "5", "--rounds", "2", "--seed", "-3"], "argument --seed: "),
+    (["sa", "--n", "5", "--sa-seed", "-4"], "argument --sa-seed: "),
+    (["bench", "--n", "5", "--seeds=-1,3"], "--seeds '-1,3' names a negative seed"),
+])
+def test_negative_seed_is_a_usage_error_naming_its_flag(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"wsnroute {argv[0]}: error: " in captured.err and named in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, 2**64])
+def test_seeds_from_zero_of_any_size_generate(seed, capsys):
+    code, out, _ = run_cli(capsys, "gen", "--n", "3", "--seed", str(seed))
+    assert code == 0
+    assert points(parse_dataset(out)) == points(generate_uniform(3, 20000, 20000, seed))
+
+
 @pytest.mark.parametrize("argv", [
     ["bench", "--n", "5", "--seeds", "1,2,1"],
     ["bench", "--n", "5", "--seeds", "5..1"],
