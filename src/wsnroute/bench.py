@@ -71,6 +71,9 @@ class BenchReport:
         """Per-seed SA/NN cost ratio; both runs saw the identical field."""
         nn = self.costs("NN")
         sa = self.costs("SA")
+        for seed, cost in nn.items():
+            if cost == 0 and seed in sa:  # every node at one point, or squared distances that underflow
+                raise ValueError(f"seed {seed}: the NN route has length 0, so SA/NN is undefined")
         return {seed: sa[seed] / nn[seed] for seed in nn if seed in sa}
 
     def mean_ratio_sa_nn(self) -> float:

@@ -96,8 +96,8 @@ def generate_uniform(n: int, width: float, height: float, seed: int) -> SensorFi
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
-    if width <= 0 or height <= 0:
-        raise ValueError(f"field dimensions must be positive, got {width}x{height}")
+    if not (0 < width < math.inf and 0 < height < math.inf):  # nan fails every comparison
+        raise ValueError(f"field dimensions must be positive and finite, got {width}x{height}")
     rng = np.random.Generator(np.random.PCG64(seed))
     xy = rng.random((n, 2))
     xy[:, 0] *= width

@@ -23,24 +23,24 @@ graph also keeps the greedy builder's cell grid of the field for every round.
 
 A rotating round's route and plan (its charges and delay verdict) depend
 only on the field, the graph and its start node, so a long run builds and
-plans its rounds in two processes. Once round 0 has completed, a worker
-forked from this process builds and plans the odd rounds and sends each
-plan through a pipe, while this process builds and plans the even ones and
-keeps the ledger (the death test, the residuals and the energy total) in
-round order. The report is the same, byte for byte. A plan that raises in
-the worker (``d**alpha`` overflows, say) is planned again here at its
-turn, so it raises as it would in one process. The rounds stay in this
-process when the rounds after round 0 hold fewer than
-``_MIN_WORKER_NODE_ROUNDS`` node-rounds (the fork costs more than the
-worker saves), when ``os.fork`` is missing or fails, when this process may
-use one CPU only, when it runs another Python thread (a fork copies only
-the calling thread, so a lock another thread holds would stay held in the
+plans its rounds in two processes. After round 0, this process builds and
+plans the odd rounds at their turn and keeps the ledger (the death test,
+the residuals and the energy total) in round order, while a worker forked
+from it builds and plans the even rounds and sends each plan through a
+pipe. One rule covers every way the worker can fail: any round it does not
+send (its plan raised, it was killed, or it could not be forked) is built
+and planned here at its turn, along with every round after it. So the
+report is the same, byte for byte, and a plan that raises does so at its
+own round. No worker is forked when the rounds after round 0 hold fewer
+than ``_MIN_WORKER_NODE_ROUNDS`` node-rounds (the fork costs more than the
+worker saves), when ``os.fork`` is missing, when this process may use one
+CPU only, when it runs another Python thread (a fork copies only the
+calling thread, so a lock another thread holds would stay held in the
 worker), or when SIGCHLD is ignored (the worker could not then be waited
-for). The worker moves itself off the CPU this process last ran on. This
-process pauses the cyclic garbage collector while the rounds run and gives
-the caller back its setting when they end; the worker, forked inside the
-pause, inherits it. A worker that dies raises ChildProcessError; the worker
-is reaped however the run ends.
+for). The worker moves itself off the CPU this process last ran on, and is
+reaped however the run ends. This process pauses the cyclic garbage
+collector while the rounds run and gives the caller back its setting when
+they end; the worker, forked inside the pause, inherits it.
 """
 
 from __future__ import annotations
@@ -86,8 +86,6 @@ _ROTATE_K = 8
 # 7,500, 0.89-0.99 at 10,000, 0.81-0.91 at 15,000, 0.73-0.81 at 20,000 and
 # 0.68-0.73 at 40,000.
 _MIN_WORKER_NODE_ROUNDS = 10_000
-# A round's plan: each node's charge for the round, and whether its route meets the deadline.
-Plan = tuple[np.ndarray, bool]
 
 
 @dataclass
@@ -147,10 +145,7 @@ def _round_charges(field: SensorField, order: np.ndarray, rp: RadioParams, lengt
 
 
 def _use_worker(n: int, rounds_left: int) -> bool:
-    """Whether to fork a route worker for the ``rounds_left`` rounds after round 0 on ``n`` nodes.
-
-    See the module docstring for when it is not.
-    """
+    """Whether to fork a route worker for ``rounds_left`` rounds on ``n`` nodes; see the module docstring."""
     return (n * rounds_left >= _MIN_WORKER_NODE_ROUNDS
             and hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
             and threading.active_count() == 1
@@ -166,99 +161,85 @@ def _cpu_now() -> int | None:
         return None
 
 
-def _write_all(fd: int, data: np.ndarray) -> None:
-    """Write the bytes of ``data`` to the pipe ``fd``, however many writes that takes."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
+def _alternate(work: Callable[[int], np.ndarray], first: int, stop: int, width: int,
+               fork: bool) -> Iterator[np.ndarray]:
+    """``work(i)``, an array of ``width`` float64 values, for i in ``range(first, stop)``, in order.
 
-
-def _reap(pid: int) -> int:
-    """Kill the worker ``pid`` if it still runs, wait for it and return its exit code."""
-    os.kill(pid, signal.SIGKILL)  # a worker that has exited is a zombie until waited for, so pid is still its own
-    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _rotate_plans(field: SensorField, graph: KnnGraph | None, rounds: int,
-                  plan: Callable[[np.ndarray], Plan]) -> Iterator[Plan]:
-    """Round r's plan, of the greedy route from node ``r mod n``, for r = 0 .. rounds - 1.
-
-    ``plan`` turns a route's intp order into the round's charges and delay
-    verdict. Round 0 is built and planned here. When two or more rounds
-    remain after it, ``_use_worker`` allows it and the fork succeeds, a
-    forked worker builds and plans the odd rounds and writes each plan to a
-    pipe as n + 1 float64 values: the charges, then 1.0 or 0.0 for the
-    verdict, or NaN there when its plan raised. This process builds each
-    even round before it waits for the odd round before that one, and plans
-    each round it yields (an even one, or an odd one whose plan raised in
-    the worker) only once the rounds before it have been taken, so a plan
-    raises where it would in one process. The plans are the same either
-    way. Closing the generator kills and reaps a worker that is still
-    running, which may be rounds ahead; a worker that stops short raises
-    ChildProcessError.
+    This process computes items ``first``, ``first + 2`` and so on, each at
+    its turn. When ``fork`` is set and the worker would have an item, a
+    worker forked from this process computes the others and writes each to
+    a pipe as it is done; it may be items ahead. Any item the worker does
+    not send (it raised, was killed, or could not be forked) is computed
+    here at its turn, with every item after it: on a short read this
+    process kills and reaps the worker first. Closing the generator kills
+    and reaps a worker that still runs.
     """
-    n = len(field)
-
-    def build(r: int) -> np.ndarray:
-        return np.array(nn_route(field, r % n, graph).order, dtype=np.intp)
-
-    yield plan(build(0))  # a run that stops in its first round forks nothing
     pid = None
-    if rounds - 1 >= 2 and _use_worker(n, rounds - 1):
+    if fork and stop - first >= 2:
         fds = ()
         try:
             fds = read_fd, write_fd = os.pipe()
             parent_cpu = _cpu_now()
             pid = os.fork()
-        except OSError:  # no pipe or process to spare (EMFILE, EAGAIN, ENOMEM): the rounds need neither
+        except OSError:  # no pipe or process to spare (EMFILE, EAGAIN, ENOMEM): the items need neither
             for fd in fds:
                 os.close(fd)
-    if pid is None:
-        for r in range(1, rounds):
-            yield plan(build(r))
-        return
-    if pid == 0:  # the worker: it inherits round 0's grid index on the graph
-        code = 1
+    if pid == 0:  # the worker
         try:
             os.close(read_fd)
             if parent_cpu is not None:
                 # Left alone, Linux at times keeps the worker on this
                 # process's CPU for whole stretches of runs, and the worker
-                # then slows the rounds down. The worker alone is moved.
+                # then slows the items down. The worker alone is moved.
                 with suppress(OSError):
                     os.sched_setaffinity(0, os.sched_getaffinity(0) - {parent_cpu})
-            for r in range(1, rounds, 2):
-                order = build(r)
-                try:
-                    charges, within_deadline = plan(order)
-                    message = np.append(charges, float(within_deadline))
-                except BaseException:  # an overflow, say: this process plans the round again at its turn
-                    message = np.full(n + 1, np.nan)
-                _write_all(write_fd, message)
-            code = 0
+            with open(write_fd, "wb") as pipe:
+                for i in range(first + 1, stop, 2):
+                    pipe.write(work(i))
+                    pipe.flush()
         finally:
-            os._exit(code)  # no atexit handlers, and no flush of stdio buffers the parent holds too
-    size = (n + 1) * np.dtype(np.float64).itemsize
-    reaped = False
-    try:
-        os.close(write_fd)
-        with open(read_fd, "rb") as pipe:
-            for r in range(1, rounds, 2):
-                own = build(r + 1) if r + 1 < rounds else None  # built before waiting on the worker
-                data = pipe.read(size)
-                if len(data) < size:
-                    code, reaped = _reap(pid), True
-                    how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
-                    raise ChildProcessError(f"the route worker {how} after sending {len(data)} of the "
-                                            f"{size} bytes of round {r + 1}'s plan")
-                message = np.frombuffer(data)
-                # planned here again, a plan that raised in the worker raises at its round, as in one process
-                yield plan(build(r)) if np.isnan(message[n]) else (message[:n], bool(message[n]))
-                if own is not None:
-                    yield plan(own)
-    finally:
-        if not reaped:
-            _reap(pid)
+            os._exit(0)  # no atexit handlers, and no flush of stdio buffers the parent holds too
+    here = first  # the first item this process computes from then on
+    if pid is not None:
+        size = width * np.dtype(np.float64).itemsize
+        try:
+            os.close(write_fd)
+            with open(read_fd, "rb") as pipe:
+                for here in range(first, stop):
+                    if (here - first) % 2:
+                        data = pipe.read(size)
+                        if len(data) < size:
+                            break
+                        yield np.frombuffer(data)
+                    else:
+                        yield work(here)
+                else:
+                    here = stop
+        finally:
+            os.kill(pid, signal.SIGKILL)  # an exited worker is a zombie until waited for, so pid is still its own
+            os.waitpid(pid, 0)
+    for i in range(here, stop):
+        yield work(i)
+
+
+def _rotate_plans(field: SensorField, graph: KnnGraph | None, rounds: int,
+                  plan: Callable[[np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """Round r's plan, of the greedy route from node ``r mod n``, for r = 0 .. rounds - 1.
+
+    ``plan`` turns a route's intp order into the round's plan. Round 0 is
+    built and planned here, so a run that stops in its first round forks
+    nothing, and a worker inherits round 0's grid index on the graph. The
+    rounds after it go to :func:`_alternate`, which builds and plans the
+    odd ones here and, where ``_use_worker`` allows it, the even ones in a
+    forked worker. The plans are the same either way.
+    """
+    n = len(field)
+
+    def work(r: int) -> np.ndarray:
+        return plan(np.array(nn_route(field, r % n, graph).order, dtype=np.intp))
+
+    yield work(0)
+    yield from _alternate(work, 1, rounds, n + 1, _use_worker(n, rounds - 1))
 
 
 def simulate_lifetime(
@@ -290,10 +271,11 @@ def simulate_lifetime(
     if rotate and route is not None:
         raise ValueError(f"route applies to {POLICY_FIXED} only; {POLICY_ROTATE} starts round r at node r mod n")
 
-    def plan(order: np.ndarray, closed: bool = False) -> Plan:
+    def plan(order: np.ndarray, closed: bool = False) -> np.ndarray:
+        """The round's plan: each node's charge, then 1.0 if the route meets the deadline, else 0.0."""
         lengths = hop_lengths(field.coords, order, closed)  # one pass serves charges and delay
         charges = _round_charges(field, order, cfg.radio, lengths)
-        return charges, check_delay(lengths, cfg.delay)
+        return np.append(charges, float(check_delay(lengths, cfg.delay)))
 
     if rotate:
         graph = build_knn_graph(field, min(_ROTATE_K, n - 1)) if n > 1 and max_rounds > 0 else None
@@ -317,7 +299,8 @@ def simulate_lifetime(
         # page it inherits.
         gc.disable()
     try:
-        for round_idx, (charges, within_deadline) in zip(range(max_rounds), plans):
+        for round_idx, round_plan in zip(range(max_rounds), plans):
+            charges = round_plan[:n]
             dying = np.flatnonzero(charges > residual)
             if len(dying):
                 total = _left_sum(total, residual[dying])
@@ -327,7 +310,7 @@ def simulate_lifetime(
             residual -= charges
             total = _left_sum(total, charges)
             rounds_completed += 1
-            if not within_deadline:
+            if not round_plan[n]:
                 violations += 1
     finally:
         if rotate:

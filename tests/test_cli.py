@@ -115,6 +115,15 @@ def test_gen_infinite_width_is_runtime_error(capsys):
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("flag", ["--width", "--height"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_gen_non_finite_or_zero_size_names_the_field_dimensions(flag, value, capsys):
+    code, out, err = run_cli(capsys, "gen", "--n", "3", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: field dimensions must be positive and finite, got ")
+
+
 @pytest.mark.parametrize("command", [["nn"], ["knn", "--k", "1"]])
 def test_overflowing_field_extent_is_runtime_error(command, capsys):
     code, out, err = run_cli(capsys, *command, "--n", "3", "--width", "1e200", "--height", "1e200")
@@ -156,6 +165,16 @@ def test_bench_k_zero_is_runtime_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "1 <= k <= n-1" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bench_zero_length_nn_route_is_runtime_error(fmt, capsys):
+    # the squared distances of a 1e-170 field underflow to 0, so SA/NN would be 0/0
+    code, out, err = run_cli(capsys, "bench", "--n", "2", "--seeds", "1", "--width", "1e-170",
+                             "--height", "1e-170", "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed 1: the NN route has length 0, so SA/NN is undefined\n"
 
 
 @pytest.mark.parametrize("seeds", ["abc", "5..1", "1..x", ","])

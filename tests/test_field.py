@@ -72,6 +72,13 @@ def test_generate_rejects_bad_args():
         generate_uniform(5, 10, -1, seed=1)
 
 
+@pytest.mark.parametrize("size", [math.nan, math.inf, 0.0])
+def test_generate_rejects_a_non_finite_or_zero_dimension(size):
+    for width, height in ((size, 10.0), (10.0, size)):
+        with pytest.raises(ValueError, match="field dimensions must be positive and finite"):
+            generate_uniform(5, width, height, seed=1)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_field_rejects_non_finite_coordinates(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -65,7 +65,7 @@ CASES = {
                              "--seed", "3", "--rounds", "5", "--policy", "rotate-start",
                              "--config", "{long_config}", "--format", "json"],
     # 5 rounds after round 0 on 2000 nodes make 10,000 node-rounds, so a
-    # route worker builds the odd rounds where more than one CPU is allowed.
+    # route worker builds the even rounds where more than one CPU is allowed.
     "simulate-rotate-n2000": ["simulate", "--n", "2000", "--width", "5000", "--height", "5000",
                               "--seed", "11", "--rounds", "6", "--policy", "rotate-start",
                               "--config", "{long_config}", "--format", "json"],

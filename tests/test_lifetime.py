@@ -541,10 +541,11 @@ def test_rotate_rounds_run_here_without_the_cyclic_gc(monkeypatch):
 
 
 def test_rotate_worker_plan_error_is_raised_here_at_its_round(forks, monkeypatch, tmp_path, capsys):
-    # Round 0's far hop (1.15e77 m) stays below the d**4 overflow at about
-    # 1.158e77 m; round 1, an odd round the worker plans, crosses 1.16e77 m.
+    # The d**4 overflow sets in at about 1.158e77 m. The greedy routes from
+    # nodes 0 and 1 hop at most 6e76 m; round 2, the worker's first, starts
+    # at node 2 and goes to node 3 first, then back 1.16e77 m to node 1.
     field = tmp_path / "field.txt"
-    field.write_text("P (0 0)\nP (1.15e77 0)\nP (1.16e77 0)\n")
+    field.write_text("P (0 0)\nP (1e75 0)\nP (6e76 0)\nP (1.17e77 0)\n")
     params = tmp_path / "params.cfg"
     params.write_text("alpha = 4\ninitial_battery_j = 1e305\n")
     parent = os.getpid()
@@ -568,41 +569,76 @@ def test_rotate_worker_plan_error_is_raised_here_at_its_round(forks, monkeypatch
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: hop of 1.16e+77 m overflows d**alpha at alpha=4.0\n"
-    assert planned == 2  # rounds 0 and 1, where it raises; round 2 is never planned
+    assert planned == 3  # rounds 0, 1 and 2, where it raises; round 3 is never planned
     assert len(forks) == 1
     assert_reaped(forks)
 
 
-def _short_write(fd, order):
-    os.write(fd, memoryview(order).cast("B")[:5])
-    raise OSError("the pipe broke")
+def _starts_here(monkeypatch):
+    """The start nodes of the routes this process builds from here on."""
+    parent = os.getpid()
+    starts = []
+    real = lifetime.nn_route
+
+    def route(field, start, *args):
+        if os.getpid() == parent:
+            starts.append(start)
+        return real(field, start, *args)
+    monkeypatch.setattr(lifetime, "nn_route", route)
+    return starts
 
 
-@pytest.mark.parametrize("fault, message", [
-    ("raises", "exited with code 1 after sending 0 of the {size} bytes of round 2's plan"),
-    ("killed", "was killed by signal 9 after sending 0 of the {size} bytes of round 2's plan"),
-    ("short", "exited with code 1 after sending 5 of the {size} bytes of round 2's plan"),
-])
-def test_rotate_worker_failure_is_runtime_error(fault, message, forks, monkeypatch, capsys, tmp_path):
-    def raises():
-        raise ValueError("no route")
-
-    if fault == "raises":
-        _in_worker(monkeypatch, raises)
-    elif fault == "killed":
-        _in_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    else:
-        monkeypatch.setattr(lifetime, "_write_all", _short_write)
+def test_rotate_worker_builds_the_even_rounds_after_round_0(forks, monkeypatch):
+    # without the worker's share pinned, a worker that always fails would pass every report test
+    f, cfg, rounds, _ = WORKER_CASES["n300-rounds31"]
+    starts = _starts_here(monkeypatch)
     monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
+    simulate_lifetime(f, POLICY_ROTATE, cfg, rounds)
+    assert starts == [0, *range(1, rounds, 2)]  # 16 of the 31 routes
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("fault", ["raises", "killed", "killed-after-two-plans"])
+def test_rotate_worker_failure_is_recovered_here(fault, forks, monkeypatch, capsys, tmp_path):
+    # any round the worker does not send is built here at its turn, with every round after it
     params = tmp_path / "params.cfg"
     params.write_text("initial_battery_j = 2\n")
-    code = main(["simulate", "--n", "300", "--width", "200", "--height", "200", "--seed", "7",
-                 "--rounds", "20", "--policy", "rotate-start", "--config", str(params)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: the route worker {message.format(size=301 * np.dtype(np.float64).itemsize)}\n"
+    argv = ["simulate", "--n", "300", "--width", "200", "--height", "200", "--seed", "7",
+            "--rounds", "20", "--policy", "rotate-start", "--config", str(params)]
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: False)
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    worker_routes = []
+
+    def fail():
+        worker_routes.append(1)
+        if fault == "raises":
+            raise ValueError("no route")
+        if fault == "killed" or len(worker_routes) == 3:  # rounds 2 and 4 are sent, round 6 is not
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    starts = _starts_here(monkeypatch)
+    _in_worker(monkeypatch, fail)
+    monkeypatch.setattr(lifetime, "_use_worker", lambda n, rounds_left: True)
+    assert main(argv) == 0
+    assert capsys.readouterr() == alone
+    sent = [2, 4] if fault == "killed-after-two-plans" else []
+    assert starts == [0, 1, *(r for r in range(2, 20) if r % 2 or r not in sent)]
     assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_alternate_yields_every_item_in_order(forks):
+    def work(i):
+        return np.array([i, -i], dtype=np.float64)
+
+    for first, stop in [(0, 0), (0, 1), (3, 5), (1, 8), (1, 9)]:
+        want = [[i, -i] for i in range(first, stop)]
+        for fork in (False, True):
+            got = [item.tolist() for item in lifetime._alternate(work, first, stop, 2, fork)]
+            assert got == want
+    assert len(forks) == 3  # a worker is forked only when it has an item to compute
     assert_reaped(forks)
 
 
