@@ -9,6 +9,7 @@ primary outputs; wall-time fields are exempt.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import importlib
@@ -90,11 +91,14 @@ def _resolve_field(args, parser: argparse.ArgumentParser) -> SensorField:
     )
 
 
+def _opened(output: str | None):
+    """``output`` opened for UTF-8 text, or stdout when it is None, as a context manager that leaves stdout open."""
+    return contextlib.nullcontext(sys.stdout) if output is None else open(output, "w", encoding="utf-8")
+
+
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+    with _opened(output) as out:
+        out.write(text)
 
 
 def _parse_seeds(text: str, parser: argparse.ArgumentParser) -> list[int]:
@@ -212,14 +216,16 @@ def build_parser() -> CliParser:
 
 def _cmd_gen(args, parser) -> int:
     fld = _resolve_field(args, parser)
-    _emit(write_dataset(fld), args.output)
+    with _opened(args.output) as out:  # opened once the field is made, so --output may name --input
+        write_dataset(fld, out)
     return 0
 
 
 def _cmd_knn(args, parser) -> int:
     fld = _resolve_field(args, parser)
     graph = build_knn_graph(fld, args.k, args.chunk_size)
-    _emit(dump_graph(graph), args.output)
+    with _opened(args.output) as out:
+        dump_graph(graph, out)
     return 0
 
 

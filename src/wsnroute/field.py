@@ -24,6 +24,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -164,12 +165,17 @@ def parse_dataset(text: str) -> SensorField:
     return SensorField(xy)
 
 
-def write_dataset(field: SensorField) -> str:
-    """Serialize a field as ``P (<x> <y>)`` lines, LF-terminated.
+def write_dataset(field: SensorField, out: TextIO | None = None) -> str | None:
+    """Serialize a field as ``P (<x> <y>)`` lines, LF-terminated, returned or written to ``out``.
+
+    Given a text stream ``out``, the lines are written to it a block at a
+    time, and None is returned. An empty field is the one line ``"\\n"``.
 
     Round-trip law: ``parse_dataset(write_dataset(f)) == f``; the
     coordinates come back element for element.
     """
     xy = field.coords
-    text = join_lines([b"P (", (format_coords(xy[:, 0]), 1), b" ", (format_coords(xy[:, 1]), 1), b")\n"], len(xy))
-    return text or "\n"
+    if not len(xy):
+        return join_lines([b"\n"], 1, out)
+    columns = [b"P (", (format_coords(xy[:, 0]), 1), b" ", (format_coords(xy[:, 1]), 1), b")\n"]
+    return join_lines(columns, len(xy), out)

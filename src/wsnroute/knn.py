@@ -15,6 +15,7 @@ matrix. The two builds give the same graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import TextIO
 
 import numpy as np
 
@@ -88,18 +89,20 @@ def build_knn_graph(field: SensorField, k: int, chunk_size: int = 256, stats: di
     return _built(field, targets, weights)
 
 
-def dump_graph(graph: KnnGraph) -> str:
-    """Text dump, one ``source target weight`` line per slot, row by row.
+def dump_graph(graph: KnnGraph, out: TextIO | None = None) -> str | None:
+    """Text dump, one ``source target weight`` line per slot, row by row, returned or written to ``out``.
 
     Rows are ordered by (weight, target), so the lines are sorted by
     (source, weight, target). Node ids and the distinct weights, told apart
     by their bits, are each formatted once into a byte table by
     :func:`~wsnroute.numtext.format_coords` (mutual neighbours share a weight),
-    and the lines are gathered from those tables a block at a time.
+    and the lines are gathered from those tables a block at a time; given a
+    text stream ``out``, each block is written to it as it is made, and None
+    is returned.
     """
     n, k = graph.targets.shape
     bits, slot_weight = np.unique(graph.weights.view(np.int64).ravel(), return_inverse=True)
     ids = format_coords(np.arange(n, dtype=np.float64))
     ws = format_coords(bits.view(np.float64))
     del bits  # not held through the join
-    return join_lines([(ids, k), b" ", (ids, graph.targets.ravel()), b" ", (ws, slot_weight), b"\n"], n * k)
+    return join_lines([(ids, k), b" ", (ids, graph.targets.ravel()), b" ", (ws, slot_weight), b"\n"], n * k, out)

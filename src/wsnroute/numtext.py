@@ -1,9 +1,12 @@
 """Decimal text of float64 values, written and read a whole array at a time.
 
 Numbers are written by :func:`format_coord`, one at a time, or by
-:func:`format_coords`, a whole array at once into a table of ASCII bytes;
-the two give the same text. :func:`join_lines` gathers lines of text from
-such tables a block at a time, for ``write_dataset`` and the kNN dump.
+:func:`format_coords`, a whole array into a table of ASCII bytes, a block of
+entries at a time; the two give the same text. :func:`line_blocks` gathers
+lines of text from such tables a block at a time, and :func:`join_lines`
+returns them as one ``str`` or writes each block to a text stream, for
+``write_dataset`` and the kNN dump. So no temporary of the formatter, and
+no text but the caller's own ``str``, is as long as the input.
 
 :func:`read_records` reads the ``P (<x> <y>)`` records of ASCII dataset text
 from its bytes: a numpy tokenizer finds each record's two number spans, and
@@ -16,7 +19,10 @@ caller, which reads it line by line.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
+from typing import TextIO
 
 import numpy as np
 
@@ -131,7 +137,7 @@ def _write_digits(x: np.ndarray, out: np.ndarray) -> None:
 
 # _ZEROS[n, j] adds "0" to digit column j of a field whose first n columns are digits.
 _ZEROS = np.where(np.arange(17) < np.arange(18)[:, None], ord("0"), 0).astype(np.uint8)
-# Entries run through the kernel this many at a time, which bounds its temporaries.
+# Entries are formatted this many at a time, which bounds the formatter's temporaries.
 _CHUNK = 4096
 
 
@@ -146,24 +152,70 @@ def format_coords(a: np.ndarray) -> np.ndarray:
     with no dot for an integral value. Every other entry (zeros,
     0 < |v| < 1, |v| >= 2^53) gets ``repr``, and the integral ones below 1e16
     :func:`format_coord`, one at a time.
+
+    The entries are formatted ``_CHUNK`` at a time, each block into a table
+    of its own columns, which is copied into the result padded with NULs on
+    the right; so columns may line up differently from block to block, and
+    no temporary is longer than a block. The result is widened in place when
+    a block is wider than every block before it.
     """
+    n = len(a)
+    buf = np.zeros(0, np.uint8)  # the result's n rows, each w bytes
+    w = 0
+    for lo in range(0, n, _CHUNK):
+        block = _format_block(a[lo:lo + _CHUNK])
+        if block.shape[1] > w:
+            buf.resize(n * block.shape[1], refcheck=False)  # in place: no second copy of the table
+            _widen(buf, lo, w, block.shape[1])
+            w = block.shape[1]
+        buf.reshape(n, w)[lo:lo + len(block), :block.shape[1]] = block
+    return buf.reshape(n, w)
+
+
+def _widen(buf: np.ndarray, rows: int, w: int, w2: int) -> None:
+    """Move the first ``rows`` rows of a table in ``buf`` from ``w`` bytes wide to ``w2`` > w, NUL on the right.
+
+    The rows move a block at a time, the last first, so that none is
+    overwritten before it moves.
+    """
+    for hi in range(rows, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        new = buf[lo * w2:hi * w2].reshape(-1, w2)
+        new[:, :w] = buf[lo * w:hi * w].reshape(-1, w)  # numpy copies an overlapping source first
+        new[:, w:] = 0
+
+
+@functools.lru_cache(maxsize=64)
+def _fill(w0: int, wi: int, wf: int) -> np.ndarray:
+    """What a row of ``w0`` sign, ``wi`` whole and ``wf`` fraction columns adds to its digits.
+
+    Row ``ravel_multi_index((negative, whole digits, fraction digits), (w0
+    + 1, wi + 1, wf + 1))`` holds a sign, a dot, and "0" in each column that
+    holds a digit. A block's table depends on its widths alone, so blocks of
+    the same widths share it.
+    """
+    kinds = (w0 + 1, wi + 1, wf + 1)
+    s, nw, nf = np.unravel_index(np.arange(np.prod(kinds)), kinds)
+    w1 = w0 + wi + (wf > 0)
+    fill = np.zeros((len(s), w1 + wf), np.uint8)
+    fill[:, :w0] = (s * ord("-"))[:, None]
+    fill[:, w0:w0 + wi] = _ZEROS[nw, :wi][:, ::-1]
+    fill[:, w0 + wi:w1] = ((nf > 0) * ord("."))[:, None]
+    fill[:, w1:] = _ZEROS[nf, :wf]
+    fill.flags.writeable = False
+    return fill
+
+
+def _format_block(a: np.ndarray) -> np.ndarray:
+    """:func:`format_coords` of at most ``_CHUNK`` entries, with columns of their own."""
     mag = np.abs(a)
     in_range = (mag >= 1) & (mag < _TWO53)
     fast, slow = np.flatnonzero(in_range), np.flatnonzero(~in_range)
-    vals = a[slow]
-    values = vals.tolist()
-    texts = list(map(repr, values))
-    for i in np.flatnonzero((vals == np.trunc(vals)) & (np.abs(vals) < 1e16)).tolist():
-        texts[i] = format_coord(values[i])
-    others = np.array(texts, dtype=bytes)
-    others = others.view(np.uint8).reshape(len(slow), others.itemsize)
     v = mag[fast]
     digits = v.astype(np.uint64)  # exact for the integral values, which keep it
     nfrac = np.zeros(len(v), np.intp)
     dot = np.flatnonzero(v != np.trunc(v))
-    for lo in range(0, len(dot), _CHUNK):
-        at = dot[lo:lo + _CHUNK]
-        digits[at], nfrac[at] = _shortest(v[at].view(np.uint64))
+    digits[dot], nfrac[dot] = _shortest(v[dot].view(np.uint64))
     scale = _POW10[nfrac]
     whole = digits // scale  # at least 1
     nwhole = np.searchsorted(_POW10, whole, side="right")
@@ -178,18 +230,16 @@ def format_coords(a: np.ndarray) -> np.ndarray:
     digits -= whole * scale
     digits *= _POW10[wf - nfrac]
     _write_digits(digits, rows[:, w1:])
-    # What a row adds to its digits, by (negative, whole digits, fraction
-    # digits): a sign, a dot, and "0" in each column that holds a digit.
-    kinds = (w0 + 1, wi + 1, wf + 1)
-    s, nw, nf = np.unravel_index(np.arange(np.prod(kinds)), kinds)
-    fill = np.zeros((len(s), rows.shape[1]), np.uint8)
-    fill[:, :w0] = (s * ord("-"))[:, None]
-    fill[:, w0:w0 + wi] = _ZEROS[nw, :wi][:, ::-1]
-    fill[:, w0 + wi:w1] = ((nf > 0) * ord("."))[:, None]
-    fill[:, w1:] = _ZEROS[nf, :wf]
-    rows += np.take(fill, np.ravel_multi_index((neg, nwhole, nfrac), kinds), axis=0)
+    rows += np.take(_fill(w0, wi, wf), np.ravel_multi_index((neg, nwhole, nfrac), (w0 + 1, wi + 1, wf + 1)), axis=0)
     if not len(slow):
         return rows
+    vals = a[slow]
+    values = vals.tolist()
+    texts = list(map(repr, values))
+    for i in np.flatnonzero((vals == np.trunc(vals)) & (np.abs(vals) < 1e16)).tolist():
+        texts[i] = format_coord(values[i])
+    others = np.array(texts, dtype=bytes)
+    others = others.view(np.uint8).reshape(len(slow), others.itemsize)
     table = np.zeros((len(a), max(rows.shape[1], others.shape[1])), np.uint8)
     table[fast, :rows.shape[1]] = rows
     table[slow, :others.shape[1]] = others
@@ -200,14 +250,14 @@ def format_coords(a: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 12
 
 
-def join_lines(columns: list, n: int) -> str:
-    """``n`` lines of ASCII text, each the concatenation of one row of every column.
+def line_blocks(columns: list, n: int) -> Iterator[str]:
+    """``n`` lines of ASCII text, each one row of every column, as ``str`` blocks of ``_BLOCK`` lines.
 
     A column is ``bytes``, the same in every line, or a pair (table, rows) of
     a C-contiguous 2-D uint8 table and the row of it that each line takes:
     line i takes row ``rows[i]``, or row ``i // rows`` when ``rows`` is an
-    int. NUL bytes are dropped. The lines are gathered ``_BLOCK`` at a time,
-    so only one block of them is ever held in a table.
+    int. NUL bytes are dropped. Only one block of lines is ever held in a
+    table.
     """
     widths = [len(c) if isinstance(c, bytes) else c[0].shape[1] for c in columns]
     starts = np.cumsum([0, *widths]).tolist()
@@ -219,7 +269,6 @@ def join_lines(columns: list, n: int) -> str:
         elif hi > lo:  # each row one item, so a gather moves whole rows
             table, rows = c
             gathers.append((table.view(f"V{hi - lo}")[:, 0], rows, lo, hi))
-    out = []
     for first in range(0, n, _BLOCK):
         block = buf[:min(_BLOCK, n - first)]
         for items, rows, lo, hi in gathers:
@@ -228,8 +277,15 @@ def join_lines(columns: list, n: int) -> str:
             else:
                 rows = rows[first:first + len(block)]
             block[:, lo:hi] = items[rows].view(np.uint8).reshape(len(block), hi - lo)
-        out.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(out)
+        yield block.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def join_lines(columns: list, n: int, out: TextIO | None = None) -> str | None:
+    """The text of :func:`line_blocks`, returned as one ``str`` or written to the text stream ``out`` block by block."""
+    if out is None:
+        return "".join(line_blocks(columns, n))
+    out.writelines(line_blocks(columns, n))
+    return None
 
 
 # Reading. Lemire, "Number parsing at a gigabyte per second" (Software:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wsnroute import dump_graph, generate_uniform, nn_route, parse_dataset
+from wsnroute import build_knn_graph, dump_graph, generate_uniform, nn_route, parse_dataset, write_dataset
 from wsnroute import cli
 from wsnroute.cli import main
 from oracles import brute_force_knn, points
@@ -474,3 +474,37 @@ def test_readme_quickstart_runs_in_an_empty_directory(tmp_path, monkeypatch, cap
         else:
             code = subprocess.run(line, shell=True, cwd=tmp_path).returncode
         assert (code, capsys.readouterr().err) == (0, ""), line  # simulate warns when no round completes
+
+
+def test_knn_streams_the_dump_to_a_file_stdout_or_its_own_input(tmp_path, capsys):
+    # 1000 nodes at k=10 are 10000 lines, more than two blocks of 4096
+    f = generate_uniform(1000, 5000, 5000, 12)
+    expected = dump_graph(build_knn_graph(f, 10))
+    field_path, graph_path = tmp_path / "f.txt", tmp_path / "g.txt"
+    field_path.write_text(write_dataset(f), encoding="utf-8")
+    assert run_cli(capsys, "knn", "--input", str(field_path), "--k", "10", "--output", str(graph_path)) == (0, "", "")
+    assert graph_path.read_bytes() == expected.encode()
+    assert run_cli(capsys, "knn", "--input", str(field_path), "--k", "10") == (0, expected, "")
+    # the field is read before the output is opened, so the dump may replace it
+    assert run_cli(capsys, "knn", "--input", str(field_path), "--k", "10", "--output", str(field_path)) == (0, "", "")
+    assert field_path.read_bytes() == expected.encode()
+
+
+def test_gen_streams_the_dataset_to_a_file_stdout_or_its_own_input(tmp_path, capsys):
+    expected = write_dataset(generate_uniform(9000, 3000, 3000, 13))
+    path = tmp_path / "f.txt"
+    gen = ("gen", "--n", "9000", "--width", "3000", "--height", "3000", "--seed", "13")
+    assert run_cli(capsys, *gen, "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == expected.encode()
+    assert run_cli(capsys, *gen) == (0, expected, "")
+    assert run_cli(capsys, "gen", "--input", str(path), "--output", str(path)) == (0, "", "")
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("command", [["gen", "--n", "5"], ["knn", "--n", "5", "--k", "2"]])
+def test_unwritable_output_is_runtime_error(tmp_path, command, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *command, "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()

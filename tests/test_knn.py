@@ -1,6 +1,9 @@
 """kNN graph builders against the brute-force oracle, and the finished-graph type."""
 
+import io
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,3 +443,25 @@ def test_dump_lines_span_assembly_blocks(monkeypatch):
     monkeypatch.setattr("wsnroute.numtext._BLOCK", 7)
     g = build_knn_graph(generate_uniform(60, 100, 100, seed=8), 4, 16)
     assert dump_graph(g) == reference_dump(g)
+
+
+def test_dump_to_a_stream_writes_the_returned_text(monkeypatch):
+    monkeypatch.setattr("wsnroute.numtext._BLOCK", 7)
+    g = build_knn_graph(generate_uniform(60, 100, 100, seed=8), 4, 16)
+    out = io.StringIO()
+    assert dump_graph(g, out) is None
+    assert out.getvalue() == dump_graph(g) == reference_dump(g)
+
+
+def test_dump_to_a_stream_holds_no_copy_of_the_text():
+    g = build_knn_graph(generate_uniform(20000, 20000, 20000, seed=1), 10)
+    with open(os.devnull, "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            dump_graph(g, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # The text is 5.9 MB. Written a block at a time, the dump peaked at 9.1 MB;
+    # returned as one str, with its formatter's temporaries, at 16.5 MB.
+    assert peak < 12_000_000
