@@ -270,10 +270,14 @@ def _cmd_simulate(args, parser) -> int:
               f"{cfg.initial_battery_j!r} J initial battery (set initial_battery_j in --config)",
               file=sys.stderr)
     doc = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}  # asdict would copy every residual
+    residual = doc.pop("per_node_residual")  # the last field, and never empty: the field has a node
     if args.format == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        # json.dumps(doc, indent=2) with the residuals in: an indent runs the pure-Python
+        # encoder, so they go through the C one and are indented by replacing its separators
+        rows = json.dumps(residual)[1:-1].replace(", ", ",\n    ")
+        head = json.dumps(doc, indent=2)[:-2]
+        _emit(f'{head},\n  "per_node_residual": [\n    {rows}\n  ]\n}}\n', args.output)
     else:
-        del doc["per_node_residual"]
         row = ",".join("" if v is None else str(v) for v in doc.values())
         _emit(",".join(doc) + "\n" + row + "\n", args.output)
     return 0

@@ -5,6 +5,10 @@ Implements the first-order radio model:
     E_tx(b, d) = e_elec * b + eps_amp * b * d^alpha
     E_rx(b)    = e_elec * b
 
+At the default alpha = 2, ``d^alpha`` is the product ``d * d``, which is
+correctly rounded, so the default config's energies are the same bits on
+every host; any other alpha calls the C library's ``pow``.
+
 The delay model's parameters and the battery level live here too, so that
 one ``EnergyConfig`` holds every setting simulate reads.
 The defaults below are workbench conventions, not measured hardware values;
@@ -77,13 +81,20 @@ class DelayParams:
 def tx_energy(p: RadioParams, bits: int, d: float) -> float:
     """Transmission energy for ``bits`` over distance ``d``.
 
-    Raises ValueError when ``d**alpha`` overflows, which Python floats
-    report as OverflowError rather than inf.
+    ``d**alpha`` is ``d * d`` at alpha 2, which IEEE arithmetic rounds
+    correctly on every host, and C ``pow`` at any other alpha. Raises
+    ValueError when a finite ``d`` overflows it; an infinite ``d`` gives inf.
     """
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     try:
-        return p.e_elec * bits + p.eps_amp * bits * d**p.alpha
+        if p.alpha == 2.0:
+            power = d * d
+            if power == math.inf and d != math.inf:  # a float product gives inf where pow raises
+                raise OverflowError
+        else:
+            power = d**p.alpha
+        return p.e_elec * bits + p.eps_amp * bits * power
     except OverflowError:
         raise ValueError(f"hop of {d!r} m overflows d**alpha at alpha={p.alpha!r}") from None
 

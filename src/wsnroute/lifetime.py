@@ -46,6 +46,7 @@ they end; the worker, forked inside the pause, inherits it.
 from __future__ import annotations
 
 import gc
+import math
 import os
 import signal
 import threading
@@ -121,21 +122,28 @@ def _round_charges(field: SensorField, order: np.ndarray, rp: RadioParams, lengt
     """Per-node round charge for one sweep along the intp route ``order``, whose ``hop_lengths`` are ``lengths``.
 
     The same bits as ``tx_energy`` per sender and ``rx_energy`` per
-    receiver: ``d**alpha`` stays a Python float power, numpy adds
+    receiver: each hop's power is ``lengths * lengths`` in numpy at alpha 2
+    and C ``pow`` through ``math.pow`` at any other alpha, numpy adds
     ``e_elec*bits`` to ``eps_amp*bits`` times it with the same two
     roundings, and a node sends at most once and receives at most once, so
-    its charge is one sum of two terms.
+    its charge is one sum of two terms. A hop whose power overflows raises
+    ``tx_energy``'s ValueError, unless its length is itself infinite.
     """
-    lengths = lengths.tolist()
     bits = rp.packet_bits
-    alpha = rp.alpha
-    try:
-        powers = np.array([d**alpha for d in lengths])
-    except OverflowError:
-        for d in lengths:
-            tx_energy(rp, bits, d)  # raises the ValueError that names the first hop to overflow
-        raise
     hops = len(lengths)
+    if rp.alpha == 2.0:
+        with np.errstate(over="ignore"):
+            powers = lengths * lengths
+        overflowed = np.max(powers, initial=0.0) == np.inf
+    else:
+        try:
+            powers = np.fromiter(map(math.pow, lengths.tolist(), repeat(rp.alpha)), np.float64, hops)
+            overflowed = False
+        except OverflowError:
+            overflowed = True
+    if overflowed:
+        for d in lengths.tolist():
+            tx_energy(rp, bits, d)  # raises the ValueError that names the first finite hop to overflow
     charges = np.zeros(len(field))
     with np.errstate(over="ignore"):  # an infinite charge kills its node, as a Python float would
         charges[order[:hops]] = rp.e_elec * bits + rp.eps_amp * bits * powers

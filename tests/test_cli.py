@@ -1,5 +1,6 @@
 """End-to-end command-line tests (in-process)."""
 
+import dataclasses
 import json
 import shlex
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from wsnroute import build_knn_graph, dump_graph, generate_uniform, nn_route, parse_dataset, write_dataset
+from wsnroute import (EnergyConfig, build_knn_graph, dump_graph, generate_uniform, nn_route, parse_dataset,
+                      simulate_lifetime, write_dataset)
 from wsnroute import cli
 from wsnroute.cli import main
 from oracles import brute_force_knn, points
@@ -335,6 +337,25 @@ def test_simulate_json_report(tmp_path, capsys):
                         "deadline_violations", "per_node_residual"}
     assert doc["rounds_completed"] <= 50
     assert len(doc["per_node_residual"]) == 10
+
+
+@pytest.mark.parametrize("n, side, seed, rounds, policy, start, dies", [
+    (10, 200, 5, 7, "rotate-start", None, False),
+    (10, 200, 5, 7, "fixed-route", 3, False),
+    (1, 200, 5, 3, "rotate-start", None, False),  # one residual
+    (10, 20000, 1, 5, "fixed-route", None, True),  # the default battery cannot pay for round 1
+], ids=["rotate", "fixed", "one-node", "dead-node"])
+def test_simulate_json_report_is_the_indented_dump(n, side, seed, rounds, policy, start, dies, capsys):
+    # the residuals go through the C encoder, and the report is still json.dumps(doc, indent=2)
+    argv = ["simulate", "--n", str(n), "--width", str(side), "--height", str(side), "--seed", str(seed),
+            "--rounds", str(rounds), "--policy", policy, "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *(() if start is None else ("--start", str(start))))
+    assert code == 0
+    field = generate_uniform(n, side, side, seed)
+    report = simulate_lifetime(field, policy, EnergyConfig(), rounds,
+                               route=None if start is None else nn_route(field, start))
+    assert out == json.dumps(dataclasses.asdict(report), indent=2) + "\n"
+    assert (0.0 in report.per_node_residual) == dies
 
 
 def test_simulate_rotate_policy_and_csv(capsys):

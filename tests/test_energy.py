@@ -40,6 +40,14 @@ def test_tx_energy_rejects_negative_distance():
         tx_energy(RadioParams(), 100, -1.0)
 
 
+def test_tx_energy_at_alpha_2_overflows_for_a_finite_hop_only():
+    # d*d is inf where d**2.0 raised; the error still names the hop, and an infinite hop still costs inf
+    p = RadioParams()
+    with pytest.raises(ValueError, match=r"^hop of 1e\+155 m overflows d\*\*alpha at alpha=2\.0$"):
+        tx_energy(p, 2000, 1e155)
+    assert tx_energy(p, 2000, math.inf) == math.inf
+
+
 def test_rx_energy():
     p = RadioParams()
     assert rx_energy(p, 0) == 0.0

@@ -23,6 +23,9 @@ LONG_LIFE_CONFIG = SIM_CONFIG.replace("0.05", "1e4")
 # Batteries that last past round n, so the rotating start wraps before the
 # first death, and a deadline about half the routes miss.
 WRAP_CONFIG = "initial_battery_j = 2\nprop_speed = 1e5\nd_max_s = 0.3315\n"
+# The default radio (alpha 2) with batteries that outlast a few rounds of
+# hops about 1 km long on the default 20000 x 20000 field.
+BATTERY_CONFIG = "initial_battery_j = 1e4\n"
 # A 6x6 integer lattice: every row has exact distance ties at its k-th radius.
 LATTICE = "".join(f"P ({x} {y})\n" for y in range(6) for x in range(6))
 # Coordinates in each of the number formatter's ranges: zeros, below 1, in
@@ -73,6 +76,10 @@ CASES = {
     "simulate-rotate-wrap-n300": ["simulate", "--n", "300", "--width", "200", "--height", "200",
                                   "--seed", "7", "--rounds", "1000", "--policy", "rotate-start",
                                   "--config", "{wrap_config}", "--format", "json"],
+    # Hops at the default alpha of 2, each charged d * d.
+    "simulate-rotate-alpha2-n300": ["simulate", "--n", "300", "--seed", "13", "--rounds", "8",
+                                    "--policy", "rotate-start", "--config", "{battery_config}",
+                                    "--format", "json"],
     "bench-csv": ["bench", "--n", "30", "--width", "500", "--height", "500",
                   "--seeds", "1..3", "--format", "csv"],
     # Enough nodes for a grid of hundreds of cells.
@@ -132,6 +139,7 @@ DIGESTS = {
     "simulate-rotate-json": "78f1787148784b8fdbac27fd1bed1ad61e66ff9143b0d1eb98e26e04898d2b6d",
     "simulate-rotate-n400": "8c0fd73fae930b42afba75565dd3fc6a31bf622ea468e2cc2686824f436a11a9",
     "simulate-rotate-n2000": "788dba0dca75aa6ab965edbd4c87f22f22b33bcb63305b726626a31ef4f9630f",
+    "simulate-rotate-alpha2-n300": "7e51b2c27fbf7f546fe6f6a1544d7ff1bab7057dd424714dae8578f5217495bd",
     "simulate-rotate-wrap-n300": "a7b597d7ea343a7b1c2aa92b4f0d665888a3f8e1afbc0025836de3765bab77bc",
 }
 
@@ -162,6 +170,8 @@ def test_golden_output(name, tmp_path, capsys):
     long_config_file.write_text(LONG_LIFE_CONFIG)
     wrap_config_file = tmp_path / "wrap.cfg"
     wrap_config_file.write_text(WRAP_CONFIG)
+    battery_config_file = tmp_path / "battery.cfg"
+    battery_config_file.write_text(BATTERY_CONFIG)
     lattice_file = tmp_path / "lattice.txt"
     lattice_file.write_text(LATTICE)
     clustered_file = tmp_path / "clustered.txt"
@@ -171,8 +181,8 @@ def test_golden_output(name, tmp_path, capsys):
     assert main(["gen", "--n", "35", "--width", "900", "--height", "600", "--seed", "8",
                  "--output", str(field_file)]) == 0
     argv = [a.format(field=field_file, config=config_file, long_config=long_config_file,
-                     wrap_config=wrap_config_file, lattice=lattice_file,
-                     clustered=clustered_file, mixed=mixed_file) for a in CASES[name]]
+                     wrap_config=wrap_config_file, battery_config=battery_config_file,
+                     lattice=lattice_file, clustered=clustered_file, mixed=mixed_file) for a in CASES[name]]
     capsys.readouterr()
     assert main(argv) == 0
     out = _drop_wall_times(name, capsys.readouterr().out)

@@ -311,6 +311,34 @@ def test_round_charges_overflow_to_inf_silently():
     assert tx_energy(rp, rp.packet_bits, 1e76) == math.inf
 
 
+def test_round_charges_at_alpha_2_square_each_hop():
+    # d*d, not C pow: the hops include every length among 100,000 where this host's pow(d, 2.0) != d*d
+    rp = RadioParams()
+    candidates = np.random.default_rng(33).uniform(0, 30000, 100_000).tolist()
+    lengths = [d for d in candidates if d**2.0 != d * d] + candidates[:500]
+    f = generate_uniform(len(lengths) + 1, 1000, 1000, seed=1)
+    order = np.arange(len(f), dtype=np.intp)
+    charges = _round_charges(f, order, rp, np.array(lengths))
+    bits = rp.packet_bits
+    tx = [rp.e_elec * bits + rp.eps_amp * bits * (d * d) for d in lengths]
+    rx = rx_energy(rp, bits)
+    assert charges.tolist() == [tx[0], *(t + rx for t in tx[1:]), rx]
+    assert [tx_energy(rp, bits, d) for d in lengths] == tx
+
+
+def test_round_charges_at_alpha_2_raise_on_a_finite_overflow_and_charge_an_infinite_hop_inf():
+    rp = RadioParams()
+    f = generate_uniform(4, 1000, 1000, seed=1)
+    order = np.arange(4, dtype=np.intp)
+    with pytest.raises(ValueError, match=r"^hop of 1e\+155 m overflows d\*\*alpha at alpha=2\.0$"):
+        _round_charges(f, order, rp, np.array([3.0, 1e155, 2e155]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        charges = _round_charges(f, order, rp, np.array([3.0, math.inf, 5.0])).tolist()
+    rx = rx_energy(rp, rp.packet_bits)
+    assert charges == [tx_energy(rp, rp.packet_bits, 3.0), math.inf, tx_energy(rp, rp.packet_bits, 5.0) + rx, rx]
+
+
 # --- rotate-start's route worker ---
 
 
