@@ -5,9 +5,10 @@ Implements the first-order radio model:
     E_tx(b, d) = e_elec * b + eps_amp * b * d^alpha
     E_rx(b)    = e_elec * b
 
-At the default alpha = 2, ``d^alpha`` is the product ``d * d``, which is
-correctly rounded, so the default config's energies are the same bits on
-every host; any other alpha calls the C library's ``pow``.
+``tx_energy`` alone computes ``d^alpha``, for one hop or a round's array:
+``d * d`` at the default alpha = 2, which is correctly rounded, so the
+default config's energies are the same bits on every host, and the C
+library's ``pow`` at any other alpha.
 
 The delay model's parameters and the battery level live here too, so that
 one ``EnergyConfig`` holds every setting simulate reads.
@@ -24,6 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
+
+import numpy as np
 
 
 def _check_positive(what: str, **values: float) -> None:
@@ -78,25 +82,39 @@ class DelayParams:
             raise ValueError(f"delay parameter d_max_s must be positive, got {self.d_max_s!r}")
 
 
-def tx_energy(p: RadioParams, bits: int, d: float) -> float:
-    """Transmission energy for ``bits`` over distance ``d``.
+def tx_energy(p: RadioParams, bits: int, d: float | np.ndarray) -> float | np.ndarray:
+    """Transmission energy for ``bits`` over distance ``d``, or over each of a float64 array of them.
 
-    ``d**alpha`` is ``d * d`` at alpha 2, which IEEE arithmetic rounds
-    correctly on every host, and C ``pow`` at any other alpha. Raises
-    ValueError when a finite ``d`` overflows it; an infinite ``d`` gives inf.
+    ``d**alpha`` is ``d * d`` at alpha 2 and C ``pow`` through ``math.pow`` at
+    any other alpha, so an array entry has the scalar call's bits. Raises
+    ValueError naming the first finite ``d`` whose power overflows; an
+    infinite ``d``, or a charge that overflows, costs inf without a warning.
     """
-    if d < 0:
-        raise ValueError(f"distance must be >= 0, got {d}")
-    try:
+    lengths = np.asarray(d, dtype=np.float64).reshape(-1)
+    if (lengths < 0).any():
+        raise ValueError(f"distance must be >= 0, got {float(lengths[lengths < 0][0])}")
+    with np.errstate(over="ignore"):  # a Python float overflows to inf silently too
         if p.alpha == 2.0:
-            power = d * d
-            if power == math.inf and d != math.inf:  # a float product gives inf where pow raises
-                raise OverflowError
+            powers = lengths * lengths
         else:
-            power = d**p.alpha
-        return p.e_elec * bits + p.eps_amp * bits * power
+            ds = lengths.tolist()
+            try:
+                powers = np.fromiter(map(math.pow, ds, repeat(p.alpha)), np.float64, len(ds))
+            except OverflowError:  # C pow raises on a finite d only; that hop is named below
+                powers = np.fromiter(map(_pow_or_inf, ds, repeat(p.alpha)), np.float64, len(ds))
+        overflowed = np.flatnonzero(np.isinf(powers) & np.isfinite(lengths))
+        if len(overflowed):
+            raise ValueError(f"hop of {float(lengths[overflowed[0]])!r} m overflows d**alpha at alpha={p.alpha!r}")
+        charges = p.e_elec * bits + p.eps_amp * bits * powers
+    return charges if np.ndim(d) else float(charges[0])
+
+
+def _pow_or_inf(d: float, alpha: float) -> float:
+    """C ``pow(d, alpha)``, or inf where it overflows."""
+    try:
+        return math.pow(d, alpha)
     except OverflowError:
-        raise ValueError(f"hop of {d!r} m overflows d**alpha at alpha={p.alpha!r}") from None
+        return math.inf
 
 
 def rx_energy(p: RadioParams, bits: int) -> float:

@@ -213,7 +213,7 @@ def _blocks(wide: np.ndarray, chunk_size: int, width: int):
     its widest square, or ``width``, needs.
     """
     m = len(wide)
-    starts = np.arange(0, m, chunk_size)
+    starts = np.arange(0, m, min(chunk_size, max(m, 1)))  # a step from m up is one tile; arange wants an int64
     a, most, tiles = 0, 0, []
     for lo, w in zip(starts.tolist(), np.maximum(np.maximum.reduceat(wide, starts), width).tolist()):
         hi = min(lo + chunk_size, m)

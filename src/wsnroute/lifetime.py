@@ -46,7 +46,6 @@ they end; the worker, forked inside the pause, inherits it.
 from __future__ import annotations
 
 import gc
-import math
 import os
 import signal
 import threading
@@ -101,16 +100,18 @@ class SimReport:
 
 
 def _left_sum(total: float, terms: np.ndarray) -> float:
-    """``total`` plus each of ``terms`` in turn: a Python ``+=`` loop's rounding, not ``np.sum``'s."""
-    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+    """``total`` plus each of ``terms`` in turn: a Python ``+=`` loop's rounding, not ``np.sum``'s, and its silent inf."""
+    with np.errstate(over="ignore"):
+        return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
 def path_delay(lengths: np.ndarray, dp: DelayParams) -> float:
     """End-to-end delay of a route whose hops are ``lengths`` long.
 
-    Per hop, propagation (d / prop_speed) plus processing, summed in hop order.
+    Per hop, propagation (d / prop_speed) plus processing, summed in hop order; inf beyond the float range.
     """
-    return _left_sum(0.0, lengths / dp.prop_speed + dp.per_hop_s)
+    with np.errstate(over="ignore"):
+        return _left_sum(0.0, lengths / dp.prop_speed + dp.per_hop_s)
 
 
 def check_delay(lengths: np.ndarray, dp: DelayParams) -> bool:
@@ -118,37 +119,17 @@ def check_delay(lengths: np.ndarray, dp: DelayParams) -> bool:
     return path_delay(lengths, dp) <= dp.d_max_s
 
 
-def _round_charges(field: SensorField, order: np.ndarray, rp: RadioParams, lengths: np.ndarray) -> np.ndarray:
-    """Per-node round charge for one sweep along the intp route ``order``, whose ``hop_lengths`` are ``lengths``.
+def _round_charges(order: np.ndarray, rp: RadioParams, lengths: np.ndarray) -> np.ndarray:
+    """Per-node charge for one sweep along the intp route ``order``, whose ``hop_lengths`` are ``lengths``.
 
-    The same bits as ``tx_energy`` per sender and ``rx_energy`` per
-    receiver: each hop's power is ``lengths * lengths`` in numpy at alpha 2
-    and C ``pow`` through ``math.pow`` at any other alpha, numpy adds
-    ``e_elec*bits`` to ``eps_amp*bits`` times it with the same two
-    roundings, and a node sends at most once and receives at most once, so
-    its charge is one sum of two terms. A hop whose power overflows raises
-    ``tx_energy``'s ValueError, unless its length is itself infinite.
+    Each hop charges its sender ``tx_energy`` and its receiver ``rx_energy``. A
+    node sends and receives at most once, so its charge has a scalar sweep's bits.
     """
-    bits = rp.packet_bits
     hops = len(lengths)
-    if rp.alpha == 2.0:
-        with np.errstate(over="ignore"):
-            powers = lengths * lengths
-        overflowed = np.max(powers, initial=0.0) == np.inf
-    else:
-        try:
-            powers = np.fromiter(map(math.pow, lengths.tolist(), repeat(rp.alpha)), np.float64, hops)
-            overflowed = False
-        except OverflowError:
-            overflowed = True
-    if overflowed:
-        for d in lengths.tolist():
-            tx_energy(rp, bits, d)  # raises the ValueError that names the first finite hop to overflow
-    charges = np.zeros(len(field))
-    with np.errstate(over="ignore"):  # an infinite charge kills its node, as a Python float would
-        charges[order[:hops]] = rp.e_elec * bits + rp.eps_amp * bits * powers
+    charges = np.zeros(len(order))
+    charges[order[:hops]] = tx_energy(rp, rp.packet_bits, lengths)
     # hop h's receiver is order[h + 1], and order[0] for a closed route's last hop
-    charges[np.roll(order, -1)[:hops]] += rx_energy(rp, bits)
+    charges[np.roll(order, -1)[:hops]] += rx_energy(rp, rp.packet_bits)
     return charges
 
 
@@ -282,8 +263,7 @@ def simulate_lifetime(
     def plan(order: np.ndarray, closed: bool = False) -> np.ndarray:
         """The round's plan: each node's charge, then 1.0 if the route meets the deadline, else 0.0."""
         lengths = hop_lengths(field.coords, order, closed)  # one pass serves charges and delay
-        charges = _round_charges(field, order, cfg.radio, lengths)
-        return np.append(charges, float(check_delay(lengths, cfg.delay)))
+        return np.append(_round_charges(order, cfg.radio, lengths), float(check_delay(lengths, cfg.delay)))
 
     if rotate:
         graph = build_knn_graph(field, min(_ROTATE_K, n - 1)) if n > 1 and max_rounds > 0 else None

@@ -260,7 +260,7 @@ def test_rotation_lifetime_is_the_battery_over_the_largest_mean_charge():
         charges = []
         for start in range(len(f)):
             order = np.array(nn_route(f, start, graph).order, dtype=np.intp)
-            charges.append(_round_charges(f, order, cfg.radio, hop_lengths(f.coords, order)))
+            charges.append(_round_charges(order, cfg.radio, hop_lengths(f.coords, order)))
         fixed, rotated = (simulate_lifetime(f, policy, cfg, 10**6).rounds_completed
                           for policy in (POLICY_FIXED, POLICY_ROTATE))
         assert fixed == int(battery / charges[0].max()), seed

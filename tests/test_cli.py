@@ -4,6 +4,7 @@ import dataclasses
 import json
 import shlex
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,14 @@ def test_knn_dump_matches_oracle(tmp_path, capsys):
     assert out == dump_graph(brute_force_knn(f, 3))
 
 
+@pytest.mark.parametrize("chunk", [str(2**63 - 1), str(2**63), str(2**64)])
+def test_knn_chunk_size_beyond_int64_is_one_tile(chunk, capsys):
+    code, out, _ = run_cli(capsys, "knn", "--n", "20", "--width", "200", "--height", "200",
+                           "--seed", "4", "--k", "3", "--chunk-size", chunk)
+    assert code == 0
+    assert out == dump_graph(brute_force_knn(generate_uniform(20, 200, 200, 4), 3))
+
+
 def test_sa_deterministic_and_not_worse_than_reported(capsys):
     args = ("sa", "--n", "30", "--width", "400", "--height", "400", "--seed", "11",
             "--sa-max-iters", "2000")
@@ -378,6 +387,19 @@ def test_simulate_warns_when_round_one_is_fatal(capsys):
     warnings = err.splitlines()
     assert len(warnings) == 1
     assert warnings[0].startswith("warning:") and "0.5 J" in warnings[0]
+
+
+@pytest.mark.parametrize("line", ["prop_speed = 5e-324", "per_hop_s = 1e308"])
+def test_simulate_delay_beyond_the_float_range_is_inf_without_a_warning(tmp_path, capsys, line):
+    # hop / prop_speed overflows the division, and 49 hops of 1e308 s overflow the sum
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate", "--n", "50", "--rounds", "2", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["first_death_round"] == 1
+    assert len(err.splitlines()) == 1 and err.startswith("warning: no round completed")
 
 
 @pytest.mark.parametrize("line", [

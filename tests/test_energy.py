@@ -1,7 +1,9 @@
 """Radio model, battery and config-file tests."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from wsnroute import (
@@ -36,8 +38,9 @@ def test_tx_energy_strictly_increasing_in_distance():
 
 
 def test_tx_energy_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        tx_energy(RadioParams(), 100, -1.0)
+    for d in (-1.0, np.array([1.0, -1.0, -2.0])):  # an array names its first negative entry
+        with pytest.raises(ValueError, match=r"^distance must be >= 0, got -1\.0$"):
+            tx_energy(RadioParams(), 100, d)
 
 
 def test_tx_energy_at_alpha_2_overflows_for_a_finite_hop_only():
@@ -46,6 +49,31 @@ def test_tx_energy_at_alpha_2_overflows_for_a_finite_hop_only():
     with pytest.raises(ValueError, match=r"^hop of 1e\+155 m overflows d\*\*alpha at alpha=2\.0$"):
         tx_energy(p, 2000, 1e155)
     assert tx_energy(p, 2000, math.inf) == math.inf
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.7])
+def test_tx_energy_on_an_array_is_the_scalar_calls_bit_for_bit(alpha):
+    p = RadioParams(alpha=alpha)
+    lengths = np.concatenate(([0.0, math.inf, 1.0], np.random.default_rng(34).uniform(0, 30000, 2000)))
+    charges = tx_energy(p, 2000, lengths)
+    assert charges.dtype == np.float64
+    assert charges.tolist() == [tx_energy(p, 2000, d) for d in lengths.tolist()]
+    assert charges[1] == math.inf
+    assert type(tx_energy(p, 2000, 3.0)) is float
+
+
+@pytest.mark.parametrize(("alpha", "hops", "named"), [
+    (2.0, [3.0, math.inf, 1e155, 2e155], 1e155),
+    (4.0, [1e77, math.inf, 1.16e77, 1.2e77], 1.16e77),  # d**4 overflows from about 1.158e77
+])
+def test_tx_energy_on_an_array_names_its_first_finite_overflowing_hop(alpha, hops, named):
+    p = RadioParams(alpha=alpha)
+    message = re.escape(f"hop of {named!r} m overflows d**alpha at alpha={alpha!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tx_energy(p, 2000, np.array(hops))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tx_energy(p, 2000, named)
+    assert tx_energy(p, 2000, np.array(hops[:2])).tolist() == [tx_energy(p, 2000, hops[0]), math.inf]
 
 
 def test_rx_energy():

@@ -87,6 +87,16 @@ def test_path_delay_is_the_left_to_right_hop_sum():
             assert path_delay(lengths, dp) == want
 
 
+def test_delay_and_ledger_sums_beyond_the_float_range_are_inf_without_a_warning():
+    # as a Python float's division and += give inf
+    lengths = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert path_delay(lengths, DelayParams(prop_speed=5e-324)) == math.inf
+        assert path_delay(lengths, DelayParams(per_hop_s=1e308)) == math.inf
+        assert lifetime._left_sum(1e308, np.array([1e308, 1.0])) == math.inf
+
+
 def test_check_delay_boundary_inclusive():
     lengths = hop_lengths(chain_field([0, 300]).coords, [0, 1])
     exact = path_delay(lengths, DelayParams(per_hop_s=1e-3, prop_speed=3e8))
@@ -296,7 +306,7 @@ def test_round_charges_match_per_hop_radio_calls(alpha, closed):
         for a, b, d in hops:
             want[a] += tx_energy(rp, rp.packet_bits, d)
             want[b] += rx_energy(rp, rp.packet_bits)
-        charges = _round_charges(f, np.array(order, dtype=np.intp), rp, hop_lengths(f.coords, order, closed))
+        charges = _round_charges(np.array(order, dtype=np.intp), rp, hop_lengths(f.coords, order, closed))
         assert charges.tolist() == want
 
 
@@ -306,7 +316,7 @@ def test_round_charges_overflow_to_inf_silently():
     f = SensorField(coords=[(0.0, 0.0), (1e76, 0.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        charges = _round_charges(f, np.array([0, 1], dtype=np.intp), rp, hop_lengths(f.coords, [0, 1])).tolist()
+        charges = _round_charges(np.array([0, 1], dtype=np.intp), rp, hop_lengths(f.coords, [0, 1])).tolist()
     assert charges == [math.inf, rx_energy(rp, rp.packet_bits)]
     assert tx_energy(rp, rp.packet_bits, 1e76) == math.inf
 
@@ -318,7 +328,7 @@ def test_round_charges_at_alpha_2_square_each_hop():
     lengths = [d for d in candidates if d**2.0 != d * d] + candidates[:500]
     f = generate_uniform(len(lengths) + 1, 1000, 1000, seed=1)
     order = np.arange(len(f), dtype=np.intp)
-    charges = _round_charges(f, order, rp, np.array(lengths))
+    charges = _round_charges(order, rp, np.array(lengths))
     bits = rp.packet_bits
     tx = [rp.e_elec * bits + rp.eps_amp * bits * (d * d) for d in lengths]
     rx = rx_energy(rp, bits)
@@ -331,10 +341,10 @@ def test_round_charges_at_alpha_2_raise_on_a_finite_overflow_and_charge_an_infin
     f = generate_uniform(4, 1000, 1000, seed=1)
     order = np.arange(4, dtype=np.intp)
     with pytest.raises(ValueError, match=r"^hop of 1e\+155 m overflows d\*\*alpha at alpha=2\.0$"):
-        _round_charges(f, order, rp, np.array([3.0, 1e155, 2e155]))
+        _round_charges(order, rp, np.array([3.0, 1e155, 2e155]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        charges = _round_charges(f, order, rp, np.array([3.0, math.inf, 5.0])).tolist()
+        charges = _round_charges(order, rp, np.array([3.0, math.inf, 5.0])).tolist()
     rx = rx_energy(rp, rp.packet_bits)
     assert charges == [tx_energy(rp, rp.packet_bits, 3.0), math.inf, tx_energy(rp, rp.packet_bits, 5.0) + rx, rx]
 
@@ -345,7 +355,7 @@ def test_round_charges_at_alpha_2_raise_on_a_finite_overflow_and_charge_an_infin
 def battery_for_death_in_round_2(f, rp):
     """The largest round-1 charge of rotate-start: that node is empty after round 1 and dies in round 2."""
     order = np.array(nn_route(f, 0).order, dtype=np.intp)
-    return float(_round_charges(f, order, rp, hop_lengths(f.coords, order)).max())
+    return float(_round_charges(order, rp, hop_lengths(f.coords, order)).max())
 
 
 @pytest.fixture
